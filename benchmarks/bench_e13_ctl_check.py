@@ -18,8 +18,7 @@ import pytest
 
 from repro import obs
 from repro.engine import explore
-from repro.engine.ctl import check, check_space
-from repro.engine.properties import Verdict
+from repro.engine.ctl import Verdict, check, check_space
 from repro.sdf import SdfBuilder, weave_sdf
 
 #: explicit budget the soundness pin works against (as in bench_e12)

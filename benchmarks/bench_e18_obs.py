@@ -25,8 +25,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.engine.ctl import check
-from repro.engine.properties import Verdict
+from repro.engine.ctl import Verdict, check
 from repro.sdf import SdfBuilder, weave_sdf
 
 #: acceptance: disabled-mode instrumentation cost on a real workload

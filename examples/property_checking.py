@@ -2,9 +2,8 @@
 """Concurrency-aware analysis: checking properties of all schedules.
 
 The paper motivates the explicit MoCC with "the effective usage of
-concurrency-aware analysis techniques". This example runs the standard
-finite-state checks over the *complete* scheduling state space of a
-small sensor pipeline:
+concurrency-aware analysis techniques". This example checks properties
+over the *complete* scheduling state space of a small sensor pipeline:
 
 * safety  — the place never overflows, mutual exclusion holds;
 * reachability — the sink can fire (with a shortest witness schedule);
@@ -12,23 +11,17 @@ small sensor pipeline:
   by a sink firing, under every acceptable schedule;
 * divergence — which properties break when the MoCC changes.
 
-Both the infinite-resource model and its deployment are handles in one
-workbench session; exploration results carry the full state space, so
-the property checkers run straight off ``result.statespace()``.
+State questions are CTL text answered by ``Workbench.check`` (the
+``CheckSpec`` behind ``repro check``), on either backend. The one
+step-level question CTL cannot phrase — two events never *taken* in one
+step — is :func:`~repro.engine.analysis.check_mutual_exclusion` over the
+explored state space.
 
 Run: python examples/property_checking.py
 """
 
 from repro.deployment import Allocation, Platform
-from repro.engine.properties import (
-    counterexample_path,
-    eventually_reachable,
-    inevitable,
-    leads_to,
-    never,
-    occurs,
-    together,
-)
+from repro.engine.analysis import check_mutual_exclusion
 from repro.sdf import SdfBuilder
 from repro.workbench import DeploymentSpec, Workbench
 
@@ -41,6 +34,10 @@ def build_pipeline():
     builder.connect("sense", "proc", capacity=2, name="raw")
     builder.connect("proc", "log", capacity=2, name="cooked")
     return builder
+
+
+def verdict(workbench, model, text, strategy="auto"):
+    return workbench.check(model, text, strategy=strategy).data["verdict"]
 
 
 def main() -> None:
@@ -56,26 +53,29 @@ def main() -> None:
     # read/write, so they can never fire in the same step
     print("safety:")
     print("  sense and proc never fire together:",
-          never(space, together("sense.start", "proc.start")))
-    print("  sense and log CAN fire together (no shared place):",
-          not never(space, together("sense.start", "log.start")))
+          check_mutual_exclusion(space, ["sense.start", "proc.start"]))
+    print("  sense and log never fire together (no shared place):",
+          check_mutual_exclusion(space, ["sense.start", "log.start"]))
+    print("  the raw place never overflows:",
+          verdict(workbench, "sensor",
+                  "AG var(PlaceLimitation@Place:raw.size) <= 2"))
 
     # -- reachability with witness ----------------------------------------
     print("\nreachability:")
-    print("  the log agent can fire:",
-          eventually_reachable(space, occurs("log.start")))
-    witness = counterexample_path(space, occurs("log.start"))
-    print("  shortest schedule reaching it:")
-    for index, step in enumerate(witness):
+    reach = workbench.check("sensor", "EF occurs(log.start)")
+    print("  the log agent can fire:", reach.data["verdict"])
+    print("  shortest schedule to a state where it can fire:")
+    for index, step in enumerate(reach.trace()):
         fired = sorted(e for e in step if e.endswith(".start"))
         print(f"    step {index}: {fired}")
 
     # -- liveness ------------------------------------------------------------
     print("\nliveness (over ALL acceptable schedules):")
     print("  log firing is inevitable:",
-          inevitable(space, occurs("log.start")))
+          verdict(workbench, "sensor", "AF occurs(log.start)"))
     print("  every sense firing leads to a log firing:",
-          leads_to(space, occurs("sense.start"), occurs("log.start")))
+          verdict(workbench, "sensor",
+                  "occurs(sense.start) leads_to occurs(log.start)"))
 
     # -- the same checks after deployment --------------------------------------
     platform = Platform("mono")
@@ -90,23 +90,23 @@ def main() -> None:
         "deployed", include_graph=True).statespace()
     print("\nafter mono-processor deployment:")
     print("  sense and log never fire together anymore:",
-          never(deployed_space, together("sense.start", "log.start")))
+          check_mutual_exclusion(deployed_space,
+                                 ["sense.start", "log.start"]))
     print("  log firing still inevitable:",
-          inevitable(deployed_space, occurs("log.start")))
+          verdict(workbench, "deployed", "AF occurs(log.start)"))
     print("\nThe deployment changed the safety landscape (full mutual "
           "exclusion) while preserving liveness — checked over every "
           "schedule, not just one simulation.")
 
-    # -- the unified checker: one property text, any backend ---------------
-    # The same questions as CTL text, answered through CheckSpec — and by
-    # the symbolic backend, which never builds the graph at all.
-    print("\nunified checker (repro check / CheckSpec):")
+    # -- one property text, any backend -------------------------------------
+    # The symbolic backend answers the same CTL text without ever
+    # building the graph, and returns the same verdicts.
+    print("\nsymbolic backend (repro check --strategy symbolic):")
     for text in ("AG !deadlock",
                  "AF occurs(log.start)",
-                 "occurs(sense.start) leads_to occurs(log.start)",
-                 "AG var(PlaceLimitation@Place:raw.size) <= 2"):
-        result = workbench.check("sensor", text, strategy="symbolic")
-        print(f"  {text:55s} {result.data['verdict'].upper()}")
+                 "occurs(sense.start) leads_to occurs(log.start)"):
+        print(f"  {text:55s} "
+              f"{verdict(workbench, 'sensor', text, 'symbolic').upper()}")
     refuted = workbench.check("sensor", "AG occurs(sense.start)")
     print(f"  {'AG occurs(sense.start)':55s} "
           f"{refuted.data['verdict'].upper()} "

@@ -63,38 +63,38 @@ Layers (Fig. 1 of the paper):
 Choosing an entry point
 =======================
 
-The workbench subsumes the historical per-front-end incantations; the
-old names remain as delegating shims that emit ``DeprecationWarning``.
+Each job has one library call and one workbench call; the workbench is
+a thin session layer over exactly these library calls, adding named
+handles, uniform ``RunResult`` documents, batching and caching.
 
-===========================================  ===================================
-old call                                     workbench equivalent
-===========================================  ===================================
-``parse_sigpml(text)`` +
-``build_execution_model(model)``             ``load(text)`` / ``wb.add(text)``
-``build_execution_model(model, variant)``    ``load(src, place_variant=...)``
-``Simulator(model, AsapPolicy()).run(n)``    ``wb.simulate(name, policy="asap",
-                                             steps=n)``
-``explore(model, max_states=n)``             ``wb.explore(name, max_states=n)``
-``properties.always/never/...(space, p)``    ``wb.check(name, "AG !deadlock")``
-                                             / ``CheckSpec(name, prop)``
-``run_campaign(model, steps, watch)``        ``wb.campaign(name, steps=s,
-                                             watch=[...])``
-``analyze(app)``                             ``wb.analyze(name)``
-``deploy(model, app, platform, alloc)``      ``wb.add(DeploymentSpec(...))``
-``build_configuration("mono")`` (PAM)        ``wb.add("pam:mono")``
-hand-built ``ExecutionModel`` over CCSL      ``wb.add(CcslSpec(...))`` /
-or MoCCML constraints                        ``wb.add(MoccmlSpec(...))``
-a loop of the above over many models         ``wb.run_many(specs, workers=N)``
-a fresh process per incoming request         ``repro serve`` (resident daemon)
-shelling out ``repro batch`` per client      ``repro submit DOC --server URL``
-===========================================  ===================================
+=======================================  ==================================
+library call                             workbench equivalent
+=======================================  ==================================
+``model, app = parse_sigpml(text)`` +
+``weave_sdf(model)``                     ``load(text)`` / ``wb.add(text)``
+``weave_sdf(model, variant)``            ``load(src, place_variant=...)``
+``simulate_model(model, policy, n)``     ``wb.simulate(name, policy="asap",
+                                         steps=n)``
+``explore(model, max_states=n)``         ``wb.explore(name, max_states=n)``
+``check_space(space, "AG !deadlock")``   ``wb.check(name, "AG !deadlock")``
+/ ``check(model, prop)``                 / ``CheckSpec(name, prop)``
+``campaign(model, steps, watch)``        ``wb.campaign(name, steps=s,
+                                         watch=[...])``
+``analyze(app)``                         ``wb.analyze(name)``
+``deploy(model, app, platform, alloc)``  ``wb.add(DeploymentSpec(...))``
+``build_configuration("mono")`` (PAM)    ``wb.add("pam:mono")``
+hand-built ``ExecutionModel`` over CCSL  ``wb.add(CcslSpec(...))`` /
+or MoCCML constraints                    ``wb.add(MoccmlSpec(...))``
+a loop of the above over many models     ``wb.run_many(specs, workers=N,
+                                         backend="process")``
+a fresh process per incoming request     ``repro serve`` (resident daemon)
+shelling out ``repro batch`` per client  ``repro submit DOC --server URL``
+=======================================  ==================================
 
-Library-level building blocks that are *not* deprecated: the engine
-core (:func:`repro.engine.simulate_model`, :func:`repro.engine.explore`,
-:func:`repro.engine.campaign.campaign`), the SDF weaver
-(:func:`repro.sdf.weave_sdf`) and the static SDF theory
-(:func:`repro.sdf.analyze`). The workbench is a thin session layer over
-exactly these.
+The library calls live in :mod:`repro.engine` (``simulate_model``,
+``explore``, ``check``/``check_space`` and
+:func:`repro.engine.campaign.campaign`), :mod:`repro.sdf`
+(``weave_sdf``, ``analyze``) and :mod:`repro.deployment` (``deploy``).
 
 Caching & parallelism
 =====================
@@ -115,11 +115,9 @@ Choosing a backend:
 ==========  =========================================================
 backend     when to use it
 ==========  =========================================================
-``serial``  debugging and baselines — one group after another in the
-            calling thread
-``thread``  the default: free startup, shares warm kernels; the GIL
-            keeps the pure-Python engine near-serial, so expect
-            overlap only for I/O-ish work
+``serial``  the default: one group after another in the calling
+            thread, sharing every warm kernel — the baseline every
+            other backend matches byte for byte
 ``process`` cold batches over several models on a multi-core box —
             workers rebuild each model from its declarative source
             doc and results merge deterministically

@@ -21,7 +21,7 @@ the workbench facilities of the paper's tooling:
 * ``pam`` — run the PAM deployment study;
 * ``campaign`` — compare scheduling policies;
 * ``batch`` — run many specs from a batch file, optionally in parallel
-  (``--backend serial|thread|process``) and optionally backed by a
+  (``--backend serial|process``) and optionally backed by a
   content-addressed artifact store (``--store DIR``: previously
   computed results are served byte-identically instead of recomputed);
 * ``store`` — inspect (``stats``) or prune (``gc``) such a store;
@@ -510,8 +510,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         report = run_round(
             args.seed, cases=args.cases, budget=args.budget,
             frontends=tuple(args.frontends) if args.frontends else None,
-            store=args.store, minimize=args.minimize,
-            workers=args.workers, log=log)
+            store=args.store, minimize=args.minimize, log=log)
     if args.out and report["failures"]:
         import os
         os.makedirs(args.out, exist_ok=True)
@@ -980,10 +979,11 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=None,
                        help="workers for the batch fan-out (default: 1; "
                             "with --backend process, the core count)")
-    batch.add_argument("--backend", default="thread",
-                       choices=("serial", "thread", "process"),
-                       help="fan-out backend; 'process' scales the "
-                            "pure-Python engine with cores")
+    batch.add_argument("--backend", default="serial",
+                       choices=("serial", "process"),
+                       help="fan-out backend (default: serial); "
+                            "'process' scales the pure-Python engine "
+                            "with cores")
     batch.add_argument("--store", default=None, metavar="DIR",
                        help="content-addressed artifact store: cached "
                             "results are served byte-identically instead "
@@ -1041,9 +1041,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="artifact store for the local fallback")
     submit.add_argument("--workers", type=int, default=None,
                         help="workers for the local fallback")
-    submit.add_argument("--backend", default="thread",
-                        choices=("serial", "thread", "process"),
-                        help="backend for the local fallback")
+    submit.add_argument("--backend", default="serial",
+                        choices=("serial", "process"),
+                        help="backend for the local fallback "
+                             "(default: serial)")
     submit.add_argument("--json", action="store_true",
                         help="emit the result documents as a JSON "
                              "array (each carries a 'cached' flag)")
@@ -1086,9 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "clean (same engine version) are skipped")
     fuzz.add_argument("--minimize", action="store_true",
                       help="shrink failing cases before reporting")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="concurrent case checks (reports are "
-                           "worker-count-independent)")
     fuzz.add_argument("--frontends", nargs="+", default=None,
                       choices=("sigpml", "deployment", "pam", "ccsl",
                                "moccml"),

@@ -4,13 +4,21 @@ An :class:`ExecutionModel` — the instantiated constraints plus the event
 set of one specific model — *configures* this engine; the engine itself
 is DSL-agnostic. Two drivers are provided:
 
-* :class:`~repro.engine.simulator.Simulator` — step-by-step simulation
-  under a scheduling policy, producing a :class:`~repro.engine.trace.Trace`;
+* :func:`~repro.engine.simulator.simulate_model` — step-by-step
+  simulation under a scheduling policy, producing a
+  :class:`~repro.engine.trace.Trace`;
 * :func:`~repro.engine.explorer.explore` — exhaustive exploration of the
   scheduling state space, producing a
   :class:`~repro.engine.statespace.StateSpace` with quantitative metrics
   (the paper's conclusion: "to obtain by exploration quantitative
   results on the scheduling state-space").
+
+Questions about that state space are asked one way: as CTL
+(:func:`~repro.engine.ctl.check_space`, or :func:`~repro.engine.ctl.check`
+on the model), answered with a three-valued
+:class:`~repro.engine.ctl.Verdict`. The one step-level question CTL
+cannot phrase — no two of these events *taken* in one step — is
+:func:`~repro.engine.analysis.check_mutual_exclusion`.
 
 Architecture: the incremental symbolic kernel
 =============================================
@@ -67,7 +75,7 @@ cost, and about what a bounded budget can soundly conclude:
     one-shot explorations, and models with (locally) unbounded counters
     such as an unbounded CCSL precedence, which cannot be finitely
     encoded. Property checks on an explicit space are *three-valued*
-    (:class:`~repro.engine.properties.Verdict`): when the
+    (:class:`~repro.engine.ctl.Verdict`): when the
     ``max_states``/``max_depth`` budget truncates the exploration, a
     check returns ``HOLDS``/``FAILS`` only if the explored region alone
     proves it (e.g. a safety violation was found) and ``UNKNOWN``
@@ -176,7 +184,7 @@ from repro.engine.policies import (
     SchedulingPolicy,
 )
 from repro.engine.trace import Trace
-from repro.engine.simulator import SimulationResult, Simulator, simulate_model
+from repro.engine.simulator import SimulationResult, simulate_model
 from repro.engine.explorer import explore
 from repro.engine.statespace import StateSpace
 from repro.engine.analysis import (
@@ -193,12 +201,12 @@ from repro.engine.analysis import (
 from repro.engine.equivalence import assert_equivalent, cross_check
 from repro.engine.ctl import (
     CheckResult,
+    Verdict,
     check,
     check_space,
     parse_property,
     replay_steps,
 )
-from repro.engine.properties import Verdict
 from repro.engine.symbolic import (
     CompiledStateView,
     ReachableSet,
@@ -206,16 +214,15 @@ from repro.engine.symbolic import (
     compile_transition_system,
     symbolic_reachable,
 )
-from repro.engine import properties
-from repro.engine.campaign import format_campaign, run_campaign
+from repro.engine.campaign import format_campaign
 
 __all__ = [
-    "run_campaign", "format_campaign",
+    "format_campaign",
     "ExecutionModel", "SymbolicKernel",
     "SchedulingPolicy", "RandomPolicy", "AsapPolicy", "MinimalPolicy",
     "PriorityPolicy", "ReplayPolicy",
     "Trace",
-    "Simulator", "SimulationResult", "simulate_model",
+    "SimulationResult", "simulate_model",
     "explore", "StateSpace",
     "event_liveness", "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
@@ -224,7 +231,6 @@ __all__ = [
     "symbolic_deadlock_free", "symbolic_event_liveness",
     "symbolic_variable_bounds", "symbolic_check_variable_bound",
     "assert_equivalent", "cross_check",
-    "properties",
     "check", "check_space", "parse_property", "replay_steps",
     "CheckResult", "Verdict",
 ]

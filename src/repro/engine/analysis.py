@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import networkx as nx
 
+from repro.engine.ctl import Verdict
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.policies import AsapPolicy, SchedulingPolicy
 from repro.errors import EngineError
@@ -256,11 +257,20 @@ def symbolic_check_variable_bound(model: ExecutionModel, variable: str,
     return True
 
 
-def check_mutual_exclusion(space: StateSpace, events: list[str]) -> bool:
-    """True when no transition step contains two of *events* at once —
-    used to verify processor mutual exclusion after deployment."""
+def check_mutual_exclusion(space: StateSpace, events: list[str]) -> Verdict:
+    """Whether no transition step takes two of *events* at once — used
+    to verify processor mutual exclusion after deployment.
+
+    A step-level question CTL cannot phrase (its ``occurs(e)`` means
+    *enabled*, not *taken*). ``FAILS`` on an explored violating step,
+    which is a real acceptable step even on a partial space; without
+    one, ``UNKNOWN`` on a truncated or ``maximal_only`` space and
+    ``HOLDS`` on a complete one.
+    """
     event_set = set(events)
     for _u, _v, data in space.graph.edges(data=True):
         if len(data["step"] & event_set) > 1:
-            return False
-    return True
+            return Verdict.FAILS
+    if space.truncated or space.maximal_only:
+        return Verdict.UNKNOWN
+    return Verdict.HOLDS

@@ -8,7 +8,6 @@ deadlock rate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.engine.execution_model import ExecutionModel
@@ -97,21 +96,6 @@ def campaign(model: ExecutionModel, steps: int,
             throughput={k: round(v, 4) for k, v in throughput.items()},
         ))
     return rows
-
-
-def run_campaign(model: ExecutionModel, steps: int,
-                 watch_events: list[str],
-                 policies: list[SchedulingPolicy] | None = None
-                 ) -> list[CampaignRow]:
-    """Deprecated alias of :func:`campaign`.
-
-    Use :func:`campaign` — or the workbench's ``CampaignSpec`` — instead.
-    """
-    warnings.warn(
-        "run_campaign(...) is deprecated; use repro.engine.campaign(...) "
-        "or a repro.workbench CampaignSpec", DeprecationWarning,
-        stacklevel=2)
-    return campaign(model, steps, watch_events, policies)
 
 
 def format_campaign(rows: list[CampaignRow]) -> str:

@@ -10,8 +10,8 @@ spaces and evaluates it against either engine backend:
   space it is definitive; on a truncated space it returns
   ``HOLDS``/``FAILS`` only when the explored region alone proves the
   verdict (frontier states are treated as "anything may happen beyond
-  here") and :attr:`~repro.engine.properties.Verdict.UNKNOWN`
-  otherwise — never an unsound definitive answer;
+  here") and :attr:`Verdict.UNKNOWN` otherwise — never an unsound
+  definitive answer;
 * the **symbolic** backend evaluates the same formulas by backward
   fixpoints (:meth:`~repro.engine.symbolic.TransitionSystem.preimage`)
   directly on the BDD transition relation, restricted to the exact
@@ -52,12 +52,12 @@ range over *maximal* runs: a run ending in a deadlock counts, so e.g.
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
-from repro.engine.properties import Verdict
 from repro.engine.statespace import StateSpace
 from repro.engine.trace import Trace
 from repro.errors import EngineError, ParseError, SymbolicEncodingError
@@ -66,12 +66,45 @@ __all__ = [
     "Prop", "TrueProp", "FalseProp", "Occurs", "Deadlock", "InState",
     "VarCmp", "Not", "And", "Or", "Implies",
     "EX", "EF", "EG", "AX", "AF", "AG", "EU", "AU", "LeadsTo",
-    "parse_property", "CheckResult", "check", "check_space",
+    "parse_property", "CheckResult", "Verdict", "check", "check_space",
     "replay_steps", "PROPERTY_STRATEGIES",
 ]
 
 #: strategies accepted by :func:`check`
 PROPERTY_STRATEGIES = ("explicit", "symbolic", "auto")
+
+
+class Verdict(enum.Enum):
+    """Three-valued outcome of a property check.
+
+    ``HOLDS`` and ``FAILS`` are definitive; ``UNKNOWN`` means the
+    explored region was truncated before the check could conclude.
+    ``HOLDS`` is truthy and ``FAILS`` falsy, so definitive verdicts
+    drop into boolean contexts unchanged; coercing ``UNKNOWN`` to a
+    boolean raises ``ValueError`` — the exact unsound coercion this
+    type exists to prevent. Use :attr:`definitive` (or compare against
+    ``Verdict.UNKNOWN``) to branch without risking the raise.
+    """
+
+    HOLDS = "holds"
+    FAILS = "fails"
+    UNKNOWN = "unknown"
+
+    @property
+    def definitive(self) -> bool:
+        return self is not Verdict.UNKNOWN
+
+    def __str__(self) -> str:
+        return self.value
+
+    def __bool__(self) -> bool:
+        if self is Verdict.UNKNOWN:
+            raise ValueError(
+                "verdict is UNKNOWN (the state space was truncated before "
+                "the check could conclude); re-check with a larger budget "
+                "or the symbolic strategy (repro.engine.ctl.check) instead "
+                "of coercing to a boolean")
+        return self is Verdict.HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +711,8 @@ class _ExplicitChecker:
         """gfp Z = hold ∧ (EX Z ∨ dead) over maximal runs; *optimistic*
         lets frontier states continue into the unexplored region.
 
-        Computed by out-degree stripping (the O(V+E) pattern of
-        :func:`repro.engine.properties._avoidance_traps`): repeatedly
-        drop unanchored states with no remaining successor in the set.
+        Computed by O(V+E) out-degree stripping: repeatedly drop
+        unanchored states with no remaining successor in the set.
         """
         anchored = set(dead)
         if optimistic:

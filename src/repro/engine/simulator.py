@@ -2,13 +2,11 @@
 
 :func:`simulate_model` is the engine-level driver; the workbench's
 ``SimulateSpec`` (see :mod:`repro.workbench`) is the recommended way to
-invoke it. The historical :class:`Simulator` class remains as a
-deprecated delegating wrapper.
+invoke it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.engine.execution_model import ExecutionModel
@@ -85,26 +83,3 @@ def simulate_model(model: ExecutionModel, policy: SchedulingPolicy,
     result.final_accepting = model.is_accepting()
     return result
 
-
-class Simulator:
-    """Deprecated: drives an :class:`ExecutionModel` with a policy.
-
-    Use :func:`simulate_model` — or better, the
-    :class:`repro.workbench.Workbench` facade — instead. The class
-    remains a thin delegating wrapper with identical behavior.
-    """
-
-    def __init__(self, model: ExecutionModel, policy: SchedulingPolicy):
-        warnings.warn(
-            "Simulator(...) is deprecated; use "
-            "repro.engine.simulate_model(model, policy, steps) or the "
-            "repro.workbench facade", DeprecationWarning, stacklevel=2)
-        self.model = model
-        self.policy = policy
-
-    def run(self, max_steps: int, stop_when=None,
-            on_deadlock: str = "stop", observers=()) -> SimulationResult:
-        """Run up to *max_steps* steps (see :func:`simulate_model`)."""
-        return simulate_model(self.model, self.policy, max_steps,
-                              stop_when=stop_when, on_deadlock=on_deadlock,
-                              observers=observers)

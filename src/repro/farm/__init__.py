@@ -12,7 +12,7 @@ exploits that purity twice over:
   served byte-identically instead of recomputed;
 * :mod:`repro.farm.backend` — the **execution backends** behind
   :meth:`~repro.workbench.Workbench.run_many`
-  (``serial``/``thread``/``process``): the process backend rebuilds
+  (``serial``/``process``): the process backend rebuilds
   models in workers from their declarative source documents and merges
   canonical result JSON by input position, so cold multi-model batches
   scale with cores while results stay byte-identical to the serial

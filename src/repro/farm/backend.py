@@ -1,14 +1,13 @@
 """Execution backends for the batch runner.
 
 :func:`execute_groups` runs per-model groups of run specs through one
-of three backends behind a single contract — *results are byte-
+of two backends behind a single contract — *results are byte-
 identical regardless of backend and worker count*:
 
 * ``"serial"`` — the groups run one after another in the caller's
-  thread. The baseline, and the fallback everything else must match.
-* ``"thread"`` — groups fan out over a :class:`ThreadPoolExecutor`.
-  Cheap to start and shares every warm kernel, but the GIL serializes
-  the pure-Python BDD/BFS work, so it only helps workloads that block.
+  thread, sharing every warm kernel. The default, the baseline, and
+  the fallback the process backend must match. (Threads would add
+  nothing: the GIL serializes the pure-Python BDD/BFS work.)
 * ``"process"`` — groups fan out over a :class:`ProcessPoolExecutor`.
   Each worker *rebuilds* its model from the handle's declarative
   ``source_doc`` (models are never pickled — constraint runtimes carry
@@ -26,10 +25,9 @@ and a kernel is only ever touched by one worker at a time.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +35,7 @@ from repro import obs
 from repro.errors import ReproError
 
 #: the run_many backends, in documentation order
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 class BackendError(ReproError):
@@ -61,7 +59,7 @@ def execute_groups(groups: list[GroupTask], backend: str, workers: int,
                    deliver: Callable[[int, object], None],
                    should_stop: Callable[[], bool] | None = None) -> None:
     """Run every group's specs, calling ``deliver(position, result)``
-    for each outcome. *deliver* must be thread-safe; delivery order is
+    for each outcome, always from the calling thread; delivery order is
     unspecified, positions are the input order. *should_stop* (optional,
     polled between specs) requests cooperative cancellation: remaining
     specs are skipped and their positions never delivered — the batch
@@ -72,11 +70,8 @@ def execute_groups(groups: list[GroupTask], backend: str, workers: int,
             f"{', '.join(BACKENDS)}")
     if not groups:
         return
-    workers = max(1, workers)
     if backend == "process" and workers > 1:
         _run_process(groups, workers, deliver, should_stop)
-    elif backend == "thread" and workers > 1 and len(groups) > 1:
-        _run_thread(groups, workers, deliver, should_stop)
     else:
         for group in groups:
             _run_group_local(group, deliver, should_stop)
@@ -104,22 +99,6 @@ def _run_group_local(group: GroupTask,
     finally:
         if lock is not None:
             lock.release()
-
-
-def _run_thread(groups, workers, deliver, should_stop=None) -> None:
-    pool = ThreadPoolExecutor(max_workers=min(workers, len(groups)))
-    try:
-        # pool threads do not inherit the submitter's context — copy it
-        # per submission so each group's spans nest under the caller's
-        # current span (e.g. workbench.run_many) instead of floating
-        futures = [pool.submit(contextvars.copy_context().run,
-                               _run_group_local, group, deliver,
-                               should_stop)
-                   for group in groups]
-        for future in futures:
-            future.result()
-    finally:
-        pool.shutdown(wait=True)
 
 
 # ---------------------------------------------------------------------------

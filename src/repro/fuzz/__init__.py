@@ -13,7 +13,7 @@ Pieces (one module each):
 ``rng``
     deterministic per-case random streams: everything about case
     ``(seed, index)`` is a pure function of that pair, independent of
-    order, workers, and dedupe;
+    order and dedupe;
 ``generators``
     seeded structure generators + renderers for all five front-ends
     (grammar summary below), emitting exactly the model documents
@@ -32,7 +32,7 @@ Pieces (one module each):
     keyed by farm fingerprints (engine-version-sensitive);
 ``runner``
     the round driver behind ``repro fuzz`` (count or time budget,
-    worker fan-out, replay of emitted repro documents).
+    replay of emitted repro documents).
 
 Generator grammar, per front-end
 ================================

@@ -3,11 +3,10 @@
 Every fuzz case draws from its own :class:`random.Random` seeded by the
 string ``"repro-fuzz:<seed>:<index>"``. Seeding from a string hashes it
 through SHA-512 (CPython's documented behavior), so the stream depends
-only on the round seed and the case index — never on generation order,
-worker count, or which earlier cases were deduplicated. That is the
-whole determinism story: the same ``(seed, index)`` pair produces
-byte-identical model documents and property texts on any machine, in
-any thread, in any round.
+only on the round seed and the case index — never on generation order
+or which earlier cases were deduplicated. That is the whole determinism
+story: the same ``(seed, index)`` pair produces byte-identical model
+documents and property texts on any machine, in any round.
 """
 
 from __future__ import annotations

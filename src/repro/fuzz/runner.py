@@ -6,10 +6,9 @@ until a stopping rule fires: a count of **checked** cases
 (``--cases``), a wall-clock budget (``--budget``), or, with a corpus
 saturating the count mode, a hard index cap that guarantees
 termination. Each case is generated purely from ``(seed, index)``
-(:mod:`repro.fuzz.rng`), so a round is reproducible on any machine and
-independent of worker count; cases whose corpus key is already proven
-clean are skipped without spending oracle time
-(:mod:`repro.fuzz.corpus`).
+(:mod:`repro.fuzz.rng`), so a round is reproducible on any machine;
+cases whose corpus key is already proven clean are skipped without
+spending oracle time (:mod:`repro.fuzz.corpus`).
 
 Failures optionally pass through the shrinker
 (:mod:`repro.fuzz.shrink`) before reporting; either way every failure
@@ -21,7 +20,6 @@ in the report carries a self-contained repro document replayable with
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.fuzz.corpus import Corpus, case_key
@@ -44,8 +42,6 @@ INDEX_CAP_SLACK = 100
 class _CaseRecord:
     """What one processed index contributed to the round."""
 
-    index: int
-    frontend: str
     status: str  # "clean" | "deduped" | "failed" | "generator-error"
     checks: int = 0
     unencodable: bool = False
@@ -64,8 +60,6 @@ def _process_index(
         case, handle = build_case(seed, index, frontend=frontend)
     except GenerationError as exc:
         return _CaseRecord(
-            index=index,
-            frontend=frontend,
             status="generator-error",
             failures=[
                 {
@@ -81,11 +75,9 @@ def _process_index(
         )
     key = case_key(case, handle) if corpus is not None else None
     if corpus is not None and corpus.seen(key):
-        return _CaseRecord(index=index, frontend=frontend, status="deduped")
+        return _CaseRecord(status="deduped")
     outcome = check_case(case, handle)
     record = _CaseRecord(
-        index=index,
-        frontend=frontend,
         status="clean" if outcome.ok else "failed",
         checks=outcome.checks,
         unencodable=outcome.unencodable,
@@ -118,7 +110,6 @@ def run_round(
     frontends: tuple | None = None,
     store=None,
     minimize: bool = False,
-    workers: int = 1,
     shrink_attempts: int = 80,
     log=None,
 ) -> dict:
@@ -128,10 +119,7 @@ def run_round(
     i.e. non-deduped, cases) or *budget* (seconds); give both and
     whichever fires first stops the round. *store* is an
     :class:`~repro.farm.ArtifactStore` (or path-like handed to one) for
-    corpus dedupe; ``None`` checks every generated case. *workers*
-    fans case checking out over threads — reports are independent of
-    the worker count because generation is a pure function of
-    ``(seed, index)``.
+    corpus dedupe; ``None`` checks every generated case.
     """
     if cases is None and budget is None:
         raise ValueError("run_round needs a cases count or a time budget")
@@ -171,47 +159,29 @@ def run_round(
             return True
         return False
 
-    def absorb(record: _CaseRecord) -> None:
-        nonlocal checked, deduped, unencodable, checks, generator_errors
+    while not out_of_budget():
+        index = next_index
+        next_index += 1
+        frontend = lanes[index % len(lanes)]
+        record = _process_index(
+            seed, index, frontend, corpus, minimize, shrink_attempts
+        )
         if record.status == "deduped":
             deduped += 1
-            return
+            continue
         if record.status == "generator-error":
             generator_errors += 1
         checked += 1
-        per_frontend[record.frontend] += 1
+        per_frontend[frontend] += 1
         checks += record.checks
         unencodable += record.unencodable
         failures.extend(record.failures)
         if record.failures and log is not None:
             for doc in record.failures:
                 log(
-                    f"FAIL case {record.index} ({record.frontend}): "
+                    f"FAIL case {index} ({frontend}): "
                     f"{doc['kind']}: {doc['detail']}"
                 )
-
-    workers = max(1, int(workers))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = []
-        while True:
-            while len(pending) < workers and not out_of_budget():
-                index = next_index
-                next_index += 1
-                frontend = lanes[index % len(lanes)]
-                pending.append(
-                    pool.submit(
-                        _process_index,
-                        seed,
-                        index,
-                        frontend,
-                        corpus,
-                        minimize,
-                        shrink_attempts,
-                    )
-                )
-            if not pending:
-                break
-            absorb(pending.pop(0).result())
 
     report = {
         "seed": seed,

@@ -48,13 +48,33 @@ span name                      region (attributes)
                                nodes_after, reduction)
 =============================  ============================================
 
-Counter-naming convention (process-global :data:`GLOBAL` registry):
-``symbolic.images``/``symbolic.preimages``/``symbolic.compiles``,
-``bdd.reorders``/``bdd.reorder_skips``, ``sat.decisions``/
-``sat.propagations``, ``store.hits``/``store.misses``,
-``explore.spaces``, ``model.loads``. The serve subsystem seeds its own
-request/run/cache counters on a per-server registry
-(:class:`repro.serve.metrics.Metrics`, a subclass).
+Counter-naming convention
+=========================
+
+Every engine, farm and fuzz layer counts on the process-global
+:data:`GLOBAL` registry; no layer keeps a private counter dict.
+
+================================================  ===========================
+counter names                                     what they count
+================================================  ===========================
+``symbolic.images``/``symbolic.preimages``/       image and preimage steps,
+``symbolic.compiles``                             TransitionSystem builds
+``bdd.reorders``/``bdd.reorder_skips``            sifting runs, churn skips
+``sat.decisions``/``sat.propagations``            DPLL work
+``store.hits``/``store.misses``                   artifact-store lookups
+``explore.spaces``                                explicit BFS runs
+``model.loads``                                   front-end loads
+``encodability.predicted_encodable``/             encodability predictions
+``encodability.predicted_unencodable``
+``encodability.closure_fallbacks``                predictions decided by the
+                                                  local closure
+``encodability.safety_net_raises``                predictor misses (a bug)
+================================================  ===========================
+
+The serve subsystem seeds its own request/run/cache counters on a
+per-server registry (:class:`repro.serve.metrics.Metrics`, a subclass);
+its ``/metrics`` document also reports the four ``encodability.*``
+counters as its ``"encodability"`` block.
 """
 
 from repro.obs.export import chrome_trace_doc, profile_report, write_chrome_trace

@@ -9,12 +9,11 @@ engine paths permanently.
 
 Span nesting follows the *logical* call tree, not the thread layout:
 the current span rides a :class:`contextvars.ContextVar`, so a thread
-pool that copies its submission context (``contextvars.copy_context``
-— see :func:`repro.farm.backend._run_thread`) parents worker-thread
-spans under the span that submitted them. Process workers cannot share
-a context; they run their own tracer and ship serialized span trees
-back inside the result envelope, which the parent re-roots with
-:meth:`Tracer.adopt` (see ``_worker_run_group``).
+pool that copies its submission context (``contextvars.copy_context``)
+parents worker-thread spans under the span that submitted them. Process
+workers cannot share a context; they run their own tracer and ship
+serialized span trees back inside the result envelope, which the parent
+re-roots with :meth:`Tracer.adopt` (see ``_worker_run_group``).
 
 Span times are ``perf_counter`` seconds relative to the owning
 tracer's epoch. Attach/adopt operations take the tracer lock; entering

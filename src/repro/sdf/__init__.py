@@ -19,10 +19,8 @@ This package provides:
   with its variants, and the agent-execution automaton
   (:mod:`repro.sdf.mocc`);
 * the ECL mapping of Listing 1 and the end-to-end
-  :func:`~repro.sdf.mapping.weave_sdf` (:mod:`repro.sdf.mapping`);
-  :func:`~repro.sdf.mapping.build_execution_model` remains as its
-  deprecated alias — new code should go through
-  ``repro.workbench.load(...)``.
+  :func:`~repro.sdf.mapping.weave_sdf` (:mod:`repro.sdf.mapping`) — most
+  callers go through ``repro.workbench.load(...)`` instead.
 """
 
 from repro.sdf.metamodel import sigpml_metamodel
@@ -38,7 +36,7 @@ from repro.sdf.analysis import (
 )
 from repro.sdf.baseline import TokenSimulator
 from repro.sdf.mocc import sdf_library
-from repro.sdf.mapping import SDF_MAPPING_TEXT, build_execution_model, weave_sdf
+from repro.sdf.mapping import SDF_MAPPING_TEXT, weave_sdf
 from repro.sdf.schedules import (
     loop_notation,
     minimal_buffer_capacities,
@@ -54,7 +52,7 @@ __all__ = [
     "SdfGraphInfo",
     "TokenSimulator",
     "sdf_library",
-    "SDF_MAPPING_TEXT", "build_execution_model", "weave_sdf",
+    "SDF_MAPPING_TEXT", "weave_sdf",
     "single_appearance_schedule", "loop_notation",
     "minimal_buffer_capacities",
 ]

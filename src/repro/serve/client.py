@@ -109,7 +109,7 @@ def submit(document, server: str, timeout: float | None = None,
 
 
 def submit_or_local(document, server: str | None = None, store=None,
-                    workers: int = 1, backend: str = "thread",
+                    workers: int = 1, backend: str = "serial",
                     on_result=None) -> tuple[list, str]:
     """Run *document* on *server* if reachable, else locally.
 
@@ -133,7 +133,7 @@ def submit_or_local(document, server: str | None = None, store=None,
 
 
 def run_local(document, store=None, workers: int = 1,
-              backend: str = "thread", on_result=None) -> list:
+              backend: str = "serial", on_result=None) -> list:
     """Execute a batch document offline, exactly as the server would:
     inline models are registered under their request-local names, specs
     run through one :class:`~repro.workbench.Workbench`. This is the

@@ -193,10 +193,12 @@ class AnalysisService:
         }
 
     def metrics_doc(self) -> dict:
-        from repro.engine.encodability import telemetry_snapshot
+        from repro.engine.encodability import COUNTERS
         doc = self.metrics.snapshot()
         doc["model_cache"] = self.cache.telemetry()
-        doc["encodability"] = telemetry_snapshot()
+        doc["encodability"] = {
+            name: obs.GLOBAL.counter(f"encodability.{name}")
+            for name in COUNTERS}
         if self.store is not None:
             doc["store"] = self.store.stats()
         return doc

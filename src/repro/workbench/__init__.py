@@ -36,8 +36,8 @@ Four pieces:
   witness/counterexample trace;
 * the **session** — :class:`Workbench` with :meth:`Workbench.run` and
   the batch runner :meth:`Workbench.run_many`, which shares one
-  symbolic kernel per model across a whole batch and fans out over
-  worker threads or processes with results independent of the worker
+  symbolic kernel per model across a whole batch and optionally fans
+  out over worker processes with results independent of the worker
   count.
 
 Caching & parallelism
@@ -52,9 +52,8 @@ computed results byte-identically from the content-addressed store
 backend=...)`` picks the executor:
 
 ==========  ========================================================
-``serial``  the baseline every backend must match byte for byte
-``thread``  default; cheap startup, warm shared kernels, but the GIL
-            serializes the pure-Python engine
+``serial``  default; warm shared kernels, and the baseline the
+            process backend must match byte for byte
 ``process`` true multi-core scaling for cold multi-model batches;
             workers rebuild models from their declarative source
             docs (handles without one — builders, bare execution

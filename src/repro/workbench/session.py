@@ -6,12 +6,11 @@ descriptions against them. :meth:`Workbench.run_many` is the batch
 runner: specs are grouped by model so every run on one model shares
 that model's persistent symbolic kernel (each run gets its own pristine
 clone; clones share compiled BDD nodes and step enumerations), and the
-groups fan out over one of the :mod:`repro.farm.backend` executors —
-``"serial"``, ``"thread"`` (the default) or ``"process"`` (rebuilds
-models in workers from their declarative source docs; the only backend
-that scales pure-Python BDD/BFS work with cores). Grouping also makes
-every fan-out safe: a kernel is only ever touched by one worker at a
-time.
+groups run through one of the :mod:`repro.farm.backend` executors —
+``"serial"`` (the default) or ``"process"`` (rebuilds models in workers
+from their declarative source docs, scaling the pure-Python BDD/BFS
+work with cores). Grouping also makes every fan-out safe: a kernel is
+only ever touched by one worker at a time.
 
 Caching & parallelism
 =====================
@@ -25,11 +24,9 @@ from the store with ``result.cached = True``, and fresh results are
 written through. Choosing a backend:
 
 ============  ========================================================
-``serial``    one group after another in the caller's thread — the
-              baseline every other backend must match byte for byte
-``thread``    overlaps I/O and C-extension work; the GIL keeps the
-              pure-Python engine near-serial, but startup is free and
-              every warm kernel is shared
+``serial``    the default: one group after another in the caller's
+              thread, sharing every warm kernel — the baseline the
+              process backend must match byte for byte
 ``process``   true multi-core scaling for cold batches over several
               models; workers rebuild models from handle source docs,
               so programmatic handles (builders, bare execution
@@ -61,9 +58,10 @@ so several sessions (one per server request) can share one warm handle
 under different names.
 
 If an ``on_result`` callback raises, the batch is cancelled
-cooperatively — remaining specs are skipped at the next spec boundary,
-worker threads unwind instead of wedging — and the callback's exception
-is re-raised to the ``run_many`` caller once the backend has quiesced.
+cooperatively — remaining specs are skipped at the next spec boundary
+and pending process-worker merges are cancelled — and the callback's
+exception is re-raised to the ``run_many`` caller once the backend has
+quiesced.
 """
 
 from __future__ import annotations
@@ -349,15 +347,15 @@ class Workbench:
     def run_many(self, specs: Iterable[RunSpec | dict | str],
                  workers: int = 1,
                  on_result: Callable[[int, RunResult], None] | None = None,
-                 backend: str = "thread",
+                 backend: str = "serial",
                  store=_SESSION_STORE) -> list[RunResult]:
         """Execute many specs, batched per model, optionally in parallel.
 
         Specs are grouped by model; each group runs sequentially on its
         model's shared symbolic kernel (one pristine clone per run),
-        and the groups fan out over the chosen *backend* (``"serial"``,
-        ``"thread"``, ``"process"`` — see :mod:`repro.farm.backend`)
-        with up to *workers* workers. *store* (an
+        and the groups run on the chosen *backend* (``"serial"`` or
+        ``"process"`` — see :mod:`repro.farm.backend`) with up to
+        *workers* workers. *store* (an
         :class:`~repro.farm.store.ArtifactStore` or path) overrides the
         session store: cached results are served byte-identically with
         ``result.cached = True``, fresh ones are written through.
@@ -369,10 +367,10 @@ class Workbench:
         ``store=None`` disables caching for this call only.
 
         A raising *on_result* cancels the batch: remaining specs are
-        skipped cooperatively (worker threads unwind at the next spec
-        boundary instead of wedging), results already computed are
-        still written through to the store, and the callback's
-        exception is re-raised here once the backend has quiesced.
+        skipped cooperatively at the next spec boundary, results
+        already computed are still written through to the store, and
+        the callback's exception is re-raised here once the backend has
+        quiesced.
         """
         specs = [_coerce_spec(spec) for spec in specs]
         with obs.span("workbench.run_many", runs=len(specs),
@@ -405,7 +403,6 @@ class Workbench:
             group_handle[key] = handle
             groups.setdefault(key, []).append(index)
 
-        emit_lock = threading.Lock()
         fingerprints: list[str | None] = [None] * len(specs)
         #: first exception a result callback raised (cancels the batch)
         callback_failure: list[BaseException] = []
@@ -414,14 +411,11 @@ class Workbench:
             results[index] = outcome
             if store is not None and not outcome.cached:
                 _store_write(store, fingerprints[index], outcome)
-            if on_result is not None:
-                with emit_lock:
-                    if callback_failure:
-                        return  # already cancelling; stop streaming
-                    try:
-                        on_result(index, outcome)
-                    except Exception as exc:
-                        callback_failure.append(exc)
+            if on_result is not None and not callback_failure:
+                try:
+                    on_result(index, outcome)
+                except Exception as exc:
+                    callback_failure.append(exc)
 
         def cancelled() -> bool:
             return bool(callback_failure)

@@ -20,12 +20,12 @@ from repro.engine.ctl import (
     Or,
     TrueProp,
     VarCmp,
+    Verdict,
     check,
     check_space,
     parse_property,
     replay_steps,
 )
-from repro.engine.properties import Verdict
 from repro.errors import EngineError, ParseError
 from repro.sdf import SdfBuilder, weave_sdf
 

@@ -4,14 +4,22 @@ import pytest
 
 from repro.engine import explore
 from repro.engine.ctl import check
-from repro.engine.encodability import (
-    is_encodable,
-    predict,
-    telemetry_reset,
-    telemetry_snapshot,
-)
+from repro.engine.encodability import COUNTERS, is_encodable, predict
 from repro.errors import SymbolicEncodingError
+from repro.obs import GLOBAL
 from repro.workbench import CcslSpec, load
+
+
+def counters():
+    """The ``encodability.*`` counters on the shared obs registry."""
+    return {name: GLOBAL.counter(f"encodability.{name}")
+            for name in COUNTERS}
+
+
+def delta(before):
+    """How far each ``encodability.*`` counter moved since *before*."""
+    return {name: value - before[name]
+            for name, value in counters().items()}
 
 
 def ccsl_model(name, events, constraints):
@@ -62,19 +70,19 @@ class TestAutoRouting:
     blind; the SymbolicEncodingError handler stays as a safety net."""
 
     def test_explore_auto_skips_doomed_compile(self, unbounded):
-        telemetry_reset()
+        before = counters()
         space = explore(unbounded, strategy="auto", max_states=50)
         assert space.truncated
-        snapshot = telemetry_snapshot()
-        assert snapshot["predicted_unencodable"] == 1
-        assert snapshot["safety_net_raises"] == 0
+        moved = delta(before)
+        assert moved["predicted_unencodable"] == 1
+        assert moved["safety_net_raises"] == 0
 
     def test_check_auto_routes_to_explicit(self, unbounded):
-        telemetry_reset()
+        before = counters()
         result = check(unbounded, "EF occurs(e1)", strategy="auto",
                        max_states=50)
         assert result.verdict.name == "HOLDS"
-        assert telemetry_snapshot()["safety_net_raises"] == 0
+        assert delta(before)["safety_net_raises"] == 0
 
     def test_symbolic_strategy_still_raises(self, unbounded):
         with pytest.raises(SymbolicEncodingError):
@@ -84,12 +92,12 @@ class TestAutoRouting:
                                                 monkeypatch):
         import repro.engine.encodability as encodability
 
-        telemetry_reset()
+        before = counters()
         monkeypatch.setattr(encodability, "is_encodable",
                             lambda model: True)  # predictor lies
         space = explore(unbounded, strategy="auto", max_states=50)
         assert space.truncated  # explicit fallback still explored
-        assert telemetry_snapshot()["safety_net_raises"] == 1
+        assert delta(before)["safety_net_raises"] == 1
 
 
 class TestServeAdmission:

@@ -18,8 +18,8 @@ from repro.deployment.mocc import CommDelayRuntime, ProcessorMutexRuntime
 from repro.engine import (
     AsapPolicy,
     ExecutionModel,
-    Simulator,
     explore,
+    simulate_model,
     simulated_throughput,
 )
 from repro.errors import EngineError
@@ -218,9 +218,11 @@ class TestDriversOnTheKernel:
         assert first.to_json() == second.to_json()
 
     def test_simulation_matches_symbolic_and_enumerated_asap(self):
-        wide = Simulator(self.model(), AsapPolicy(symbolic_threshold=0))
-        narrow = Simulator(self.model(), AsapPolicy(symbolic_threshold=99))
-        assert wide.run(10).trace.steps == narrow.run(10).trace.steps
+        wide = simulate_model(self.model(),
+                              AsapPolicy(symbolic_threshold=0), 10)
+        narrow = simulate_model(self.model(),
+                                AsapPolicy(symbolic_threshold=99), 10)
+        assert wide.trace.steps == narrow.trace.steps
 
     def test_simulated_throughput_leaves_model_untouched(self):
         model = self.model()

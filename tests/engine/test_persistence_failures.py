@@ -7,13 +7,13 @@ from repro.ccsl import AlternatesRuntime
 from repro.engine import (
     AsapPolicy,
     ExecutionModel,
-    Simulator,
     StateSpace,
     explore,
+    simulate_model,
 )
 from repro.errors import SemanticsError, SerializationError
 from repro.moccml.semantics.runtime import ConstraintRuntime
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 class TestStateSpacePersistence:
@@ -23,7 +23,7 @@ class TestStateSpacePersistence:
         builder.agent("b")
         builder.connect("a", "b", capacity=2)
         model, _app = builder.build()
-        return explore(build_execution_model(model).execution_model)
+        return explore(weave_sdf(model).execution_model)
 
     def test_roundtrip_preserves_metrics(self):
         space = self.space()
@@ -85,9 +85,9 @@ class TestModelCopy:
         builder.agent("b")
         builder.connect("a", "b", capacity=2)
         model, _app = builder.build()
-        original = explore(build_execution_model(model).execution_model)
+        original = explore(weave_sdf(model).execution_model)
         copied = explore(
-            build_execution_model(model.copy()).execution_model)
+            weave_sdf(model.copy()).execution_model)
         assert original.n_states == copied.n_states
         assert original.n_transitions == copied.n_transitions
 
@@ -115,7 +115,7 @@ class TestFailureInjection:
     def test_simulator_surfaces_constraint_failure(self):
         model = ExecutionModel(["a"], [_FaultyConstraint()])
         with pytest.raises(SemanticsError, match="injected failure"):
-            Simulator(model, AsapPolicy()).run(3)
+            simulate_model(model, AsapPolicy(), 3)
 
     def test_explorer_surfaces_constraint_failure(self):
         model = ExecutionModel(["a"], [_FaultyConstraint()])

@@ -12,8 +12,7 @@ a forced variable reorder mid-analysis.
 import pytest
 
 from repro.engine import cross_check, explore
-from repro.engine.ctl import check
-from repro.engine.properties import Verdict
+from repro.engine.ctl import Verdict, check
 from repro.engine.symbolic import symbolic_reachable
 
 from tests.engine.test_symbolic_equivalence import CORPUS

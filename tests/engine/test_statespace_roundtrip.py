@@ -5,7 +5,7 @@ import pytest
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import ExecutionModel, StateSpace, explore
 from repro.errors import SerializationError
-from repro.sdf import SdfBuilder, build_execution_model
+from repro.sdf import SdfBuilder, weave_sdf
 
 
 def sdf_chain(length=3, capacity=2):
@@ -15,7 +15,7 @@ def sdf_chain(length=3, capacity=2):
     for index in range(length - 1):
         builder.connect(f"a{index}", f"a{index+1}", capacity=capacity)
     model, _app = builder.build()
-    return build_execution_model(model).execution_model
+    return weave_sdf(model).execution_model
 
 
 class TestToFromJson:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine.execution_model import ExecutionModel
-from repro.farm import ArtifactStore, BackendError
+from repro.farm import BACKENDS, ArtifactStore, BackendError
 from repro.farm.backend import GroupTask, _split_for_shipping, \
     _worker_run_group, execute_groups
 from repro.workbench import (
@@ -78,6 +78,14 @@ class TestExecuteGroups:
     def test_unknown_backend_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):
             execute_groups([], backend="quantum", workers=2,
+                           deliver=lambda i, r: None)
+
+    def test_serial_and_process_are_the_only_backends(self):
+        # threads cannot run the pure-Python engine in parallel, so
+        # there is no thread backend; serial is the run_many default
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(BackendError, match="unknown backend"):
+            execute_groups([], backend="thread", workers=2,
                            deliver=lambda i, r: None)
 
     def test_unshippable_group_falls_back_in_process_backend(self):
@@ -215,7 +223,7 @@ class TestStoreThroughBatch:
         assert second.cached
         assert second.to_json() == first.to_json()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_warm_store_serves_every_backend(self, tmp_path, backend):
         store = ArtifactStore(tmp_path / "farm")
         cold = [r.to_json() for r in

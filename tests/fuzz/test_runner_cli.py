@@ -21,22 +21,13 @@ def test_run_round_needs_a_stopping_rule():
 def test_run_round_reports_per_frontend_counts():
     report = run_round(9, cases=5)
     assert report["ok"]
-    assert report["cases"] >= 5
+    assert report["cases"] == 5
     assert sum(report["per_frontend"].values()) == report["cases"]
     assert set(report["per_frontend"]) == {
         "sigpml", "deployment", "pam", "ccsl", "moccml",
     }
     assert report["checks"] > 0
     assert report["generation"] >= 1
-
-
-def test_run_round_is_worker_independent():
-    serial = run_round(9, cases=5, workers=1)
-    threaded = run_round(9, cases=5, workers=4)
-    # same indices were generated and checked either way; only timing
-    # fields may differ
-    for key in ("seed", "ok", "failures", "generation"):
-        assert serial[key] == threaded[key]
 
 
 def test_run_round_restricts_frontends():
@@ -55,27 +46,37 @@ def _break_truncation_guard(monkeypatch):
     monkeypatch.setattr(ctl, "_explicit_checker", broken)
 
 
+#: every front-end but PAM, whose cases take seconds each to build and
+#: check; PAM stays fuzzed by test_run_round_reports_per_frontend_counts
+FAST_FRONTENDS = ["sigpml", "deployment", "ccsl", "moccml"]
+
+
 def test_cli_fuzz_round_and_replay(tmp_path, monkeypatch, capsys):
     # a healthy bounded round passes
-    assert main(["fuzz", "--seed", "9", "--cases", "3", "--json"]) == 0
+    assert main(["fuzz", "--seed", "9", "--cases", "3",
+                 "--frontends", *FAST_FRONTENDS, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "fuzz"
     assert report["ok"] is True
     assert report["version"]
 
     # with the soundness bug injected, the same CLI goes red and emits
-    # a self-contained repro document
+    # a self-contained repro document; the pinned case is a SigPML one,
+    # so a SigPML-only round reaches it without the other lanes
     _break_truncation_guard(monkeypatch)
     out = tmp_path / "artifacts"
     code = main([
         "fuzz", "--seed", str(BUGGY_SEED),
-        "--cases", str(BUGGY_INDEX + 1), "--minimize",
-        "--out", str(out), "--json",
+        "--cases", str(BUGGY_INDEX + 1), "--frontends", "sigpml",
+        "--minimize", "--out", str(out), "--json",
     ])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
     assert report["failures"]
+    assert {failure["index"] for failure in report["failures"]} == {
+        BUGGY_INDEX
+    }
     docs = sorted(out.glob("fuzz-repro-*.json"))
     assert docs
     document = json.loads(docs[0].read_text())

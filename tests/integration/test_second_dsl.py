@@ -13,8 +13,14 @@ import pytest
 
 from repro.ccsl.library import kernel_library
 from repro.ecl import parse_ecl, weave
-from repro.engine import AsapPolicy, RandomPolicy, Simulator, explore
-from repro.engine.properties import never, occurs, together
+from repro.engine import (
+    AsapPolicy,
+    RandomPolicy,
+    check_space,
+    explore,
+    simulate_model,
+)
+from repro.engine.analysis import check_mutual_exclusion
 from repro.kernel import MetamodelBuilder, Model
 from repro.moccml.library import LibraryRegistry
 from repro.moccml.text import parse_library
@@ -107,7 +113,8 @@ class TestSafety:
         assert not space.truncated
         assert space.is_deadlock_free()
         # no step turns both green simultaneously
-        assert never(space, together("ns.turnGreen", "ew.turnGreen"))
+        assert check_mutual_exclusion(space,
+                                      ["ns.turnGreen", "ew.turnGreen"])
         # stronger: from any state where ns is green, ew cannot turn
         # green before ns turns red — encoded in the automaton, checked
         # by the absence of any interleaving violating it:
@@ -117,9 +124,8 @@ class TestSafety:
 
     def test_both_directions_live(self, woven):
         space = explore(woven.execution_model.clone())
-        from repro.engine.properties import eventually_reachable
-        assert eventually_reachable(space, occurs("ns.turnGreen"))
-        assert eventually_reachable(space, occurs("ew.turnGreen"))
+        assert check_space(space, "EF occurs(ns.turnGreen)").verdict
+        assert check_space(space, "EF occurs(ew.turnGreen)").verdict
 
     def test_handover_needs_clearance_step(self, woven):
         # after ns turns red, ew may turn green only in a later step
@@ -134,8 +140,8 @@ class TestSafety:
 class TestSimulation:
     def test_random_runs_stay_safe(self, woven):
         for seed in range(5):
-            result = Simulator(woven.execution_model.clone(),
-                               RandomPolicy(seed=seed)).run(30)
+            result = simulate_model(woven.execution_model.clone(),
+                                    RandomPolicy(seed=seed), 30)
             green = {"ns": False, "ew": False}
             for step in result.trace:
                 for light in green:
@@ -148,13 +154,13 @@ class TestSimulation:
     def test_asap_is_deterministic_but_can_starve(self, woven):
         # ASAP's lexicographic tie-break always picks the same singleton
         # step here: a fair scheduler is a policy choice, not a MoCC one
-        result = Simulator(woven.execution_model.clone(),
-                           AsapPolicy()).run(20)
+        result = simulate_model(woven.execution_model.clone(),
+                                AsapPolicy(), 20)
         assert result.trace.count("ns.turnGreen") == 10
         assert result.trace.count("ew.turnGreen") == 0
 
     def test_random_policy_serves_both_directions(self, woven):
-        result = Simulator(woven.execution_model.clone(),
-                           RandomPolicy(seed=1)).run(40)
+        result = simulate_model(woven.execution_model.clone(),
+                                RandomPolicy(seed=1), 40)
         assert result.trace.count("ns.turnGreen") > 0
         assert result.trace.count("ew.turnGreen") > 0

@@ -142,8 +142,11 @@ class TestTraceFailures:
                                                     capsys):
         _break_truncation_guard(monkeypatch)
         out = tmp_path / "artifacts"
+        # the pinned case is a SigPML one: a SigPML-only round reaches
+        # it without the slow PAM lane
         code = main(["fuzz", "--seed", str(BUGGY_SEED),
                      "--cases", str(BUGGY_INDEX + 1),
+                     "--frontends", "sigpml",
                      "--out", str(out), "--trace-failures", "--json"])
         assert code == 1
         docs = sorted(out.glob("fuzz-repro-*.json"))

@@ -1,5 +1,5 @@
-"""The tracer against the real stack: engine spans, thread and process
-fan-out, and the out-of-band guarantee (artifacts never change)."""
+"""The tracer against the real stack: engine spans, serial and process
+batches, and the out-of-band guarantee (artifacts never change)."""
 
 import os
 
@@ -86,16 +86,16 @@ class TestEngineSpans:
         assert "bdd.reorder_s" in GLOBAL.snapshot()["latency"]
 
 
-class TestThreadBackend:
-    def test_eight_thread_run_many_nests_every_group(self, tracer):
+class TestSerialBackend:
+    def test_run_many_nests_every_group(self, tracer):
         names = [f"m{i}" for i in range(8)]
         workbench = make_workbench(names)
         specs = [SimulateSpec(name, steps=4) for name in names]
-        results = workbench.run_many(specs, backend="thread", workers=8)
+        results = workbench.run_many(specs)
         assert [r.status for r in results] == ["ok"] * 8
         [root] = [r for r in tracer.roots
                   if r.name == "workbench.run_many"]
-        assert root.attrs["backend"] == "thread"
+        assert root.attrs["backend"] == "serial"
         groups = [c for c in root.children if c.name == "farm.group"]
         assert len(groups) == 8
         assert {g.attrs["model"] for g in groups} == set(names)
@@ -138,7 +138,6 @@ class TestProcessBackend:
 
 
 @pytest.mark.parametrize("backend,workers", [("serial", 1),
-                                             ("thread", 4),
                                              ("process", 2)])
 def test_artifacts_identical_traced_or_not(backend, workers):
     """The out-of-band guarantee, per backend: the canonical result

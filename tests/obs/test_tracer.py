@@ -67,7 +67,7 @@ class TestNesting:
 
 class TestThreadFanOut:
     def test_copied_contexts_parent_worker_spans(self, tracer):
-        """The farm thread backend's pattern: submitting through
+        """The thread fan-out pattern: submitting through
         ``contextvars.copy_context().run`` nests each worker-thread
         span under the span that was current at submission."""
 

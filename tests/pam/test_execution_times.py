@@ -1,6 +1,6 @@
 """PAM with non-zero execution times (the §III-A N-cycles extension)."""
 
-from repro.engine import AsapPolicy, Simulator
+from repro.engine import AsapPolicy, simulate_model
 from repro.pam.experiments import build_configuration, concurrent_firings
 
 
@@ -8,8 +8,8 @@ class TestExecutionTimes:
     def test_fft_cycles_slow_the_chain(self):
         fast = build_configuration("infinite")
         slow = build_configuration("infinite", cycles={"fft": 2})
-        fast_run = Simulator(fast, AsapPolicy()).run(60)
-        slow_run = Simulator(slow, AsapPolicy()).run(60)
+        fast_run = simulate_model(fast, AsapPolicy(), 60)
+        slow_run = simulate_model(slow, AsapPolicy(), 60)
         assert slow_run.trace.count("logger.start") \
             < fast_run.trace.count("logger.start")
         assert slow_run.trace.count("fft.isExecuting") > 0
@@ -18,7 +18,7 @@ class TestExecutionTimes:
         # with infinite resources, other agents fire while the fft is
         # still executing — true pipelining
         model = build_configuration("infinite", cycles={"fft": 3})
-        run = Simulator(model, AsapPolicy()).run(60)
+        run = simulate_model(model, AsapPolicy(), 60)
         overlapping = [
             step for step in run.trace
             if "fft.isExecuting" in step and concurrent_firings(step) > 0]
@@ -26,7 +26,7 @@ class TestExecutionTimes:
 
     def test_mono_serializes_even_long_executions(self):
         model = build_configuration("mono", cycles={"fft": 2})
-        run = Simulator(model, AsapPolicy()).run(80)
+        run = simulate_model(model, AsapPolicy(), 80)
         busy = False
         for step in run.trace:
             if "fft.start" in step and "fft.stop" not in step:

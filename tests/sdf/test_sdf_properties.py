@@ -13,14 +13,14 @@ Invariants:
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.engine import RandomPolicy, Simulator
+from repro.engine import RandomPolicy, simulate_model
 from repro.moccml.semantics import AutomatonRuntime
 from repro.sdf import (
     SdfBuilder,
     TokenSimulator,
-    build_execution_model,
     repetition_vector,
     topology_matrix,
+    weave_sdf,
 )
 from repro.sdf.mocc import sdf_library
 
@@ -118,9 +118,9 @@ def test_random_engine_schedules_replay_on_baseline(seed):
     builder.connect("up", "sink", push=1, pop=1, capacity=2)
     builder.connect("down", "sink", push=1, pop=2, capacity=3)
     model, app = builder.build()
-    result = build_execution_model(model)
-    simulation = Simulator(result.execution_model,
-                           RandomPolicy(seed=seed)).run(20)
+    result = weave_sdf(model)
+    simulation = simulate_model(result.execution_model,
+                                RandomPolicy(seed=seed), 20)
     baseline = TokenSimulator(app)
     for step in simulation.trace:
         fired = frozenset(name.split(".")[0] for name in step

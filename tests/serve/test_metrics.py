@@ -208,6 +208,12 @@ class TestDrainReportShape:
         assert tuple(report)[:5] == SNAPSHOT_KEYS
         assert set(report) == set(SNAPSHOT_KEYS) | {
             "model_cache", "encodability", "evicted_on_close"}
+        # the encodability block reads the encodability.* counters of
+        # the shared obs registry
+        assert list(report["encodability"]) == [
+            "predicted_encodable", "predicted_unencodable",
+            "closure_fallbacks", "safety_net_raises"]
+        assert report["encodability"]["predicted_encodable"] >= 1
         assert report["counters"]["requests"] == 1
         assert report["counters"]["runs"] == 1
         assert report["counters"]["model_compiles"] == 1

@@ -438,7 +438,7 @@ class TestBatchStore(TestBatch):
         assert "3 run(s), 0 failure(s), 3 cache hit(s)" in out
         assert "[cached]" in out
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_match_the_default(self, tmp_path, app_file,
                                         backend, capsys):
         path = self.batch_file(tmp_path, app_file, self.runs())

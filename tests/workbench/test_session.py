@@ -97,7 +97,7 @@ class TestRunMany:
                                                 workers=workers)]
         assert parallel == baseline
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_byte_identical_across_backends(self, workbench, backend,
                                             workers):
