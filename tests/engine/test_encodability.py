@@ -65,6 +65,36 @@ class TestPredict:
         assert is_encodable(bounded)
 
 
+class TestCounters:
+    """The predictor counts on the shared obs registry, which keeps no
+    private dict beside it."""
+
+    def test_predict_counts_each_verdict(self, unbounded, bounded):
+        before = counters()
+        predict(bounded)
+        predict(unbounded)
+        predict(bounded)
+        assert delta(before) == {
+            "predicted_encodable": 2, "predicted_unencodable": 1,
+            "closure_fallbacks": 0, "safety_net_raises": 0}
+
+    def test_closure_fallback_counted(self, bounded):
+        # Alternates has at most 2 local states: over a cap of 1 the
+        # static bound is inconclusive and the local closure decides
+        before = counters()
+        report = predict(bounded, max_local_states=1)
+        assert [v.method for v in report.verdicts] == ["closure"]
+        assert delta(before) == {
+            "predicted_encodable": 0, "predicted_unencodable": 1,
+            "closure_fallbacks": 1, "safety_net_raises": 0}
+
+    def test_obs_counter_table_lists_every_counter(self):
+        import repro.obs
+
+        for name in COUNTERS:
+            assert f"``encodability.{name}``" in repro.obs.__doc__
+
+
 class TestAutoRouting:
     """strategy='auto' consults the predictor instead of compiling
     blind; the SymbolicEncodingError handler stays as a safety net."""

@@ -10,6 +10,10 @@ from repro.fuzz import run_round
 from repro.fuzz.runner import replay_document
 from tests.fuzz.test_oracle import BUGGY_INDEX, BUGGY_SEED
 
+#: every front-end but PAM, whose cases take seconds each to build and
+#: check; PAM stays fuzzed by test_run_round_reports_per_frontend_counts
+FAST_FRONTENDS = ["sigpml", "deployment", "ccsl", "moccml"]
+
 
 def test_run_round_needs_a_stopping_rule():
     with pytest.raises(ValueError):
@@ -30,6 +34,18 @@ def test_run_round_reports_per_frontend_counts():
     assert report["generation"] >= 1
 
 
+@pytest.mark.parametrize("cases", [1, 3, 4])
+def test_run_round_checks_exactly_the_cases_asked(cases):
+    # twelve properties per case, round-robin over the lanes: no case
+    # beyond the count is generated or checked
+    report = run_round(5, cases=cases, frontends=FAST_FRONTENDS)
+    assert report["ok"]
+    assert report["cases"] == cases
+    assert report["checks"] == 12 * cases
+    assert list(report["per_frontend"].values()) == [
+        1 if lane < cases else 0 for lane in range(len(FAST_FRONTENDS))]
+
+
 def test_run_round_restricts_frontends():
     report = run_round(17, cases=2, frontends=("ccsl",))
     assert set(report["per_frontend"]) == {"ccsl"}
@@ -44,11 +60,6 @@ def _break_truncation_guard(monkeypatch):
         return checker
 
     monkeypatch.setattr(ctl, "_explicit_checker", broken)
-
-
-#: every front-end but PAM, whose cases take seconds each to build and
-#: check; PAM stays fuzzed by test_run_round_reports_per_frontend_counts
-FAST_FRONTENDS = ["sigpml", "deployment", "ccsl", "moccml"]
 
 
 def test_cli_fuzz_round_and_replay(tmp_path, monkeypatch, capsys):
@@ -95,6 +106,14 @@ def test_cli_fuzz_round_and_replay(tmp_path, monkeypatch, capsys):
 def test_cli_fuzz_requires_a_stopping_rule(capsys):
     assert main(["fuzz"]) == 2
     assert "needs --cases or --budget" in capsys.readouterr().err
+
+
+def test_cli_fuzz_has_no_workers_flag(capsys):
+    # a round runs its cases in order in one process
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--cases", "1", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_replay_document_rejects_multi_model_docs():

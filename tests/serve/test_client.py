@@ -96,5 +96,22 @@ class TestRunLocal:
                   on_result=lambda index, result: seen.append(index))
         assert seen == [0]
 
+    def test_default_backend_stays_in_process(self, monkeypatch):
+        # two inline models are two shippable groups, yet the serial
+        # default runs both here, the way the server does
+        import repro.farm.backend as backend
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default backend spawned a pool")
+
+        monkeypatch.setattr(backend, "ProcessPoolExecutor", no_pool)
+        twin = {"models": {name: {"frontend": "sigpml", "text": CHAIN}
+                           for name in ("m", "n")},
+                "runs": [{"kind": "simulate", "model": name, "steps": 6}
+                         for name in ("m", "n")]}
+        results = run_local(twin, workers=2)
+        assert [result.ok for result in results] == [True, True]
+        assert results[0].data == results[1].data
+
     def test_ping_unreachable_is_none(self):
         assert ping(DEAD) is None

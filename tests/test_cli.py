@@ -448,6 +448,30 @@ class TestBatchStore(TestBatch):
                      "--workers", "4"]) == 0
         assert capsys.readouterr().out == baseline
 
+    @pytest.mark.parametrize("command", ["batch", "submit"])
+    def test_thread_backend_rejected(self, tmp_path, app_file, command,
+                                     capsys):
+        path = self.batch_file(tmp_path, app_file, self.runs())
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, path, "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_default_backend_stays_in_process(self, tmp_path, app_file,
+                                              monkeypatch, capsys):
+        # --workers alone never spawns a process pool: serial is the
+        # default backend
+        import repro.farm.backend as backend
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default backend spawned a pool")
+
+        monkeypatch.setattr(backend, "ProcessPoolExecutor", no_pool)
+        path = self.batch_file(tmp_path, app_file, self.runs())
+        assert main(["batch", path, "--json", "--workers", "2"]) == 0
+        docs = json.loads(capsys.readouterr().out)
+        assert [doc["status"] for doc in docs] == ["ok"] * 3
+
     def test_without_store_docs_carry_no_cached_flag(self, tmp_path,
                                                      app_file, capsys):
         path = self.batch_file(tmp_path, app_file, self.runs())

@@ -1,5 +1,7 @@
 """Workbench sessions: resolution, run_many determinism, streaming."""
 
+import warnings
+
 import pytest
 
 from repro.sdf import SdfBuilder
@@ -68,6 +70,21 @@ class TestSession:
         assert workbench.run(spec_json).data["steps_run"] == 3
 
 
+class TestFacade:
+    def test_facade_is_warning_free(self):
+        # the facade calls the engine's one entry point per job: no
+        # warning of any kind on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wb = Workbench()
+            wb.add(pipeline("clean"), name="clean")
+            wb.simulate("clean", steps=5)
+            wb.explore("clean")
+            wb.campaign("clean", steps=5)
+            wb.analyze("clean")
+            wb.check("clean", "AG !deadlock")
+
+
 class TestRunMany:
     def batch(self):
         return [
@@ -114,6 +131,24 @@ class TestRunMany:
                                              workers=workers,
                                              backend=backend)]
         assert swept == baseline
+
+    def test_default_backend_stays_in_process(self, monkeypatch):
+        # serial is the default: no process pool is spawned, even when
+        # workers are asked for and two shippable groups could fan out
+        import repro.farm.backend as backend
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the default backend spawned a pool")
+
+        monkeypatch.setattr(backend, "ProcessPoolExecutor", no_pool)
+        wb = Workbench()
+        wb.add(APPLICATION, name="one")
+        wb.add(APPLICATION, name="two")
+        specs = [SimulateSpec(name, steps=4) for name in ("one", "two")]
+        results = wb.run_many(specs, workers=2)
+        assert [r.status for r in results] == ["ok", "ok"]
+        with pytest.raises(AssertionError, match="spawned a pool"):
+            wb.run_many(specs, workers=2, backend="process")
 
     def test_unknown_backend_rejected(self, workbench):
         from repro.farm import BackendError
