@@ -174,6 +174,6 @@ from repro import errors
 try:  # single source of truth: the installed package metadata
     __version__ = _version("repro-moccml")
 except PackageNotFoundError:  # running off a source checkout (PYTHONPATH)
-    __version__ = "1.2.0"
+    __version__ = "1.3.0"
 
 __all__ = ["errors", "__version__"]

@@ -24,7 +24,7 @@ Architecture: the incremental symbolic kernel
 =============================================
 
 The engine's hot path is symbolic: at every step the conjunction of the
-constraints' boolean formulas is compiled to a BDD and queried. Three
+constraints' boolean formulas is compiled to a BDD and queried. Four
 mechanisms make that incremental instead of per-step-throwaway:
 
 **Persistent manager.** Every execution model owns one
@@ -52,10 +52,25 @@ manager).
 **Snapshot/restore contract.** Alongside ``clone()``, every runtime
 offers a lightweight ``snapshot()``/``restore()`` pair: the snapshot is
 a plain value token (counter, state name, tuple) that stays valid
-across any number of restores. The explorer walks the whole state space
-with a *single* working model — advance, hash, restore — keeping only
-snapshot tokens in its BFS frontier; campaigns rewind one clone between
-policy runs instead of re-cloning.
+across any number of restores. Campaigns rewind one clone between
+policy runs instead of re-cloning, and the local tables below restore
+their probe runtimes from these tokens.
+
+**Local transition tables.** A constraint's behaviour is a function of
+its local state and of the step projected on its own alphabet, so the
+kernel memoizes it: one :class:`~repro.engine.tables.LocalTable` per
+constraint slot maps (local-state id, projected step) to a successor
+id and keeps each id's state key, snapshot token, accepting flag and
+step formula. A miss restores a private probe runtime from the id's
+token, advances it once and admits the state it reaches; every later
+visit — from any clone, in any exploration of the model family — is a
+dict lookup. Explicit exploration walks the state space through these
+tables (:class:`~repro.engine.tables.CompiledStateView`, whose
+snapshots are tuples of local ids) and never re-runs a runtime on an
+edge it has seen. The symbolic closure is the same table class filled
+eagerly, which is what its BDD encoding is built from. Simulation and
+campaigns still step the caller's live model, which policies and
+observers read.
 
 Choosing a strategy — exploration and property checking
 =======================================================
@@ -70,11 +85,17 @@ identical verdicts *and* identical witness traces (the
 cost, and about what a bounded budget can soundly conclude:
 
 ``"explicit"``
-    One working model advanced and restored per edge. No setup cost and
+    Breadth-first search over the kernel's lazily filled local tables:
+    each constraint runtime runs once per (local state, projected step)
+    pair, then the memoized successor is read back. No compile step and
     no encodability requirement — the right choice for small models,
     one-shot explorations, and models with (locally) unbounded counters
-    such as an unbounded CCSL precedence, which cannot be finitely
-    encoded. Property checks on an explicit space are *three-valued*
+    such as an unbounded CCSL precedence or a cross-processor
+    communication delay, which cannot be finitely encoded (their tables
+    simply grow with the explored space). The explored space is cached
+    on the kernel per (configuration, budgets), so an explicit explore
+    and the explicit checks of the same model explore once. Property
+    checks on an explicit space are *three-valued*
     (:class:`~repro.engine.ctl.Verdict`): when the
     ``max_states``/``max_depth`` budget truncates the exploration, a
     check returns ``HOLDS``/``FAILS`` only if the explored region alone
@@ -84,12 +105,12 @@ cost, and about what a bounded budget can soundly conclude:
 ``"symbolic"``
     The model is first compiled to a BDD transition relation over event
     variables plus per-constraint state bits
-    (:mod:`repro.engine.symbolic`); graph construction then runs over
-    encoded states with table lookups instead of runtime mutation, and
-    the compiled system is cached on the model's kernel for reuse by
-    clones. The *fixpoint* APIs never build a graph at all:
-    :func:`~repro.engine.symbolic.symbolic_reachable` computes the
-    reachable set by forward image iteration, and
+    (:mod:`repro.engine.symbolic`), built from eagerly closed local
+    tables; graph construction then runs the explicit strategy's BFS
+    over those closed tables, and the compiled system is cached on the
+    model's kernel for reuse by clones. The *fixpoint* APIs never build
+    a graph at all: :func:`~repro.engine.symbolic.symbolic_reachable`
+    computes the reachable set by forward image iteration, and
     :func:`~repro.engine.ctl.check` evaluates full CTL (EX/EF/EG/EU and
     the A-duals, plus ``leads_to``) by backward
     :meth:`~repro.engine.symbolic.TransitionSystem.preimage` fixpoints
@@ -207,8 +228,8 @@ from repro.engine.ctl import (
     parse_property,
     replay_steps,
 )
+from repro.engine.tables import CompiledStateView, LocalTable
 from repro.engine.symbolic import (
-    CompiledStateView,
     ReachableSet,
     TransitionSystem,
     compile_transition_system,
@@ -227,7 +248,7 @@ __all__ = [
     "event_liveness", "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
-    "CompiledStateView", "compile_transition_system",
+    "CompiledStateView", "LocalTable", "compile_transition_system",
     "symbolic_deadlock_free", "symbolic_event_liveness",
     "symbolic_variable_bounds", "symbolic_check_variable_bound",
     "assert_equivalent", "cross_check",

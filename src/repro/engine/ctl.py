@@ -933,14 +933,14 @@ class _SymbolicChecker:
     def _restrict(self, node: int) -> int:
         return self.system.bdd.apply_and(self.universe, node)
 
-    def _space_for(self, label: str):
-        for space in self.system.spaces:
-            if space.label == label:
-                return space
+    def _table_for(self, label: str):
+        for table in self.system.tables:
+            if table.label == label:
+                return table
         raise EngineError(
             f"no constraint labelled {label!r} in "
             f"{self.system.name!r}; known: "
-            f"{sorted(space.label for space in self.system.spaces)}")
+            f"{sorted(table.label for table in self.system.tables)}")
 
     def eval(self, prop: Prop) -> int:
         cached = self._memo.get(prop)
@@ -967,20 +967,20 @@ class _SymbolicChecker:
         if isinstance(prop, Deadlock):
             return self.dead
         if isinstance(prop, InState):
-            space = self._space_for(prop.constraint)
-            ids = [local_id for local_id, key in enumerate(space.keys)
+            table = self._table_for(prop.constraint)
+            ids = [local_id for local_id, key in enumerate(table.keys)
                    if _key_matches(key, prop.value)]
             if not ids:
                 self.notes[prop] = _instate_note(
-                    prop, (_key_value_text(key) for key in space.keys))
+                    prop, (_key_value_text(key) for key in table.keys))
             return self._restrict(
-                self.system.local_states_node(space.index, ids))
+                self.system.local_states_node(table.index, ids))
         if isinstance(prop, VarCmp):
             label, name = _split_variable(prop.variable)
-            space = self._space_for(label)
+            table = self._table_for(label)
             ids = []
             known = False
-            for local_id, key in enumerate(space.keys):
+            for local_id, key in enumerate(table.keys):
                 value = _key_variable(key, name)
                 if value is None:
                     continue
@@ -991,7 +991,7 @@ class _SymbolicChecker:
                 raise EngineError(
                     f"constraint {label!r} has no variable {name!r}")
             return self._restrict(
-                self.system.local_states_node(space.index, ids))
+                self.system.local_states_node(table.index, ids))
         if isinstance(prop, Not):
             return self._restrict(bdd.apply_not(self.eval(prop.operand)))
         if isinstance(prop, And):

@@ -15,9 +15,11 @@ BDD node or stepping the engine:
    ``len(alphabet) > MAX_ALPHABET`` comparison the closure performs);
 2. **static** — per-class state-count bounds for the kernel CCSL
    runtimes (a bounded ``Precedes`` reaches ``bound + 1`` counters, a
-   ``PeriodicOn`` cycles through ``period`` phases, …), with genuinely
-   unbounded counters (``Precedes``/``Causes`` without a bound)
-   reported unencodable outright;
+   ``PeriodicOn`` cycles through ``period`` phases, …) and the
+   deployment runtimes (a processor mutex is idle or held by one of its
+   agents), with genuinely unbounded counters (``Precedes``/``Causes``
+   without a bound, a communication delay's matured tokens) reported
+   unencodable outright;
 3. **interval** — abstract interpretation of MoCCML constraint
    automata: variable ranges are propagated through guard refinement
    and ``=``/``+=``/``-=`` actions to a widened fixpoint, so a
@@ -37,6 +39,7 @@ the telemetry below (a firing means the predictor was wrong — a bug).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -368,6 +371,18 @@ def _static_bound(runtime) -> int | None:
         return len(runtime.word.prefix) + len(runtime.word.period)
     if isinstance(runtime, DeadlineRuntime):
         return runtime.budget + 2
+    # a deployment runtime exists only once its module is loaded: looking
+    # the module up instead of importing it keeps the predictor from
+    # pulling the whole deployment package into processes that never
+    # deploy (serve admission, cold ``repro check``)
+    deployment = sys.modules.get("repro.deployment.mocc")
+    if deployment is not None:
+        if isinstance(runtime, deployment.ProcessorMutexRuntime):
+            return len(runtime.agents) + 1  # idle, or one agent running
+        if isinstance(runtime, deployment.CommDelayRuntime):
+            # a write without a read is always locally acceptable, so
+            # the matured-token count grows without bound
+            return _UNBOUNDED
     if isinstance(runtime, CompositeRuntime):
         product = 1
         for child in runtime.children:
@@ -421,15 +436,15 @@ def classify_constraint(runtime, max_local_states: int,
     # still no global product exploration
     obs.count("encodability.closure_fallbacks")
     try:
-        space = _close_local(0, runtime, max_local_states)
+        table = _close_local(0, runtime, max_local_states)
     except SymbolicEncodingError as exc:
         return ConstraintVerdict(
             label=label, encodable=False, method="closure",
             reason=str(exc))
     return ConstraintVerdict(
         label=label, encodable=True, method="closure",
-        bound=len(space.keys),
-        reason=f"local closure has {len(space.keys)} state(s)")
+        bound=table.n_states,
+        reason=f"local closure has {table.n_states} state(s)")
 
 
 def predict(model, max_local_states: int | None = None,

@@ -15,64 +15,33 @@ ConstraintRuntime.formula_version` (dirty tracking: a constraint whose
 state did not change its formula never recompiles), the global
 conjunction is memoized per compiled-node tuple, and step enumeration
 is memoized per conjunction node — hash-consing makes the node id a
-canonical key for the boolean function itself.
+canonical key for the boolean function itself. The kernel also holds the
+per-constraint local transition tables (:mod:`repro.engine.tables`)
+that explicit exploration steps through.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Hashable, Iterable
 
 from repro.boolalg.bdd import Bdd
 from repro.boolalg.expr import And, BExpr
+from repro.engine.tables import (
+    _MISSING,
+    CompiledStateView,
+    LocalTable,
+    TableStepper,
+    _LruCache,
+)
 from repro.errors import EngineError
 from repro.moccml.semantics.runtime import ConstraintRuntime
 
-#: cache-miss sentinel (None is a legitimate cached value for max_step)
-_MISSING = object()
 
-
-class _LruCache:
-    """A small bounded mapping with least-recently-used eviction."""
-
-    __slots__ = ("maxsize", "_data")
-
-    def __init__(self, maxsize: int):
-        if maxsize < 1:
-            raise ValueError(f"cache size must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key, default=None):
-        data = self._data
-        value = data.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        data.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        data[key] = value
-        data.move_to_end(key)
-        if len(data) > self.maxsize:
-            data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def values(self):
-        return list(self._data.values())
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
-class SymbolicKernel:
+class SymbolicKernel(TableStepper):
     """Persistent symbolic state for one execution model (and clones).
 
     Owns the BDD manager for the lifetime of the model family plus the
-    bounded caches that make stepping incremental:
+    caches that make stepping incremental:
 
     * per-constraint compiled nodes, keyed ``(slot, formula_version)``
       — the slot is the constraint's position in the model, so clones
@@ -83,14 +52,17 @@ class SymbolicKernel:
       memoized AND);
     * enumerated step lists and maximal steps, keyed by the conjunction
       node id — hash-consing guarantees equal ids mean equal functions,
-      so revisited configurations anywhere in an exploration hit here.
+      so revisited configurations anywhere in an exploration hit here;
+    * one lazily filled :class:`~repro.engine.tables.LocalTable` per
+      constraint slot, which explicit exploration steps through
+      (:meth:`table_view`) instead of re-running the runtimes.
 
-    All caches are bounded LRUs; the kernel is a pure accelerator and
-    can be dropped at any time (:meth:`ExecutionModel.clear_caches`).
+    All caches but the tables are bounded LRUs; the tables grow with
+    what has been explored. The kernel is a pure accelerator and can be
+    dropped at any time (:meth:`ExecutionModel.clear_caches`).
     """
 
     NODE_CACHE_SIZE = 8_192
-    STEPS_CACHE_SIZE = 4_096
     #: compiled transition systems are heavyweight (own BDD manager);
     #: keep only a few, keyed by the configuration they were built from
     TRANSITION_SYSTEM_CACHE_SIZE = 4
@@ -99,17 +71,13 @@ class SymbolicKernel:
     EXPLORED_SPACE_CACHE_SIZE = 4
 
     def __init__(self, events: Iterable[str]):
-        self.events: tuple[str, ...] = tuple(events)
-        self.bdd = Bdd(order=self.events)
+        events = tuple(events)
+        super().__init__(Bdd(order=events), events, [])
         self._node_cache = _LruCache(self.NODE_CACHE_SIZE)
-        self._conj_cache = _LruCache(self.NODE_CACHE_SIZE)
-        self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
         self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
         self._ts_cache = _LruCache(self.TRANSITION_SYSTEM_CACHE_SIZE)
         self._space_cache = _LruCache(self.EXPLORED_SPACE_CACHE_SIZE)
-        #: hit/miss counters (introspection, tests, tuning)
-        self.stats = {"node_hits": 0, "node_misses": 0,
-                      "steps_hits": 0, "steps_misses": 0}
+        self.stats.update(node_hits=0, node_misses=0)
 
     def constraint_node(self, slot: int,
                         constraint: ConstraintRuntime) -> int:
@@ -129,15 +97,18 @@ class SymbolicKernel:
             self.stats["node_hits"] += 1
         return node
 
-    def conjunction(self, nodes: tuple[int, ...]) -> int:
-        """The conjunction of compiled constraint *nodes* (memoized)."""
-        if not nodes:
-            return self.bdd.one
-        cached = self._conj_cache.get(nodes, _MISSING)
-        if cached is _MISSING:
-            cached = self.bdd.conjoin(nodes)
-            self._conj_cache.put(nodes, cached)
-        return cached
+    def table_view(self, model: "ExecutionModel") -> CompiledStateView:
+        """A table-driven working view of *model*'s current configuration
+        — the explicit exploration driver. The slot tables are made on
+        first use and shared by every clone; *model* must belong to the
+        family owning this kernel, and is only read."""
+        if not self.tables:
+            self.tables = [LocalTable(slot, constraint) for slot, constraint
+                           in enumerate(model.constraints)]
+            self._formula_nodes = [[] for _ in self.tables]
+        ids = tuple(table.locate(constraint) for table, constraint
+                    in zip(self.tables, model.constraints))
+        return CompiledStateView(self, ids)
 
     def transition_system(self, model: "ExecutionModel",
                           max_local_states: int | None = None,
@@ -202,9 +173,10 @@ class SymbolicKernel:
                        include_empty: bool = False):
         """An explicitly explored state space for *model*'s current
         configuration, cached per (configuration, budgets) — repeated
-        property checks of one model share one exploration. Treat the
-        returned space as immutable; *model* must belong to the family
-        owning this kernel.
+        property checks of one model, and an explicit explore spec
+        followed by checks, share one exploration. Treat the returned
+        space as immutable; *model* must belong to the family owning
+        this kernel.
         """
         from repro.engine.explorer import explore
         key = (model.configuration(), max_states, max_depth,
@@ -226,17 +198,22 @@ class SymbolicKernel:
             "max_steps": len(self._max_step_cache),
             "transition_systems": len(self._ts_cache),
             "explored_spaces": len(self._space_cache),
+            "local_tables": len(self.tables),
+            "local_states": sum(table.n_states for table in self.tables),
             "bdd_nodes": self.bdd.node_count(),
         }
 
     def clear(self) -> None:
-        """Drop every cached result (the manager itself survives)."""
+        """Drop every cached result and local table (the manager itself
+        survives)."""
         self._node_cache.clear()
         self._conj_cache.clear()
         self._steps_cache.clear()
         self._max_step_cache.clear()
         self._ts_cache.clear()
         self._space_cache.clear()
+        self.tables = []
+        self._formula_nodes = []
         self.bdd.clear_operation_caches()
 
 
@@ -316,24 +293,7 @@ class ExecutionModel:
         Returns a deterministically ordered list of event sets; the empty
         step (nothing occurs) is omitted unless *include_empty*.
         """
-        kernel = self.kernel
-        node = self._step_node()
-        key = (node, include_empty)
-        steps = kernel._steps_cache.get(key)
-        if steps is None:
-            kernel.stats["steps_misses"] += 1
-            collected = []
-            for model in kernel.bdd.iter_models(node, self.events):
-                step = frozenset(name for name, value in model.items()
-                                 if value)
-                if step or include_empty:
-                    collected.append(step)
-            collected.sort(key=lambda s: (len(s), sorted(s)))
-            steps = tuple(collected)
-            kernel._steps_cache.put(key, steps)
-        else:
-            kernel.stats["steps_hits"] += 1
-        return list(steps)
+        return list(self.kernel.steps_of(self._step_node(), include_empty))
 
     def count_acceptable_steps(self, include_empty: bool = True) -> int:
         """Number of acceptable steps without enumerating them."""

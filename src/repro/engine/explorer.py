@@ -7,17 +7,22 @@ whose nodes are global constraint configurations and whose edges are
 steps. This implements the paper's "exhaustive exploration" usage of the
 generic engine.
 
-Two strategies drive the same breadth-first skeleton:
+Both strategies drive the same breadth-first skeleton over a
+:class:`~repro.engine.tables.CompiledStateView`: a state is a tuple of
+per-constraint local ids, a successor is one table lookup per
+constraint, and no constraint runtime of the caller is touched.
 
-* ``"explicit"`` — a single working model is advanced and restored edge
-  by edge, keeping only lightweight
-  :meth:`~repro.engine.execution_model.ExecutionModel.snapshot` tokens
-  in the frontier (PR 1's scheme);
+* ``"explicit"`` — the view reads the model kernel's lazily filled
+  local tables (:meth:`~repro.engine.execution_model.SymbolicKernel.\
+  table_view`): a table runs its constraint's runtime only the first
+  time a (local state, projected step) pair comes up, then every clone
+  and every later exploration of the model family reads the memoized
+  successor. No encodability requirement: a locally unbounded
+  constraint's table just grows with the explored space;
 * ``"symbolic"`` — the model is first compiled to a BDD transition
-  system (:mod:`repro.engine.symbolic`); the BFS then runs over encoded
-  states with table lookups, never touching a constraint runtime, and
-  the full reachable set is also available by fixpoint iteration
-  without building any graph at all.
+  system (:mod:`repro.engine.symbolic`), whose eagerly closed tables the
+  view reads; the full reachable set is also available by fixpoint
+  iteration without building any graph at all.
 
 ``"auto"`` picks symbolic for models past a size threshold and falls
 back to explicit when the model cannot be finitely encoded. Both
@@ -35,6 +40,7 @@ import networkx as nx
 from repro import obs
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.statespace import StateSpace
+from repro.engine.tables import CompiledStateView
 from repro.errors import EngineError, ExplorationLimitError, \
     SymbolicEncodingError
 
@@ -96,24 +102,25 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
 
 def _working_view(model: ExecutionModel, strategy: str,
                   relation_mode: str | None = None,
-                  cluster_cap: int | None = None):
-    """The BFS driver for *strategy*: a model clone, or a compiled view."""
+                  cluster_cap: int | None = None) -> CompiledStateView:
+    """The BFS driver for *strategy*: a view over the kernel's lazily
+    filled local tables (explicit) or over a compiled system's closed
+    ones (symbolic)."""
     if strategy not in STRATEGIES:
         raise EngineError(
             f"unknown exploration strategy {strategy!r}; expected one of "
             f"{', '.join(STRATEGIES)}")
     if strategy == "explicit":
-        return model.clone()
+        return model.kernel.table_view(model)
     if strategy == "auto" and len(model.events) < AUTO_EVENT_THRESHOLD:
-        return model.clone()
-    from repro.engine.symbolic import CompiledStateView
+        return model.kernel.table_view(model)
     if strategy == "auto":
         # route through the static predictor instead of compiling just
         # to catch SymbolicEncodingError (the except below stays as the
         # safety net for predictor misses)
         from repro.engine.encodability import is_encodable
         if not is_encodable(model):
-            return model.clone()  # predicted not finitely encodable
+            return model.kernel.table_view(model)
     try:
         return CompiledStateView(model.kernel.transition_system(
             model, relation_mode=relation_mode, cluster_cap=cluster_cap))
@@ -122,7 +129,7 @@ def _working_view(model: ExecutionModel, strategy: str,
             raise
         from repro.engine.encodability import record_safety_net
         record_safety_net()
-        return model.clone()  # predictor miss: not finitely encodable
+        return model.kernel.table_view(model)  # predictor miss
 
 
 def _bfs(work, name: str, events: list[str], max_states: int,
@@ -132,11 +139,13 @@ def _bfs(work, name: str, events: list[str], max_states: int,
 
     *work* is anything implementing the working-model protocol:
     ``configuration``/``snapshot``/``restore``/``acceptable_steps``/
-    ``advance``/``is_accepting`` — an :class:`ExecutionModel` clone for
-    the explicit strategy, a
-    :class:`~repro.engine.symbolic.CompiledStateView` for the symbolic
-    one. Admission order, truncation and frontier marking are therefore
-    identical across strategies by construction.
+    ``advance``/``is_accepting``. The strategies pass a
+    :class:`~repro.engine.tables.CompiledStateView` (over the kernel's
+    tables or a compiled system's), so admission order, truncation and
+    frontier marking are identical across strategies by construction.
+    An :class:`ExecutionModel` clone implements the protocol too, by
+    re-running its constraint runtimes edge by edge — the reference the
+    tables are tested against.
     """
     obs.count("explore.spaces")
     graph = nx.MultiDiGraph()

@@ -1,24 +1,28 @@
 """Symbolic fixpoint reachability over the scheduling state space.
 
-The explicit explorer enumerates one BDD-satisfying assignment at a
-time and walks the state graph breadth-first with a working model. This
-module instead encodes the *whole transition relation* as BDDs — event
-variables plus per-constraint state bits (clock counters, automaton
-states, buffer occupancy) — and computes the reachable configuration
-set by fixpoint image iteration, the standard route from toy
-reachability to production-scale symbolic verification.
+Explicit exploration walks the state graph breadth-first, one state and
+one step at a time, through the per-constraint local transition tables
+of :mod:`repro.engine.tables`. This module instead encodes the *whole
+transition relation* as BDDs — event variables plus per-constraint
+state bits (clock counters, automaton states, buffer occupancy) — and
+computes the reachable configuration set by fixpoint image iteration,
+the standard route from toy reachability to production-scale symbolic
+verification.
 
 The pipeline:
 
-1. **Local closure.** Every constraint runtime is driven through its
-   own finite local transition system: starting from the current
-   snapshot, all locally acceptable event assignments (projections of
-   global steps onto the constraint's alphabet) are applied until no
-   new ``state_key()`` appears. The closure over-approximates the
-   globally reachable local states — which is exactly what an encoding
-   needs — and fails fast (:class:`~repro.errors.SymbolicEncodingError`)
-   on locally unbounded constraints, letting the ``auto`` strategy fall
-   back to explicit search.
+1. **Local closure.** Every constraint runtime gets a fresh
+   :class:`~repro.engine.tables.LocalTable`, filled eagerly
+   (:meth:`~repro.engine.tables.LocalTable.close`): starting from the
+   current snapshot, all locally acceptable event assignments
+   (projections of global steps onto the constraint's alphabet) are
+   applied until no new ``state_key()`` appears. The closure
+   over-approximates the globally reachable local states — which is
+   exactly what an encoding needs — and fails fast
+   (:class:`~repro.errors.SymbolicEncodingError`) on locally unbounded
+   constraints, letting the ``auto`` strategy fall back to explicit
+   search. It is the same table class explicit exploration fills
+   lazily; only the fill order differs.
 2. **Topology-derived variable order.** Constraints are ordered by a
    greedy BFS over the connection graph (constraints sharing events are
    adjacent — for a pipeline this recovers the pipeline order), each
@@ -26,8 +30,8 @@ The pipeline:
    event variable is placed next to the first constraint that reads it.
    Free events land at the end.
 3. **Relation construction.** Per constraint ``i`` the relation
-   ``T_i(bits_i, events_i, bits_i')`` disjoins one cube per discovered
-   local transition; the global relation is their conjunction, which by
+   ``T_i(bits_i, events_i, bits_i')`` disjoins one cube per closed-table
+   transition; the global relation is their conjunction, which by
    construction enforces the same global step conjunction the explicit
    engine evaluates.
 4. **Frontier fixpoint.** ``R_{k+1} = R_k ∨ rename(∃ state, events:
@@ -42,10 +46,11 @@ backward relational product paired with :meth:`~TransitionSystem.image`
 fixpoints on the same relation. On-demand concretization back to an explicit
 :class:`~repro.engine.statespace.StateSpace` — so ``to_json``, viz and
 the graph analyses keep working unchanged — runs the very same BFS loop
-as the explicit strategy over a :class:`CompiledStateView`, replacing
-per-edge runtime mutation with table lookups; the two strategies
-therefore produce byte-identical state spaces, including truncation
-frontiers, which the :mod:`repro.engine.equivalence` harness asserts.
+as the explicit strategy, over a
+:class:`~repro.engine.tables.CompiledStateView` of the closed tables;
+the two strategies therefore produce byte-identical state spaces,
+including truncation frontiers, which the
+:mod:`repro.engine.equivalence` harness asserts.
 """
 
 from __future__ import annotations
@@ -54,9 +59,8 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
 from repro.boolalg.bdd import Bdd
-from repro.boolalg.expr import BExpr
-from repro.engine.execution_model import _LruCache
-from repro.errors import EngineError, SemanticsError, SymbolicEncodingError
+from repro.engine.tables import CompiledStateView, LocalTable, TableStepper
+from repro.errors import EngineError, SymbolicEncodingError
 
 #: local-closure guard rails: alphabets wider than this would make the
 #: per-state assignment sweep exponential, and closures larger than this
@@ -86,102 +90,18 @@ DEFAULT_AUTO_REORDER_THRESHOLD = 250_000
 DEFAULT_AUTO_REORDER_BUDGET = 32
 
 
-class LocalSpace:
-    """The finite local transition system of one constraint runtime.
-
-    ``keys[s]`` is the runtime's ``state_key()`` in local state ``s``,
-    ``delta[s]`` maps a local event assignment (the frozenset of the
-    constraint's events occurring) to the successor local state, and
-    ``formulas[s]`` is the step formula contributed in that state.
-    State ``0`` is the state the runtime was in when the closure ran.
-    """
-
-    __slots__ = ("index", "label", "alphabet", "keys", "accepting",
-                 "formulas", "delta", "key_to_id", "bits")
-
-    def __init__(self, index: int, label: str, alphabet: tuple[str, ...]):
-        self.index = index
-        self.label = label
-        self.alphabet = alphabet
-        self.keys: list[Hashable] = []
-        self.accepting: list[bool] = []
-        self.formulas: list[BExpr] = []
-        self.delta: list[dict[frozenset[str], int]] = []
-        self.key_to_id: dict[Hashable, int] = {}
-        self.bits = 0  # assigned once the closure is complete
-
-    @property
-    def n_states(self) -> int:
-        return len(self.keys)
-
-
-def _close_local(index: int, runtime, max_local_states: int) -> LocalSpace:
-    """Explore one runtime's local state machine to fixpoint."""
+def _close_local(index: int, runtime, max_local_states: int) -> LocalTable:
+    """One runtime's local closure: a fresh table, filled eagerly."""
     with obs.span("symbolic.closure", constraint=runtime.label) as trace:
-        space = _close_local_inner(index, runtime, max_local_states)
-        trace.set(states=space.n_states)
-    return space
-
-
-def _close_local_inner(index: int, runtime,
-                       max_local_states: int) -> LocalSpace:
-    alphabet = tuple(sorted(runtime.constrained_events))
-    if len(alphabet) > MAX_ALPHABET:
-        raise SymbolicEncodingError(
-            f"constraint {runtime.label!r} constrains {len(alphabet)} "
-            f"events; symbolic encoding caps local alphabets at "
-            f"{MAX_ALPHABET}")
-    space = LocalSpace(index, runtime.label, alphabet)
-    probe = runtime.clone()
-    tokens: list = []
-
-    def admit(key: Hashable) -> int:
-        known = space.key_to_id.get(key)
-        if known is not None:
-            return known
-        if len(space.keys) >= max_local_states:
+        alphabet = len(runtime.constrained_events)
+        if alphabet > MAX_ALPHABET:
             raise SymbolicEncodingError(
-                f"constraint {runtime.label!r} exceeded the local-state "
-                f"closure bound ({max_local_states}); it is likely "
-                f"unbounded — use the explicit exploration strategy")
-        local_id = len(space.keys)
-        space.key_to_id[key] = local_id
-        space.keys.append(key)
-        tokens.append(probe.snapshot())
-        space.accepting.append(bool(probe.is_accepting()))
-        space.formulas.append(probe.step_formula())
-        space.delta.append({})
-        return local_id
-
-    admit(probe.state_key())
-    cursor = 0
-    while cursor < len(space.keys):
-        formula = space.formulas[cursor]
-        support = formula.support()
-        unknown = support - set(alphabet)
-        if unknown:
-            raise SymbolicEncodingError(
-                f"constraint {runtime.label!r} reads event(s) "
-                f"{sorted(unknown)} outside its declared alphabet")
-        for mask in range(1 << len(alphabet)):
-            assignment = frozenset(
-                alphabet[bit] for bit in range(len(alphabet))
-                if mask >> bit & 1)
-            if not formula.evaluate(
-                    {name: name in assignment for name in alphabet}):
-                continue
-            probe.restore(tokens[cursor])
-            try:
-                probe.advance(assignment)
-            except SemanticsError as exc:
-                raise SymbolicEncodingError(
-                    f"constraint {runtime.label!r} accepted step "
-                    f"{sorted(assignment)} in its formula but rejected it "
-                    f"in advance(): {exc}") from exc
-            space.delta[cursor][assignment] = admit(probe.state_key())
-        cursor += 1
-    space.bits = max(1, (len(space.keys) - 1).bit_length())
-    return space
+                f"constraint {runtime.label!r} constrains {alphabet} "
+                f"events; symbolic encoding caps local alphabets at "
+                f"{MAX_ALPHABET}")
+        table = LocalTable(index, runtime).close(max_local_states)
+        trace.set(states=table.n_states)
+    return table
 
 
 def _constraint_order(constraints: Sequence) -> list[int]:
@@ -223,7 +143,7 @@ def _constraint_order(constraints: Sequence) -> list[int]:
     return order
 
 
-class TransitionSystem:
+class TransitionSystem(TableStepper):
     """The BDD-encoded transition relation of one execution model.
 
     Owns a dedicated :class:`~repro.boolalg.bdd.Bdd` manager whose
@@ -232,6 +152,10 @@ class TransitionSystem:
     event variables first, which is the right order for per-step
     enumeration but not for image computation — hence the second,
     purpose-ordered manager, cached on the kernel so clones share it).
+    Its closed local tables (``tables``, one per constraint) are what
+    the encoding is built from, and — through the inherited
+    :class:`~repro.engine.tables.TableStepper` — what concretization
+    and witness walks step through.
     """
 
     def __init__(self, model, max_local_states: int = DEFAULT_MAX_LOCAL_STATES,
@@ -254,15 +178,15 @@ class TransitionSystem:
         self.name = model.name
         self.relation_mode = relation_mode
         self.cluster_cap = cluster_cap
-        self.events: list[str] = list(model.events)
-        self.spaces: list[LocalSpace] = [
-            _close_local(index, constraint, max_local_states)
-            for index, constraint in enumerate(model.constraints)]
+        tables = [_close_local(index, constraint, max_local_states)
+                  for index, constraint in enumerate(model.constraints)]
         self.order: list[int] = _constraint_order(model.constraints)
-        self.bdd = Bdd(auto_reorder_threshold=DEFAULT_AUTO_REORDER_THRESHOLD,
-                       auto_reorder_budget=(DEFAULT_AUTO_REORDER_BUDGET
-                                            if reorder_budget is None
-                                            else reorder_budget))
+        super().__init__(
+            Bdd(auto_reorder_threshold=DEFAULT_AUTO_REORDER_THRESHOLD,
+                auto_reorder_budget=(DEFAULT_AUTO_REORDER_BUDGET
+                                     if reorder_budget is None
+                                     else reorder_budget)),
+            list(model.events), tables)
         # installing the provider *before* compiling matters: it stops
         # the manager from firing mid-compile standalone reorders, whose
         # parentless default roots treat every dead intermediate of the
@@ -271,16 +195,8 @@ class TransitionSystem:
         self.bdd.reorder_roots_provider = self._reorder_roots
         self._declare_variables()
         self._compile_relation()
-        self.initial_ids: tuple[int, ...] = tuple(0 for _ in self.spaces)
+        self.initial_ids: tuple[int, ...] = tuple(0 for _ in self.tables)
         self.initial_node = self._encode_state(self.initial_ids)
-        # concretization caches (conjunction of per-state formula nodes,
-        # enumerated step lists, per-step local projections) — bounded
-        # LRUs: the system is pinned on the kernel for the model
-        # family's lifetime, so unbounded dicts would grow with every
-        # exploration (eviction merely costs a recompute)
-        self._conj_cache = _LruCache(8_192)
-        self._steps_cache = _LruCache(4_096)
-        self._proj_cache = _LruCache(4_096)
         self._step_relation_cache: dict[bool, int] = {}
         self._guard_cache: dict[bool, int] = {}
         self._cluster_chain_cache: dict[bool, list[int]] = {}
@@ -303,15 +219,15 @@ class TransitionSystem:
         bdd = self.bdd
         event_position = {event: i for i, event in enumerate(self.events)}
         declared: set[str] = set()
-        self.cur_names: list[list[str]] = [[] for _ in self.spaces]
-        self.primed_names: list[list[str]] = [[] for _ in self.spaces]
+        self.cur_names: list[list[str]] = [[] for _ in self.tables]
+        self.primed_names: list[list[str]] = [[] for _ in self.tables]
         for index in self.order:
-            space = self.spaces[index]
-            for event in sorted(space.alphabet, key=event_position.get):
+            table = self.tables[index]
+            for event in sorted(table.alphabet, key=event_position.get):
                 if event not in declared:
                     declared.add(event)
                     bdd.declare(event)
-            for bit in range(space.bits):
+            for bit in range(table.bits):
                 cur = f"#s{index}.{bit}"
                 primed = f"#s{index}.{bit}'"
                 bdd.declare(cur)
@@ -348,10 +264,7 @@ class TransitionSystem:
 
     def _compile_relation(self) -> None:
         bdd = self.bdd
-        self.formula_nodes: list[list[int]] = []
-        for space in self.spaces:
-            self.formula_nodes.append(
-                [bdd.from_expr(formula) for formula in space.formulas])
+        self._compile_formulas()
         self.parts: list[int] = []
         for index in self.order:
             self.parts.append(self._relation_part(index))
@@ -406,7 +319,7 @@ class TransitionSystem:
         roots: list[int] = [self.initial_node]
         roots.extend(self.parts)
         roots.extend(self._clusters)
-        for nodes in self.formula_nodes:
+        for nodes in self._formula_nodes:
             roots.extend(nodes)
         if self._relation_node is not None:
             roots.append(self._relation_node)
@@ -448,9 +361,9 @@ class TransitionSystem:
     def _relation_part(self, index: int) -> int:
         """``T_i``: one cube per discovered local transition."""
         bdd = self.bdd
-        space = self.spaces[index]
+        table = self.tables[index]
         part = bdd.zero
-        for local_id, transitions in enumerate(space.delta):
+        for local_id, transitions in enumerate(table.delta):
             by_succ: dict[int, list[frozenset[str]]] = {}
             for assignment, succ in transitions.items():
                 by_succ.setdefault(succ, []).append(assignment)
@@ -459,7 +372,7 @@ class TransitionSystem:
                 triggers = bdd.zero
                 for assignment in by_succ[succ]:
                     triggers = bdd.apply_or(
-                        triggers, self._minterm(space.alphabet, assignment))
+                        triggers, self._minterm(table.alphabet, assignment))
                 moves = bdd.apply_or(
                     moves,
                     bdd.apply_and(triggers,
@@ -705,21 +618,16 @@ class TransitionSystem:
 
     # -- decoding ----------------------------------------------------------
 
-    def decode_key(self, ids: Sequence[int]) -> tuple:
-        """The explicit configuration key of an encoded state."""
-        return tuple(space.keys[ids[index]]
-                     for index, space in enumerate(self.spaces))
-
     def encode_assignment(self, ids: Sequence[int]) -> dict[str, bool]:
         """A current-bit assignment selecting exactly the state *ids*."""
         assignment: dict[str, bool] = {}
-        for index, space in enumerate(self.spaces):
+        for index in range(len(self.tables)):
             for bit, name in enumerate(self.cur_names[index]):
                 assignment[name] = bool(ids[index] >> bit & 1)
         return assignment
 
     def n_local_states(self) -> dict[str, int]:
-        return {space.label: space.n_states for space in self.spaces}
+        return {table.label: table.n_states for table in self.tables}
 
     def state_bits(self) -> int:
         return len(self.all_cur)
@@ -750,49 +658,6 @@ class TransitionSystem:
             "cache": bdd.cache_stats(),
             "cache_sizes": bdd.cache_sizes(),
         }
-
-    # -- concretization support (CompiledStateView) ------------------------
-
-    def steps_at(self, ids: tuple[int, ...],
-                 include_empty: bool = False) -> tuple:
-        """Acceptable steps at an encoded state, ordered exactly as
-        :meth:`ExecutionModel.acceptable_steps` orders them."""
-        nodes = tuple(self.formula_nodes[index][ids[index]]
-                      for index in range(len(self.spaces)))
-        conj = self._conj_cache.get(nodes)
-        if conj is None:
-            conj = self.bdd.conjoin(nodes)
-            self._conj_cache.put(nodes, conj)
-        key = (conj, include_empty)
-        steps = self._steps_cache.get(key)
-        if steps is None:
-            collected = []
-            for model in self.bdd.iter_models(conj, self.events):
-                step = frozenset(name for name, value in model.items()
-                                 if value)
-                if step or include_empty:
-                    collected.append(step)
-            collected.sort(key=lambda s: (len(s), sorted(s)))
-            steps = tuple(collected)
-            self._steps_cache.put(key, steps)
-        return steps
-
-    def successor(self, ids: tuple[int, ...],
-                  step: frozenset[str]) -> tuple[int, ...]:
-        """The unique successor of an encoded state under *step*."""
-        projections = self._proj_cache.get(step)
-        if projections is None:
-            projections = tuple(step & frozenset(space.alphabet)
-                                for space in self.spaces)
-            self._proj_cache.put(step, projections)
-        try:
-            return tuple(
-                space.delta[ids[index]][projections[index]]
-                for index, space in enumerate(self.spaces))
-        except KeyError:
-            raise EngineError(
-                f"step {sorted(step)} is not acceptable in the compiled "
-                f"system of {self.name!r}") from None
 
 
 class ReachableSet:
@@ -870,29 +735,29 @@ class ReachableSet:
         (buffer occupancies, automaton states, counter values)."""
         system = self.system
         if isinstance(constraint, str):
-            matches = [space for space in system.spaces
-                       if space.label == constraint]
+            matches = [table for table in system.tables
+                       if table.label == constraint]
             if not matches:
                 raise EngineError(
                     f"no constraint labelled {constraint!r} in "
                     f"{system.name!r}")
-            space = matches[0]
+            table = matches[0]
         else:
-            space = system.spaces[constraint]
+            table = system.tables[constraint]
         bdd = system.bdd
-        mine = set(system.cur_names[space.index])
+        mine = set(system.cur_names[table.index])
         others = [name for name in system.all_cur if name not in mine]
         projected = bdd.exists(self.node, others)
         ids = set()
         for model in bdd.iter_models(projected,
-                                     system.cur_names[space.index]):
+                                     system.cur_names[table.index]):
             local_id = sum(
                 1 << bit
-                for bit, name in enumerate(system.cur_names[space.index])
+                for bit, name in enumerate(system.cur_names[table.index])
                 if model[name])
-            if local_id < space.n_states:
+            if local_id < table.n_states:
                 ids.add(local_id)
-        return [space.keys[local_id] for local_id in sorted(ids)]
+        return [table.keys[local_id] for local_id in sorted(ids)]
 
     # -- enumeration / concretization --------------------------------------
 
@@ -901,7 +766,7 @@ class ReachableSet:
         system = self.system
         for model in system.bdd.iter_models(self.node, system.all_cur):
             ids = []
-            for index in range(len(system.spaces)):
+            for index in range(len(system.tables)):
                 ids.append(sum(
                     1 << bit
                     for bit, name in enumerate(system.cur_names[index])
@@ -936,42 +801,6 @@ class ReachableSet:
         status = " (truncated)" if self.truncated else ""
         return (f"ReachableSet({self.system.name!r}, {self.count()} "
                 f"states, depth {self.depth}{status})")
-
-
-class CompiledStateView:
-    """Drives the explorer's BFS loop over a compiled system.
-
-    Implements the working-model protocol the explorer needs
-    (``configuration``/``snapshot``/``restore``/``acceptable_steps``/
-    ``advance``/``is_accepting``) with table lookups on the
-    :class:`TransitionSystem` — no constraint runtime is ever touched,
-    which is what makes the symbolic strategy's concretization faster
-    than explicit exploration while producing the identical graph.
-    """
-
-    def __init__(self, system: TransitionSystem):
-        self.system = system
-        self._current: tuple[int, ...] = system.initial_ids
-
-    def configuration(self) -> tuple:
-        return self.system.decode_key(self._current)
-
-    def snapshot(self) -> tuple[int, ...]:
-        return self._current
-
-    def restore(self, token: tuple[int, ...]) -> None:
-        self._current = token
-
-    def acceptable_steps(self,
-                         include_empty: bool = False) -> list[frozenset[str]]:
-        return list(self.system.steps_at(self._current, include_empty))
-
-    def advance(self, step: frozenset[str], check: bool = True) -> None:
-        self._current = self.system.successor(self._current, step)
-
-    def is_accepting(self) -> bool:
-        return all(space.accepting[self._current[index]]
-                   for index, space in enumerate(self.system.spaces))
 
 
 def compile_transition_system(

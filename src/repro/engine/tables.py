@@ -1,0 +1,348 @@
+"""Local transition tables: the one way the engine steps a model.
+
+Every constraint runtime is a state machine over its own alphabet, so
+its behaviour can be tabulated once and read back instead of being
+re-run edge by edge. A :class:`LocalTable` maps (local-state id, step
+projected on the constraint's alphabet) to a successor id and keeps, per
+id, the runtime's ``state_key()``, a ``snapshot()`` token, the accepting
+flag and the step formula. On a miss it restores a private *probe*
+runtime from the id's token, advances it on the projection and admits
+the state it reaches, so a table fills only as far as it is walked; a
+locally unbounded constraint (an unbounded counter, a communication
+delay nobody reads) simply grows with the explored space.
+
+Two owners hold tables, and both step through :class:`TableStepper`:
+
+* a model family's :class:`~repro.engine.execution_model.SymbolicKernel`
+  holds one lazily filled table per constraint slot, shared by clones —
+  explicit exploration walks these;
+* a compiled :class:`~repro.engine.symbolic.TransitionSystem` fills
+  fresh tables eagerly (:meth:`LocalTable.close`, the local closure in
+  breadth-first id order), and builds its BDD encoding from them.
+
+:class:`CompiledStateView` drives the explorer's breadth-first search
+over either owner: a state is a tuple of local ids, a successor is one
+dict lookup per constraint, and the acceptable steps at a state are the
+owner's memoized enumeration of the conjunction of per-id formula nodes
+(:meth:`TableStepper.steps_of`, the same enumeration
+:meth:`~repro.engine.execution_model.ExecutionModel.acceptable_steps`
+uses on a live model).
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import Hashable, Sequence
+
+from repro.boolalg.expr import BExpr
+from repro.errors import EngineError, SemanticsError, SymbolicEncodingError
+
+#: cache-miss sentinel (None is a legitimate cached value for max_step)
+_MISSING = object()
+
+
+class _LruCache:
+    """A small bounded mapping with least-recently-used eviction."""
+
+    __slots__ = ("maxsize", "_data")
+
+    def __init__(self, maxsize: int):
+        if maxsize < 1:
+            raise ValueError(f"cache size must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self._data: OrderedDict = OrderedDict()
+
+    def get(self, key, default=None):
+        data = self._data
+        value = data.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        data.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        data = self._data
+        data[key] = value
+        data.move_to_end(key)
+        if len(data) > self.maxsize:
+            data.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def values(self):
+        return list(self._data.values())
+
+    def clear(self) -> None:
+        self._data.clear()
+
+
+class LocalTable:
+    """The memoized local transition system of one constraint runtime.
+
+    ``keys[s]``, ``tokens[s]``, ``accepting[s]`` and ``formulas[s]`` are
+    the runtime's ``state_key()``, ``snapshot()``, ``is_accepting()`` and
+    ``step_formula()`` in local state ``s``; ``delta[s]`` maps a
+    projected step (the frozenset of the constraint's events occurring)
+    to the successor id. State ``0`` is the runtime's state when the
+    table was made. A *closed* table (:meth:`close`) holds every locally
+    acceptable transition, so a miss there is an unacceptable step.
+    """
+
+    __slots__ = ("index", "label", "alphabet", "events", "keys", "tokens",
+                 "accepting", "formulas", "delta", "key_to_id", "bits",
+                 "closed", "_probe")
+
+    def __init__(self, index: int, runtime):
+        self.index = index
+        self.label = runtime.label
+        self.alphabet: tuple[str, ...] = tuple(
+            sorted(runtime.constrained_events))
+        self.events = frozenset(self.alphabet)
+        self.keys: list[Hashable] = []
+        self.tokens: list = []
+        self.accepting: list[bool] = []
+        self.formulas: list[BExpr] = []
+        self.delta: list[dict[frozenset[str], int]] = []
+        self.key_to_id: dict[Hashable, int] = {}
+        self.bits = 0  # state bits of the encoding, set by close()
+        self.closed = False
+        self._probe = runtime.clone()
+        self._admit()
+
+    @property
+    def n_states(self) -> int:
+        return len(self.keys)
+
+    def _admit(self) -> int:
+        """The id of the probe's current state, admitting it when new."""
+        probe = self._probe
+        key = probe.state_key()
+        known = self.key_to_id.get(key)
+        if known is not None:
+            return known
+        local_id = len(self.keys)
+        self.key_to_id[key] = local_id
+        self.keys.append(key)
+        self.tokens.append(probe.snapshot())
+        self.accepting.append(bool(probe.is_accepting()))
+        self.formulas.append(probe.step_formula())
+        self.delta.append({})
+        return local_id
+
+    def locate(self, runtime) -> int:
+        """The id of *runtime*'s current state, admitting it when new.
+
+        *runtime* must belong to this table's slot (the runtime the table
+        was made from, or a clone of it); it is only read."""
+        known = self.key_to_id.get(runtime.state_key())
+        if known is None:
+            self._probe.restore(runtime.snapshot())
+            known = self._admit()
+        return known
+
+    def step(self, local_id: int, projection: frozenset[str]) -> int:
+        """The successor of *local_id* under *projection*, filled in from
+        the probe runtime on a miss."""
+        successor = self.delta[local_id].get(projection)
+        if successor is None:
+            if self.closed:
+                raise EngineError(
+                    f"step {sorted(projection)} is not acceptable to "
+                    f"{self.label!r} in local state {self.keys[local_id]!r}")
+            probe = self._probe
+            probe.restore(self.tokens[local_id])
+            probe.advance(projection)
+            successor = self._admit()
+            self.delta[local_id][projection] = successor
+        return successor
+
+    def close(self, max_states: int) -> "LocalTable":
+        """Fill the table eagerly: from every admitted state, in id order,
+        take every locally acceptable assignment, in assignment-mask
+        order, until no new state appears. Raises
+        :class:`SymbolicEncodingError` past *max_states* local states (a
+        locally unbounded constraint) or on a runtime whose formula and
+        ``advance()`` disagree. Returns the table, now closed."""
+        alphabet = self.alphabet
+        names = set(alphabet)
+        cursor = 0
+        while cursor < len(self.keys):
+            formula = self.formulas[cursor]
+            unknown = formula.support() - names
+            if unknown:
+                raise SymbolicEncodingError(
+                    f"constraint {self.label!r} reads event(s) "
+                    f"{sorted(unknown)} outside its declared alphabet")
+            for mask in range(1 << len(alphabet)):
+                assignment = frozenset(
+                    alphabet[bit] for bit in range(len(alphabet))
+                    if mask >> bit & 1)
+                if not formula.evaluate(
+                        {name: name in assignment for name in alphabet}):
+                    continue
+                try:
+                    self.step(cursor, assignment)
+                except SemanticsError as exc:
+                    raise SymbolicEncodingError(
+                        f"constraint {self.label!r} accepted step "
+                        f"{sorted(assignment)} in its formula but rejected "
+                        f"it in advance(): {exc}") from exc
+                if len(self.keys) > max_states:
+                    raise SymbolicEncodingError(
+                        f"constraint {self.label!r} exceeded the "
+                        f"local-state closure bound ({max_states}); it is "
+                        f"likely unbounded — use the explicit exploration "
+                        f"strategy")
+            cursor += 1
+        self.bits = max(1, (len(self.keys) - 1).bit_length())
+        self.closed = True
+        return self
+
+
+class TableStepper:
+    """Stepping over per-constraint local tables within one BDD manager.
+
+    The base of both table owners (see the module docstring). It
+    memoizes the global step conjunction per tuple of compiled formula
+    nodes and the enumerated steps per conjunction node — hash-consing
+    makes a node id a canonical key for its boolean function, so any two
+    configurations with the same acceptable steps share one enumeration.
+    Per-id formula nodes are compiled on first use. The memos are
+    bounded LRUs: an owner lives as long as its model family, so
+    unbounded dicts would grow with every exploration (eviction merely
+    costs a recompute).
+    """
+
+    CONJ_CACHE_SIZE = 8_192
+    STEPS_CACHE_SIZE = 4_096
+
+    def __init__(self, bdd, events: Sequence[str],
+                 tables: list[LocalTable]):
+        self.bdd = bdd
+        self.events = events
+        self.tables = tables
+        #: compiled step-formula node per (slot, local id)
+        self._formula_nodes: list[list[int]] = [[] for _ in tables]
+        self._conj_cache = _LruCache(self.CONJ_CACHE_SIZE)
+        self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
+        #: hit/miss counters (introspection, tests, tuning)
+        self.stats = {"steps_hits": 0, "steps_misses": 0}
+
+    def conjunction(self, nodes: tuple[int, ...]) -> int:
+        """The conjunction of compiled constraint *nodes* (memoized)."""
+        if not nodes:
+            return self.bdd.one
+        cached = self._conj_cache.get(nodes, _MISSING)
+        if cached is _MISSING:
+            cached = self.bdd.conjoin(nodes)
+            self._conj_cache.put(nodes, cached)
+        return cached
+
+    def steps_of(self, node: int,
+                 include_empty: bool = False) -> tuple[frozenset[str], ...]:
+        """The steps satisfying conjunction *node*, ordered by size, then
+        by sorted event names; the empty step only with
+        *include_empty*."""
+        key = (node, include_empty)
+        steps = self._steps_cache.get(key)
+        if steps is None:
+            self.stats["steps_misses"] += 1
+            collected = []
+            for model in self.bdd.iter_models(node, self.events):
+                step = frozenset(name for name, value in model.items()
+                                 if value)
+                if step or include_empty:
+                    collected.append(step)
+            collected.sort(key=lambda s: (len(s), sorted(s)))
+            steps = tuple(collected)
+            self._steps_cache.put(key, steps)
+        else:
+            self.stats["steps_hits"] += 1
+        return steps
+
+    def _compile_formulas(self) -> None:
+        """Compile every admitted state's formula not compiled yet."""
+        from_expr = self.bdd.from_expr
+        for table, nodes in zip(self.tables, self._formula_nodes):
+            formulas = table.formulas
+            while len(nodes) < len(formulas):
+                nodes.append(from_expr(formulas[len(nodes)]))
+
+    def steps_at(self, ids: Sequence[int],
+                 include_empty: bool = False) -> tuple[frozenset[str], ...]:
+        """Acceptable steps at the table state *ids*, ordered exactly as
+        :meth:`ExecutionModel.acceptable_steps
+        <repro.engine.execution_model.ExecutionModel.acceptable_steps>`
+        orders them."""
+        return self.steps_of(self.conjunction(self._nodes_at(ids)),
+                             include_empty)
+
+    def _nodes_at(self, ids: Sequence[int]) -> tuple[int, ...]:
+        """The compiled formula node of every constraint at *ids*."""
+        try:
+            return tuple([nodes[local] for nodes, local
+                          in zip(self._formula_nodes, ids)])
+        except IndexError:  # a state admitted since the last compile
+            self._compile_formulas()
+            return self._nodes_at(ids)
+
+    def successor(self, ids: Sequence[int],
+                  step: frozenset[str]) -> tuple[int, ...]:
+        """The table state reached from *ids* by *step*."""
+        successor = []
+        for table, local in zip(self.tables, ids):
+            projection = step & table.events
+            target = table.delta[local].get(projection)
+            successor.append(table.step(local, projection)
+                             if target is None else target)
+        return tuple(successor)
+
+    def decode_key(self, ids: Sequence[int]) -> tuple:
+        """The explicit configuration key (tuple of ``state_key()``s) of
+        the table state *ids*."""
+        return tuple([table.keys[local]
+                      for table, local in zip(self.tables, ids)])
+
+    def accepting_at(self, ids: Sequence[int]) -> bool:
+        return all(table.accepting[local]
+                   for table, local in zip(self.tables, ids))
+
+
+class CompiledStateView:
+    """The explorer's working-model protocol over local tables.
+
+    Implements ``configuration``/``snapshot``/``restore``/
+    ``acceptable_steps``/``advance``/``is_accepting`` for the BFS of
+    :mod:`repro.engine.explorer` on a :class:`TableStepper` — a model
+    kernel (explicit strategy) or a compiled transition system (symbolic
+    strategy). Snapshots are tuples of local ids and no caller's runtime
+    is ever touched. *ids* defaults to the compiled system's initial
+    state.
+    """
+
+    __slots__ = ("stepper", "_current")
+
+    def __init__(self, stepper: TableStepper,
+                 ids: tuple[int, ...] | None = None):
+        self.stepper = stepper
+        self._current = stepper.initial_ids if ids is None else ids
+
+    def configuration(self) -> tuple:
+        return self.stepper.decode_key(self._current)
+
+    def snapshot(self) -> tuple[int, ...]:
+        return self._current
+
+    def restore(self, token: tuple[int, ...]) -> None:
+        self._current = token
+
+    def acceptable_steps(self,
+                         include_empty: bool = False) -> list[frozenset[str]]:
+        return list(self.stepper.steps_at(self._current, include_empty))
+
+    def advance(self, step: frozenset[str], check: bool = True) -> None:
+        self._current = self.stepper.successor(self._current, step)
+
+    def is_accepting(self) -> bool:
+        return self.stepper.accepting_at(self._current)

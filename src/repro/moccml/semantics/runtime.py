@@ -12,7 +12,9 @@ two-phase loop:
 ``state_key()`` must capture the internal state exactly: the exhaustive
 explorer hashes global configurations as the tuple of all runtimes'
 keys. ``clone()`` must produce an independent copy so the explorer can
-branch.
+branch. Both phases may read only the step's ``constrained_events``:
+exploration tabulates each runtime's transitions per local state and
+per step projected on that alphabet (:mod:`repro.engine.tables`).
 
 Two optional refinements keep the symbolic kernel incremental:
 

@@ -133,13 +133,21 @@ def _execute_simulate(spec: RunSpec, handle: ModelHandle) -> dict:
 
 
 def _execute_explore(spec: RunSpec, handle: ModelHandle) -> dict:
-    space = _explore(handle.execution_model, max_states=spec.max_states,
-                     max_depth=spec.max_depth,
-                     include_empty=spec.include_empty,
-                     maximal_only=spec.maximal_only,
-                     strategy=spec.strategy,
-                     relation_mode=spec.relation_mode,
-                     cluster_cap=spec.options.get("cluster_cap"))
+    model = handle.execution_model
+    if spec.strategy == "explicit" and not spec.maximal_only:
+        # the explicit CTL backend's cache: a check of this model with
+        # the same budgets reuses this exploration, and vice versa
+        space = model.kernel.explored_space(
+            model, max_states=spec.max_states, max_depth=spec.max_depth,
+            include_empty=spec.include_empty)
+    else:
+        space = _explore(model, max_states=spec.max_states,
+                         max_depth=spec.max_depth,
+                         include_empty=spec.include_empty,
+                         maximal_only=spec.maximal_only,
+                         strategy=spec.strategy,
+                         relation_mode=spec.relation_mode,
+                         cluster_cap=spec.options.get("cluster_cap"))
     data = {
         "strategy": spec.strategy,
         "summary": space.summary(),

@@ -7,7 +7,9 @@ from repro.engine.ctl import check
 from repro.engine.encodability import COUNTERS, is_encodable, predict
 from repro.errors import SymbolicEncodingError
 from repro.obs import GLOBAL
+from repro.pam.experiments import build_configuration
 from repro.workbench import CcslSpec, load
+from tests.engine.test_local_tables import deployed_chain
 
 
 def counters():
@@ -63,6 +65,49 @@ class TestPredict:
         TransitionSystem(bounded.clone())  # must not raise
         assert not is_encodable(unbounded)
         assert is_encodable(bounded)
+
+
+class TestDeploymentRuntimes:
+    """The deployment runtimes are decided statically: a processor
+    mutex is idle or held by one agent, a communication delay's matured
+    tokens grow without bound. No local closure runs for either."""
+
+    @pytest.mark.parametrize("make", [
+        deployed_chain,
+        lambda: build_configuration("mono"),
+        lambda: build_configuration("dual"),
+    ], ids=["deployed-chain", "pam-mono", "pam-dual"])
+    def test_prediction_matches_compile_without_closure(self, make):
+        from repro.engine.symbolic import TransitionSystem
+
+        model = make()
+        before = counters()
+        report = predict(model)
+        assert delta(before)["closure_fallbacks"] == 0
+        try:
+            TransitionSystem(model.clone())
+        except SymbolicEncodingError:
+            compiled = False
+        else:
+            compiled = True
+        assert report.encodable == compiled
+
+    def test_static_verdicts(self):
+        from repro.deployment.mocc import (
+            CommDelayRuntime,
+            ProcessorMutexRuntime,
+        )
+
+        model = build_configuration("dual")
+        verdicts = {v.label: v for v in predict(model).verdicts}
+        for runtime in model.constraints:
+            verdict = verdicts[runtime.label]
+            if isinstance(runtime, ProcessorMutexRuntime):
+                assert verdict.method == "static" and verdict.encodable
+                assert verdict.bound == len(runtime.agents) + 1
+            elif isinstance(runtime, CommDelayRuntime):
+                assert verdict.method == "static"
+                assert not verdict.encodable
 
 
 class TestCounters:

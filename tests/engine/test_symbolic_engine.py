@@ -85,7 +85,7 @@ class TestTransitionSystem:
     def test_interleaved_current_primed_bits(self):
         system = TransitionSystem(chain_model(3))
         order = system.bdd.order
-        for index in range(len(system.spaces)):
+        for index in range(len(system.tables)):
             for cur, primed in zip(system.cur_names[index],
                                    system.primed_names[index]):
                 assert order.index(primed) == order.index(cur) + 1

@@ -7,6 +7,7 @@ import pytest
 from repro.sdf import SdfBuilder
 from repro.workbench import (
     CampaignSpec,
+    CheckSpec,
     ExploreSpec,
     FrontendError,
     SimulateSpec,
@@ -68,6 +69,36 @@ class TestSession:
         assert workbench.run(doc).data["steps_run"] == 3
         spec_json = SimulateSpec("demo", steps=3).to_json()
         assert workbench.run(spec_json).data["steps_run"] == 3
+
+
+class TestSharedExploration:
+    """An explicit explore spec and the explicit CTL backend read one
+    cached exploration per (configuration, budgets)."""
+
+    def test_explore_then_check_explores_once(self, workbench):
+        from repro.obs import GLOBAL
+
+        before = GLOBAL.counter("explore.spaces")
+        explored = workbench.run(ExploreSpec("chain", max_states=500))
+        checked = workbench.run(CheckSpec("chain", "AG !deadlock",
+                                          strategy="explicit",
+                                          max_states=500))
+        assert explored.ok and checked.ok
+        assert checked.data["states"] == \
+            explored.data["summary"]["states"]
+        assert GLOBAL.counter("explore.spaces") == before + 1
+
+    def test_other_budgets_and_maximal_only_explore_afresh(self,
+                                                           workbench):
+        from repro.obs import GLOBAL
+
+        before = GLOBAL.counter("explore.spaces")
+        workbench.run(ExploreSpec("chain", max_states=500))
+        workbench.run(ExploreSpec("chain", max_states=500,
+                                  maximal_only=True))
+        workbench.run(CheckSpec("chain", "AG !deadlock",
+                                strategy="explicit", max_states=400))
+        assert GLOBAL.counter("explore.spaces") == before + 3
 
 
 class TestFacade:
