@@ -279,15 +279,6 @@ class Bdd:
         """Total nodes allocated by this manager (including terminals)."""
         return len(self._nodes)
 
-    def live_node_count(self) -> int:
-        """The sifting objective: during a reorder, rows reachable from
-        the snapshot roots; otherwise all non-terminal rows (the table
-        is append-only, so garbage is indistinguishable between
-        reorders)."""
-        if self._reordering:
-            return self._live
-        return len(self._nodes) - 2
-
     def size(self, node: int) -> int:
         """Nodes reachable from *node* (terminals excluded)."""
         seen: set[int] = set()
@@ -430,12 +421,6 @@ class Bdd:
         result = low if low == high else self._node(level, low, high)
         self._ite_cache[key] = result
         return result
-
-    def _cofactors(self, node: int, level: int) -> tuple[int, int]:
-        if node in (self.zero, self.one) or self._nodes[node][0] != level:
-            return node, node
-        _lvl, low, high = self._nodes[node]
-        return low, high
 
     def apply_and(self, f: int, g: int) -> int:
         return self.ite(f, g, self.zero)

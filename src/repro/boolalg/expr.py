@@ -60,9 +60,6 @@ class BExpr:
             for name, value in assignment.items()
         })
 
-    def is_const(self) -> bool:
-        return isinstance(self, _Const)
-
     def __bool__(self) -> bool:
         raise TypeError(
             "BExpr has no implicit truth value; use .evaluate(...) or "

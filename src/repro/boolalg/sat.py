@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from repro import obs
-from repro.boolalg.cnf import AUX_PREFIX, Clause, to_cnf_clauses
+from repro.boolalg.cnf import Clause, to_cnf_clauses
 from repro.boolalg.expr import BExpr
 
 
@@ -189,16 +189,3 @@ def _dpll(clauses: list[Clause], assignment: dict[str, bool],
         if result is not None:
             return result
     return None
-
-
-def project_models(models: Iterator[dict[str, bool]],
-                   keep: frozenset[str]) -> Iterator[dict[str, bool]]:
-    """Project models onto *keep*, deduplicating (used with Tseitin CNF)."""
-    seen: set[frozenset[tuple[str, bool]]] = set()
-    for model in models:
-        projected = {name: value for name, value in model.items()
-                     if name in keep and not name.startswith(AUX_PREFIX)}
-        key = frozenset(projected.items())
-        if key not in seen:
-            seen.add(key)
-            yield projected

@@ -133,11 +133,5 @@ class EclDocument:
                 return context
         return None
 
-    def events_declared_on(self, metaclass_name: str) -> list[str]:
-        context = self.context_for(metaclass_name)
-        if context is None:
-            return []
-        return [event.name for event in context.event_defs]
-
     def __repr__(self):
         return f"EclDocument({self.name!r}, {len(self.contexts)} contexts)"

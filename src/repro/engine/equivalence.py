@@ -1,25 +1,56 @@
-"""Cross-checking harness: symbolic vs explicit exploration.
+"""The differential oracle: the one place that decides whether analyses agree.
 
-The symbolic engine is only trustworthy if it computes *exactly* the
-state space the explicit engine computes. This module makes that a
-checkable property: :func:`cross_check` runs both strategies plus the
-pure fixpoint on one model and reports every discrepancy;
-:func:`assert_equivalent` turns discrepancies into
-:class:`~repro.errors.EquivalenceError`. The same contract covers the
-temporal-property layer: a battery of CTL checks
-(:data:`PROPERTY_BATTERY`) runs through both :mod:`repro.engine.ctl`
-backends and must agree on every verdict, produce identical witness
-step sequences, and every witness must replay as an actual schedule
-prefix of the model. The test corpus runs the harness on every model
-family (``tests/engine/test_symbolic_equivalence``), and
-``repro selftest`` ships it to users and CI as a smoke check.
+The engine answers through redundant backends — explicit exploration,
+symbolic fixpoints under two relation layouts (:data:`ORACLE_CONFIGS`)
+and the static encodability predictor — and an answer is only as
+trustworthy as the rule that makes them agree. ``repro selftest``, the
+fuzz oracle (:mod:`repro.fuzz.oracle`) and the lint cross-check
+(:mod:`repro.lint.crosscheck`) all apply the rules below; none keeps
+its own copy.
+
+State spaces — :func:`cross_check` explores one model explicitly and
+symbolically: states, transitions, truncation and serialized bytes
+must be identical, and on an untruncated full-branching exploration
+the symbolic fixpoint must match the state count, deadlocks and dead
+events. :func:`assert_equivalent` raises
+:class:`~repro.errors.EquivalenceError` on any mismatch.
+
+Properties — :func:`property_findings` compares one property's
+``CheckResult.to_doc()`` documents across backends:
+
+* verdicts are three-valued: the symbolic layouts agree with each
+  other; a definitive explicit verdict equals the symbolic one, even on
+  a truncated exploration, where the explored region alone must prove
+  it; an explicit ``unknown`` is sound only on a truncated exploration
+  (otherwise a ``disagreement``);
+* witnesses — kind and steps — are identical across the symbolic
+  layouts, and between explicit and symbolic whenever the explicit
+  exploration is complete and its verdict definitive;
+* every witness replays as an actual schedule prefix of the model; a
+  trace the kernel rejects, or cannot even attempt, is a ``witness``
+  finding, never an exception.
+
+Encodability — :func:`check_encodability` compiles the model once
+through its kernel and holds the outcome against the static predictor.
+
+:func:`cross_check` runs the instantiated :data:`PROPERTY_BATTERY` by
+default; the test corpus runs it on every model family
+(``tests/engine/test_symbolic_equivalence``).
 """
 
 from __future__ import annotations
 
+from repro.engine import ctl
 from repro.engine.explorer import explore
 from repro.engine.statespace import StateSpace
-from repro.errors import EquivalenceError
+from repro.errors import EquivalenceError, SymbolicEncodingError
+
+#: the compared backend configurations: (label, strategy, relation_mode)
+ORACLE_CONFIGS = (
+    ("explicit", "explicit", None),
+    ("symbolic-partitioned", "symbolic", "partitioned"),
+    ("symbolic-monolithic", "symbolic", "monolithic"),
+)
 
 #: property templates cross-checked on every corpus model; ``{e0}`` and
 #: ``{e1}`` are substituted with the model's first two events.
@@ -135,57 +166,134 @@ def cross_check(
         check("dead events", explicit.dead_events(), reachable.dead_events())
         report["fixpoint"] = {"states": reachable.count(), "depth": reachable.depth}
         if properties is None or properties:
-            report["properties"] = _cross_check_properties(
-                model, explicit, include_empty, check, relation_mode,
-                properties
-            )
+            report["properties"] = []
+            texts = battery_texts(model) if properties is None else properties
+            for text in texts:
+                by_explicit = ctl.check_space(explicit, text)
+                by_symbolic = ctl.check(
+                    model,
+                    text,
+                    strategy="symbolic",
+                    include_empty=include_empty,
+                    relation_mode=relation_mode,
+                )
+                docs = {
+                    "explicit": by_explicit.to_doc(),
+                    "symbolic": by_symbolic.to_doc(),
+                }
+                mismatches.extend(
+                    f"{kind} on {text!r}: {detail}"
+                    for kind, detail in property_findings(model, docs)
+                )
+                entry = {
+                    "property": text,
+                    "verdict": by_explicit.verdict.value,
+                    "witness": by_explicit.witness_kind,
+                }
+                report["properties"].append(entry)
 
     report["mismatches"] = mismatches
     report["agree"] = not mismatches
     return report
 
 
-def _cross_check_properties(model, space, include_empty, check,
-                            relation_mode=None,
-                            properties=None) -> list[dict]:
-    """Run the property battery (or the caller's *properties* texts)
-    through both ctl backends — the explicit one over the
-    already-explored *space* — and diff verdicts, witness steps, and
-    witness replayability."""
-    from repro.engine.ctl import check as check_property
-    from repro.engine.ctl import check_space, replay_steps
+def property_findings(model, docs: dict) -> list[tuple[str, str]]:
+    """The property rule (module docstring) over one property of *model*.
 
-    texts = battery_texts(model) if properties is None else list(properties)
-    results = []
-    for text in texts:
-        explicit = check_space(space, text)
-        symbolic = check_property(
-            model, text, strategy="symbolic", include_empty=include_empty,
-            relation_mode=relation_mode
+    *docs* maps backend labels to ``CheckResult.to_doc()`` documents:
+    ``"explicit"`` plus any symbolic layouts, in :data:`ORACLE_CONFIGS`
+    order; a backend that did not run is absent. Returns ``(kind,
+    detail)`` findings, *kind* being ``"disagreement"`` or
+    ``"witness"``; an empty list means the backends agree.
+    """
+    findings: list[tuple[str, str]] = []
+
+    def fail(kind: str, detail: str) -> None:
+        findings.append((kind, detail))
+
+    explicit = docs.get("explicit")
+    symbolic = {label: doc for label, doc in docs.items() if label != "explicit"}
+    verdicts = [doc["verdict"] for doc in symbolic.values()]
+    if len(set(verdicts)) > 1:
+        modes = " ".join(
+            f"{label.removeprefix('symbolic-')}={doc['verdict']}"
+            for label, doc in symbolic.items()
         )
-        check(f"verdict of {text!r}", explicit.verdict, symbolic.verdict)
-        check(
-            f"witness steps of {text!r}",
-            explicit.witness_steps,
-            symbolic.witness_steps,
-        )
-        for result in (explicit, symbolic):
-            if result.witness_steps is not None and not replay_steps(
-                model, result.witness_steps
-            ):
-                check(
-                    f"witness replay of {text!r} ({result.strategy})",
-                    "replayable",
-                    "rejected",
+        fail("disagreement", f"relation modes disagree: {modes}")
+    if explicit is not None:
+        verdict = explicit["verdict"]
+        truncated = bool(explicit.get("truncated"))
+        if verdict == "unknown" and not truncated:
+            fail(
+                "disagreement",
+                "explicit verdict is UNKNOWN on an untruncated exploration",
+            )
+        if verdict != "unknown" and verdicts and verdict != verdicts[0]:
+            fail(
+                "disagreement",
+                f"explicit={verdict} "
+                f"({'truncated' if truncated else 'complete'} at "
+                f"{explicit['states']} states) but symbolic={verdicts[0]}",
+            )
+    for label, doc in docs.items():
+        steps = doc.get("trace")
+        if steps is None:
+            continue
+        try:
+            replays = ctl.replay_steps(model, [frozenset(step) for step in steps])
+        except Exception as error:
+            # a trace the kernel cannot even attempt (unknown events,
+            # malformed steps) is an invalid witness, not an engine crash
+            fail(
+                "witness",
+                f"{label} witness of {len(steps)} step(s) is not a "
+                f"valid schedule prefix: {error}",
+            )
+        else:
+            if not replays:
+                fail(
+                    "witness",
+                    f"{label} witness of {len(steps)} step(s) does not "
+                    f"replay as a schedule prefix",
                 )
-        results.append(
-            {
-                "property": text,
-                "verdict": explicit.verdict.value,
-                "witness": explicit.witness_kind,
-            }
-        )
-    return results
+    witnesses = {
+        label: (doc.get("witness_kind"), doc.get("trace"))
+        for label, doc in docs.items()
+    }
+    layouts = [witnesses[label] for label in symbolic]
+    if any(witness != layouts[0] for witness in layouts[1:]):
+        fail("witness", "symbolic relation modes report different witnesses")
+    if explicit is not None and verdict != "unknown" and not truncated:
+        for label in symbolic:
+            if witnesses[label] != witnesses["explicit"]:
+                fail("witness", f"explicit and {label} report different witnesses")
+                break
+    return findings
+
+
+def compiles(model) -> bool:
+    """Whether the symbolic backend compiles *model* — through the
+    model's kernel, so later symbolic runs reuse the compiled system."""
+    try:
+        model.kernel.transition_system(model)
+    except SymbolicEncodingError:
+        return False
+    return True
+
+
+def check_encodability(model) -> tuple[bool, str | None]:
+    """The predictor-vs-compile check: whether *model* compiles, and
+    the finding when :func:`repro.engine.encodability.predict` said
+    otherwise (``None`` when the two agree)."""
+    from repro.engine.encodability import is_encodable
+
+    predicted, compiled = is_encodable(model), compiles(model)
+    if predicted == compiled:
+        return compiled, None
+    said = "encodable" if predicted else "unencodable"
+    outcome = "succeeded" if compiled else "raised"
+    finding = f"encodability predictor said {said} but the symbolic compile {outcome}"
+    return compiled, finding
 
 
 def assert_equivalent(model, **kwargs) -> dict:

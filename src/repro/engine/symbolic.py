@@ -626,9 +626,6 @@ class TransitionSystem(TableStepper):
                 assignment[name] = bool(ids[index] >> bit & 1)
         return assignment
 
-    def n_local_states(self) -> dict[str, int]:
-        return {table.label: table.n_states for table in self.tables}
-
     def state_bits(self) -> int:
         return len(self.all_cur)
 

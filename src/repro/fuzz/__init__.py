@@ -22,9 +22,10 @@ Pieces (one module each):
     seeded CTL formulas over the generated model's event alphabet,
     built as AST so they parse by construction;
 ``oracle``
-    the differential comparison and its failure taxonomy
-    (``disagreement`` / ``witness`` / ``crash``), each failure carrying
-    a self-contained repro document;
+    runs each case through the shared agreement rules of
+    :mod:`repro.engine.equivalence` and sorts violations into the
+    failure taxonomy (``disagreement`` / ``witness`` / ``crash`` /
+    ``static``), each failure carrying a self-contained repro document;
 ``shrink``
     greedy structure-level minimization of failing cases;
 ``corpus``

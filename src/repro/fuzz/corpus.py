@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.fuzz.generators import FuzzCase
-from repro.fuzz.oracle import ORACLE_CONFIGS
+from repro.fuzz.oracle import backend_specs
 from repro.fuzz.rng import GENERATION
 
 #: schema marker of corpus entries (they share the farm store format)
@@ -36,36 +36,17 @@ def case_key(case: FuzzCase, handle) -> str | None:
     """The corpus key of *case*, or ``None`` when any of its runs has
     no canonical fingerprint (such a case is simply never deduped)."""
     from repro.farm import canonical_json, model_doc, try_fingerprint
-    from repro.workbench import CheckSpec, ExploreSpec
 
     model = handle.execution_model
     try:
         model_document = model_doc(model)
     except Exception:
         return None
+    rows = [backend_specs(case)]
+    rows += [backend_specs(case, prop) for prop in case.properties]
     prints = []
-    for label, strategy, mode in ORACLE_CONFIGS:
-        specs = [
-            ExploreSpec(
-                case.name,
-                max_states=case.max_states,
-                strategy=strategy,
-                relation_mode=mode,
-                label=label,
-            )
-        ]
-        for prop in case.properties:
-            specs.append(
-                CheckSpec(
-                    case.name,
-                    prop,
-                    strategy=strategy,
-                    relation_mode=mode,
-                    max_states=case.max_states,
-                    label=label,
-                )
-            )
-        for spec in specs:
+    for column in zip(*rows):  # per backend: its exploration, then checks
+        for spec in column:
             print_ = try_fingerprint(model, spec, model_document)
             if print_ is None:
                 return None

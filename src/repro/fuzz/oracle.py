@@ -1,75 +1,16 @@
-"""The differential oracle: one case, every backend, zero tolerance.
-
-For each generated case the oracle
-
-1. cross-checks the *state spaces*: explicit exploration vs the
-   symbolic strategy under both relation layouts, via the corpus
-   harness :func:`repro.engine.equivalence.cross_check` (byte-identical
-   serialized spaces, fixpoint counts, deadlock/liveness analyses);
-2. runs every generated property through the existing
-   :class:`~repro.workbench.artifacts.RunSpec` path — one
-   :func:`~repro.workbench.artifacts.CheckSpec` per backend
-   configuration (explicit, symbolic-partitioned,
-   symbolic-monolithic) — and diffs the outcomes.
-
-Failure taxonomy (:class:`FuzzFailure.kind`):
-
-``disagreement``
-    verdicts differ between backends where they must not: the two
-    symbolic layouts ever disagree, a definitive explicit verdict
-    differs from a symbolic one, an explicit ``unknown`` without a
-    truncated exploration, or any state-space mismatch;
-``witness``
-    a reported witness/counterexample does not replay as an actual
-    schedule prefix, or two backends that must produce identical
-    witness step sequences produced different ones;
-``crash``
-    the engine raised (or errored a result) on a generated —
-    well-formed by construction — input;
-``static``
-    the static analyzer (:mod:`repro.lint`) disagrees with the engine:
-    an ERROR-severity finding on a generated model (the generators
-    produce lint-clean models by construction, so an ERROR means
-    either a generator regression or a false positive), or the
-    encodability predictor's verdict contradicts what the symbolic
-    engine actually did on the very same case.
-
-Three-valued soundness is encoded in the comparison rule: an explicit
-``unknown`` on a *truncated* exploration is compatible with any
-definitive symbolic verdict, but a definitive explicit verdict must
-match symbolic exactly — even on truncated spaces, where the explored
-region alone must prove it. (Reverting the truncated-space UNKNOWN
-guard is therefore caught as a disagreement, not silently accepted.)
-
-Models the symbolic engine cannot finitely encode are counted
-(``CaseOutcome.unencodable``) and compared explicit-only; the
-generators avoid unbounded relations, so this is a rarity guard, not a
-normal path.
-
-Every failure carries a self-contained *repro document* — the same
-``{"models": ..., "runs": ...}`` shape ``repro batch`` and ``repro
-submit`` already accept — so a bug found in CI replays locally in one
-command (``repro fuzz --replay FILE`` re-runs the comparison too).
-"""
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import repro
-from repro.errors import ReproError, SymbolicEncodingError
+from repro.engine.equivalence import (
+    ORACLE_CONFIGS,
+    check_encodability,
+    cross_check,
+    property_findings,
+)
 from repro.fuzz.generators import FuzzCase, load_case_model
 from repro.fuzz.rng import GENERATION
-
-#: the compared backend configurations: (label, strategy, relation_mode)
-ORACLE_CONFIGS = (
-    ("explicit", "explicit", None),
-    ("symbolic-partitioned", "symbolic", "partitioned"),
-    ("symbolic-monolithic", "symbolic", "monolithic"),
-)
-
-#: error-message markers of a model the symbolic engine cannot encode
-_UNENCODABLE_MARKERS = ("finitely encod", "locally unbounded")
 
 
 @dataclass
@@ -110,25 +51,23 @@ class CaseOutcome:
         return not self.failures
 
 
-def check_spec_docs(case: FuzzCase) -> list[dict]:
-    """The three per-config check-spec documents of one property set —
-    the ``runs`` of a property repro document."""
-    from repro.workbench import CheckSpec
+def backend_specs(case: FuzzCase, prop: str | None = None) -> list:
+    """One run spec per :data:`ORACLE_CONFIGS` backend: the check of
+    *prop*, or the exploration when *prop* is ``None``."""
+    from repro.workbench import RunSpec
 
-    docs = []
-    for prop in case.properties:
-        for label, strategy, mode in ORACLE_CONFIGS:
-            docs.append(
-                CheckSpec(
-                    case.name,
-                    prop,
-                    strategy=strategy,
-                    relation_mode=mode,
-                    max_states=case.max_states,
-                    label=label,
-                ).to_doc()
-            )
-    return docs
+    return [
+        RunSpec(
+            kind="explore" if prop is None else "check",
+            model=case.name,
+            prop=prop,
+            max_states=case.max_states,
+            strategy=strategy,
+            relation_mode=mode,
+            label=label,
+        )
+        for label, strategy, mode in ORACLE_CONFIGS
+    ]
 
 
 def repro_doc(case: FuzzCase, failure_kind: str, detail: str,
@@ -138,49 +77,15 @@ def repro_doc(case: FuzzCase, failure_kind: str, detail: str,
     ``models``/``runs`` follow the canonical batch shape (``repro
     batch``/``repro submit`` run it as-is); the extra ``fuzz`` key is
     provenance both tools ignore."""
-    from repro.workbench import ExploreSpec
-
     if failure_kind == "static":  # replay the lint plus the explorations
         from repro.workbench import LintSpec
 
-        runs = [LintSpec(case.name, label="lint").to_doc()] + [
-            ExploreSpec(
-                case.name,
-                max_states=case.max_states,
-                strategy=strategy,
-                relation_mode=mode,
-                label=label,
-            ).to_doc()
-            for label, strategy, mode in ORACLE_CONFIGS
-        ]
-    elif prop is None:  # state-space failure: replay the explorations
-        runs = [
-            ExploreSpec(
-                case.name,
-                max_states=case.max_states,
-                strategy=strategy,
-                relation_mode=mode,
-                label=label,
-            ).to_doc()
-            for label, strategy, mode in ORACLE_CONFIGS
-        ]
-    else:
-        from repro.workbench import CheckSpec
-
-        runs = [
-            CheckSpec(
-                case.name,
-                prop,
-                strategy=strategy,
-                relation_mode=mode,
-                max_states=case.max_states,
-                label=label,
-            ).to_doc()
-            for label, strategy, mode in ORACLE_CONFIGS
-        ]
+        runs = [LintSpec(case.name, label="lint")] + backend_specs(case)
+    else:  # the property's checks, or the explorations of a space failure
+        runs = backend_specs(case, prop)
     return {
         "models": {case.name: case.model_doc()},
-        "runs": runs,
+        "runs": [spec.to_doc() for spec in runs],
         "fuzz": {
             "kind": failure_kind,
             "detail": detail,
@@ -208,57 +113,32 @@ def _failure(case: FuzzCase, kind: str, detail: str,
     )
 
 
-def _is_unencodable(message: str) -> bool:
-    return any(marker in message for marker in _UNENCODABLE_MARKERS)
-
-
 def check_case(case: FuzzCase, handle=None) -> CaseOutcome:
     """Run the full differential oracle on one case."""
     outcome = CaseOutcome(case=case)
-    crashed = False
-    predicted: bool | None = None
     try:
         if handle is None:
             handle = load_case_model(case)
-        predicted = _check_static(case, handle, outcome)
+        _check_static(case, handle, outcome)
         _check_spaces(case, handle, outcome)
         _check_properties(case, handle, outcome)
-    except ReproError as exc:
-        crashed = True
-        outcome.failures.append(
-            _failure(case, "crash", f"{type(exc).__name__}: {exc}")
-        )
     except Exception as exc:  # a hard crash is exactly what we hunt
-        crashed = True
         outcome.failures.append(
             _failure(case, "crash", f"{type(exc).__name__}: {exc}")
-        )
-    if not crashed and predicted is not None and predicted == outcome.unencodable:
-        # phase 1 compiled the very model the predictor judged: the
-        # two verdicts must coincide (a crash leaves no actual verdict
-        # to compare against)
-        actual = "unencodable" if outcome.unencodable else "encodable"
-        outcome.failures.append(
-            _failure(
-                case,
-                "static",
-                f"encodability predictor said "
-                f"{'encodable' if predicted else 'unencodable'} but the "
-                f"symbolic engine found the model {actual}",
-            )
         )
     return outcome
 
 
-def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> bool:
-    """Phase 0: the static analyzer, before any engine step.
+def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> None:
+    """Phase 0: the static analyzer, then the shared
+    predictor-vs-compile check.
 
     Generated models are lint-clean by construction, so any
     ERROR-severity finding is a ``static`` oracle failure (either a
     generator regression or an analyzer false positive — both are
-    bugs). Returns the encodability predictor's verdict; the caller
-    diffs it against what the symbolic engine actually did."""
-    from repro.engine.encodability import is_encodable
+    bugs). The compile decides whether the later phases run the
+    symbolic backends at all; a predictor that contradicts it is a
+    ``static`` failure too."""
     from repro.lint import lint_handle
 
     report = lint_handle(handle)
@@ -269,25 +149,23 @@ def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> bool:
             for diag in report.errors
         )
         outcome.failures.append(_failure(case, "static", detail))
-    return is_encodable(handle.execution_model)
+    compiled, finding = check_encodability(handle.execution_model)
+    outcome.unencodable = not compiled
+    if finding is not None:
+        outcome.failures.append(_failure(case, "static", finding))
 
 
 def _check_spaces(case: FuzzCase, handle, outcome: CaseOutcome) -> None:
     """Phase 1: the state-space cross-check, both relation layouts."""
-    from repro.engine.equivalence import cross_check
-
-    model = handle.execution_model
+    if outcome.unencodable:
+        return
     for mode in ("partitioned", "monolithic"):
-        try:
-            report = cross_check(
-                model,
-                max_states=case.max_states,
-                relation_mode=mode,
-                properties=[],
-            )
-        except SymbolicEncodingError:
-            outcome.unencodable = True
-            return
+        report = cross_check(
+            handle.execution_model,
+            max_states=case.max_states,
+            relation_mode=mode,
+            properties=[],
+        )
         outcome.checks += 1
         if report["mismatches"]:
             detail = (
@@ -301,144 +179,29 @@ def _check_spaces(case: FuzzCase, handle, outcome: CaseOutcome) -> None:
 
 def _check_properties(case: FuzzCase, handle,
                       outcome: CaseOutcome) -> None:
-    """Phase 2: every property through every backend configuration."""
-    from repro.workbench import CheckSpec, Workbench
+    """Phase 2: every property through every backend configuration,
+    compared by the shared property rule."""
+    from repro.workbench import Workbench
 
     workbench = Workbench()
     workbench.attach(case.name, handle)
     for prop in case.properties:
-        results = {}
-        for label, strategy, mode in ORACLE_CONFIGS:
-            if outcome.unencodable and strategy == "symbolic":
+        docs = {}
+        for spec in backend_specs(case, prop):
+            if outcome.unencodable and spec.strategy == "symbolic":
                 continue
-            spec = CheckSpec(
-                case.name,
-                prop,
-                strategy=strategy,
-                relation_mode=mode,
-                max_states=case.max_states,
-                label=label,
-            )
             result = workbench.run(spec)
             outcome.checks += 1
-            if not result.ok:
-                if _is_unencodable(result.error or ""):
-                    outcome.unencodable = True
-                    continue
+            if result.ok:
+                docs[spec.label] = result.data
+            else:
                 outcome.failures.append(
                     _failure(
                         case,
                         "crash",
-                        f"{label} errored: {result.error}",
+                        f"{spec.label} errored: {result.error}",
                         prop,
                     )
                 )
-                continue
-            results[label] = result
-        _diff_property(case, prop, results,
-                       handle.execution_model, outcome)
-
-
-def _diff_property(case: FuzzCase, prop: str, results: dict, model,
-                   outcome: CaseOutcome) -> None:
-    """Apply the three-valued comparison rules to one property's
-    per-config results."""
-    from repro.engine.ctl import replay_steps
-
-    def fail(kind: str, detail: str) -> None:
-        outcome.failures.append(_failure(case, kind, detail, prop))
-
-    verdicts = {
-        label: result.data["verdict"] for label, result in results.items()
-    }
-    explicit = results.get("explicit")
-    partitioned = verdicts.get("symbolic-partitioned")
-    monolithic = verdicts.get("symbolic-monolithic")
-    if (
-        partitioned is not None
-        and monolithic is not None
-        and partitioned != monolithic
-    ):
-        fail(
-            "disagreement",
-            f"relation modes disagree: partitioned={partitioned} "
-            f"monolithic={monolithic}",
-        )
-    symbolic = partitioned if partitioned is not None else monolithic
-    if explicit is not None:
-        explicit_verdict = explicit.data["verdict"]
-        truncated = bool(explicit.data.get("truncated"))
-        if explicit_verdict == "unknown" and not truncated:
-            fail(
-                "disagreement",
-                "explicit verdict is UNKNOWN on an untruncated "
-                "exploration",
-            )
-        if (
-            explicit_verdict != "unknown"
-            and symbolic is not None
-            and explicit_verdict != symbolic
-        ):
-            fail(
-                "disagreement",
-                f"explicit={explicit_verdict} "
-                f"({'truncated' if truncated else 'complete'} at "
-                f"{explicit.data['states']} states) but "
-                f"symbolic={symbolic}",
-            )
-    # witness rules: every reported witness must replay; backends that
-    # evaluate the same complete structure must report identical steps
-    for label, result in results.items():
-        steps = result.data.get("trace")
-        if steps is None:
-            continue
-        frozen = [frozenset(step) for step in steps]
-        try:
-            replays = replay_steps(model, frozen)
-        except Exception as error:
-            # a trace the kernel cannot even attempt (unknown events,
-            # malformed steps) is an invalid witness, not an engine crash
-            replays = False
-            fail(
-                "witness",
-                f"{label} witness of {len(steps)} step(s) is not a "
-                f"valid schedule prefix: {error}",
-            )
-        else:
-            if not replays:
-                fail(
-                    "witness",
-                    f"{label} witness of {len(steps)} step(s) does not "
-                    f"replay as a schedule prefix",
-                )
-    pair = [
-        results.get("symbolic-partitioned"),
-        results.get("symbolic-monolithic"),
-    ]
-    if all(pair) and _witness_of(pair[0]) != _witness_of(pair[1]):
-        fail(
-            "witness",
-            "symbolic relation modes report different witnesses",
-        )
-    if (
-        explicit is not None
-        and explicit.data["verdict"] != "unknown"
-        and not explicit.data.get("truncated")
-    ):
-        for label in ("symbolic-partitioned", "symbolic-monolithic"):
-            other = results.get(label)
-            if other is not None and _witness_of(explicit) != _witness_of(
-                other
-            ):
-                fail(
-                    "witness",
-                    f"explicit and {label} report different witnesses",
-                )
-                break
-
-
-def _witness_of(result) -> tuple:
-    return (
-        result.data.get("witness_kind"),
-        result.data.get("trace"),
-    )
+        for kind, detail in property_findings(handle.execution_model, docs):
+            outcome.failures.append(_failure(case, kind, detail, prop))

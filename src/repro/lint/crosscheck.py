@@ -16,22 +16,25 @@ engine and reports every divergence:
     the firing counts over the cycle must be an exact positive integer
     multiple of the claimed repetition vector;
 ``unencodable``
-    compiling the model must raise :class:`SymbolicEncodingError`;
+    the symbolic backend must refuse to compile the model
+    (:func:`repro.engine.equivalence.compiles`);
 ``conformance``
     :func:`assert_conformance` must reject the source model.
 
-Independently of any diagnostics, :func:`crosscheck_handle` always
-verifies the encodability predictor against the actual compile outcome
-(:class:`SymbolicEncodingError` raised ⇔ predicted unencodable), so
-the predictor is exercised on clean corpora too.
+Engine verdicts come from ``check(..., strategy="auto")``, which
+answers unencodable models by explicit exploration. Independently of
+any diagnostics, :func:`crosscheck_handle` always runs the shared
+predictor-vs-compile check
+(:func:`repro.engine.equivalence.check_encodability`, the same check
+the fuzz oracle runs), so the predictor is exercised on clean corpora
+too.
 """
 
 from __future__ import annotations
 
 from repro.engine.ctl import check
-from repro.engine.encodability import predict
-from repro.engine.symbolic import TransitionSystem
-from repro.errors import ConformanceError, SymbolicEncodingError
+from repro.engine.equivalence import check_encodability, compiles
+from repro.errors import ConformanceError
 from repro.kernel.validation import assert_conformance
 from repro.lint.core import LintReport, lint_handle
 from repro.lint.rules_sdf import component_doc
@@ -41,12 +44,8 @@ _MAX_ASAP_STEPS = 10_000
 
 
 def _check_holds(model, text: str) -> tuple[bool, str]:
-    """Engine verdict for *text*, symbolic first (exact), explicit as
-    the fallback for unencodable models."""
-    try:
-        result = check(model, text, strategy="symbolic")
-    except SymbolicEncodingError:
-        result = check(model, text, strategy="explicit")
+    """Engine verdict for *text*."""
+    result = check(model, text, strategy="auto")
     verdict = result.verdict.name
     if verdict == "UNKNOWN":
         return False, f"{text}: UNKNOWN (truncated at {result.states})"
@@ -108,17 +107,8 @@ def _confirm_repetition(handle, confirm: dict) -> tuple[bool, str]:
     return False, f"no configuration revisit in {_MAX_ASAP_STEPS} steps"
 
 
-def _try_compile(model) -> bool:
-    """Whether the symbolic backend actually accepts *model*."""
-    try:
-        TransitionSystem(model.clone())
-    except SymbolicEncodingError:
-        return False
-    return True
-
-
 def _confirm_unencodable(handle, confirm: dict) -> tuple[bool, str]:
-    if _try_compile(handle.execution_model):
+    if compiles(handle.execution_model):
         return False, "compile succeeded despite the diagnostic"
     return True, "compile raised SymbolicEncodingError"
 
@@ -175,17 +165,13 @@ def crosscheck_handle(handle, report: LintReport | None = None) -> dict:
                 f"{diagnostic.rule} at {diagnostic.path}: {detail}")
 
     # predictor ⇔ backend, on every model (clean ones included)
-    predicted = predict(handle.execution_model).encodable
-    actual = _try_compile(handle.execution_model)
+    compiled, finding = check_encodability(handle.execution_model)
     checks.append({"rule": "ENC001", "path": handle.name,
-                   "kind": "encodability", "ok": predicted == actual,
-                   "detail": f"predicted encodable={predicted}, "
-                             f"compile succeeded={actual}"})
-    if predicted != actual:
-        mismatches.append(
-            f"ENC001 on {handle.name}: predictor says "
-            f"encodable={predicted} but compile "
-            f"{'succeeded' if actual else 'raised'}")
+                   "kind": "encodability", "ok": finding is None,
+                   "detail": finding or f"predictor and compile agree: "
+                                        f"encodable={compiled}"})
+    if finding is not None:
+        mismatches.append(f"ENC001 on {handle.name}: {finding}")
 
     return {"model": handle.name, "frontend": handle.frontend,
             "diagnostics": len(report.diagnostics),

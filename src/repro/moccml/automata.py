@@ -179,10 +179,6 @@ class ConstraintAutomataDefinition:
             return frozenset(self.final_states)
         return frozenset(self.state_names())
 
-    def constrained_event_parameters(self) -> list[str]:
-        """Names of the declaration's event parameters."""
-        return [p.name for p in self.declaration.event_parameters()]
-
     def __repr__(self):
         return (f"ConstraintAutomataDefinition({self.name} implements "
                 f"{self.declaration.name}, {len(self.states)} states, "

@@ -158,18 +158,6 @@ class AutomatonRuntime:
             return FALSE
         return Or(*disjuncts)
 
-    def _enabled_by(self, transition: Transition,
-                    step: frozenset[str]) -> bool:
-        if not self._guard_holds(transition):
-            return False
-        for event_param in transition.trigger.true_triggers:
-            if self.event_of(event_param) not in step:
-                return False
-        for event_param in transition.trigger.false_triggers:
-            if self.event_of(event_param) in step:
-                return False
-        return True
-
     def enabled_transitions(self, step: frozenset[str]) -> list[Transition]:
         """All transitions of the current state enabled by *step*."""
         outgoing = self.definition.outgoing(self.current_state)

@@ -113,6 +113,3 @@ class TokenSimulator:
             self.fire_set(step)
             history.append(step)
         return history
-
-    def is_deadlocked(self) -> bool:
-        return not self.enabled_agents()

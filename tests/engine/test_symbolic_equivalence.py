@@ -18,7 +18,9 @@ from repro.ccsl import (
     PrecedesRuntime,
     SampledOnRuntime,
 )
+import repro.engine.ctl as ctl
 from repro.engine import ExecutionModel, assert_equivalent, cross_check
+from repro.engine.equivalence import property_findings
 from repro.errors import SymbolicEncodingError
 from repro.moccml.semantics.runtime import FormulaRuntime
 from repro.boolalg.expr import Implies, Not, Or, Var
@@ -144,6 +146,102 @@ class TestPropertyCrossCheck:
                             for entry in report["properties"]}
         assert deadlock_entries["EF deadlock"] == "holds"
         assert deadlock_entries["AG !deadlock"] == "fails"
+
+
+def _doc(verdict, truncated=False, trace=None, kind="witness"):
+    """A hand-written ``CheckResult.to_doc()`` document."""
+    doc = {"verdict": verdict, "truncated": truncated, "states": 3}
+    if trace is not None:
+        doc["witness_kind"] = kind
+        doc["trace"] = trace
+    return doc
+
+
+#: (row, backend documents, expected finding kinds) for the shared
+#: property rule, over an ``Alternates(a, b)`` pair
+RULE_TABLE = [
+    ("unknown-on-truncated-is-sound",
+     {"explicit": _doc("unknown", truncated=True),
+      "symbolic-partitioned": _doc("holds")},
+     []),
+    ("unknown-on-complete-exploration",
+     {"explicit": _doc("unknown"), "symbolic-partitioned": _doc("holds")},
+     ["disagreement"]),
+    ("definitive-verdicts-differ",
+     {"explicit": _doc("holds"), "symbolic-partitioned": _doc("fails")},
+     ["disagreement"]),
+    ("relation-layouts-differ",
+     {"explicit": _doc("unknown", truncated=True),
+      "symbolic-partitioned": _doc("holds"),
+      "symbolic-monolithic": _doc("fails")},
+     ["disagreement"]),
+    ("witness-kind-differs-on-complete-run",
+     {"explicit": _doc("holds", trace=[["a"]], kind="witness"),
+      "symbolic-partitioned": _doc("holds", trace=[["a"]],
+                                   kind="counterexample")},
+     ["witness"]),
+    ("explicit-trace-differs-on-truncated-run",
+     {"explicit": _doc("holds", truncated=True, trace=[["a"]]),
+      "symbolic-partitioned": _doc("holds", trace=[["a"], ["b"]])},
+     []),
+    ("trace-names-an-unknown-event",
+     {"explicit": _doc("unknown", truncated=True),
+      "symbolic-partitioned": _doc("holds", trace=[["no.such.event"]])},
+     ["witness"]),
+    ("trace-is-not-a-schedule-prefix",
+     {"explicit": _doc("unknown", truncated=True),
+      "symbolic-partitioned": _doc("holds", trace=[["b"]])},
+     ["witness"]),
+]
+
+
+class TestPropertyRule:
+    """The one property rule every harness applies, row by row."""
+
+    @pytest.mark.parametrize("row, docs, expected", RULE_TABLE,
+                             ids=[row[0] for row in RULE_TABLE])
+    def test_rule_table(self, row, docs, expected):
+        model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")],
+                               name="pair")
+        findings = property_findings(model, docs)
+        assert [kind for kind, _detail in findings] == expected, findings
+
+
+class TestCrossCheckIsStrict:
+    """``cross_check`` applies the full rule: witness kinds are
+    compared, and an unreplayable witness is a mismatch, not a crash."""
+
+    def _patch_explicit(self, monkeypatch, alter):
+        real_check_space = ctl.check_space
+
+        def altered(space, prop, witness=True):
+            result = real_check_space(space, prop, witness=witness)
+            if result.witness_steps is not None:
+                alter(result)
+            return result
+
+        monkeypatch.setattr(ctl, "check_space", altered)
+
+    def test_altered_witness_kind_is_a_mismatch(self, monkeypatch):
+        def flip_kind(result):
+            result.witness_kind = ("counterexample"
+                                   if result.witness_kind == "witness"
+                                   else "witness")
+
+        self._patch_explicit(monkeypatch, flip_kind)
+        report = cross_check(sdf_chain(3, capacity=2))
+        assert report["mismatches"]
+        assert all(m.startswith("witness on ") for m in report["mismatches"])
+
+    def test_unreplayable_witness_is_a_mismatch(self, monkeypatch):
+        def fabricate(result):
+            result.witness_steps = [frozenset({"no.such.event"})]
+
+        self._patch_explicit(monkeypatch, fabricate)
+        report = cross_check(sdf_chain(3, capacity=2))
+        assert not report["agree"]
+        assert any("not a valid schedule prefix" in m
+                   for m in report["mismatches"])
 
 
 class TestNonEncodableModels:

@@ -53,6 +53,22 @@ class TestPredictorAgreement:
         result = crosscheck_handle(alternating_pair)
         assert result["agree"], result["mismatches"]
 
+    def test_lying_predictor_is_a_mismatch(self, monkeypatch,
+                                           alternating_pair):
+        import repro.engine.encodability as encodability
+
+        real_predict = encodability.predict
+
+        def lying(model, **kwargs):
+            report = real_predict(model, **kwargs)
+            report.encodable = not report.encodable
+            return report
+
+        monkeypatch.setattr(encodability, "predict", lying)
+        result = crosscheck_handle(alternating_pair)
+        assert any(mismatch.startswith("ENC001")
+                   for mismatch in result["mismatches"])
+
 
 class TestMismatchDetection:
     """A wrong claim must be reported, never silently dropped."""
