@@ -44,10 +44,10 @@ formula_version` — a token that changes only when its step formula may
 have changed. The kernel compiles a constraint at most once per
 version: stateless constraints compile exactly once, a bounded counter
 compiles once per *regime* (e.g. at-zero / in-between / at-bound)
-rather than once per value. The global conjunction is memoized per
-compiled-node tuple, and re-conjoining after a partial change redoes
-work only from the first dirty node (pairwise ANDs are memoized in the
-manager).
+rather than once per value. The global conjunction is a balanced tree
+over the constraint slots, memoized per subtree, so re-conjoining after
+k constraints changed their formulas redoes about k·log n pairwise ANDs
+(:meth:`~repro.engine.tables.TableStepper.conjunction`).
 
 **Snapshot/restore contract.** Alongside ``clone()``, every runtime
 offers a lightweight ``snapshot()``/``restore()`` pair: the snapshot is
@@ -64,13 +64,14 @@ id and keeps each id's state key, snapshot token, accepting flag and
 step formula. A miss restores a private probe runtime from the id's
 token, advances it once and admits the state it reaches; every later
 visit — from any clone, in any exploration of the model family — is a
-dict lookup. Explicit exploration walks the state space through these
-tables (:class:`~repro.engine.tables.CompiledStateView`, whose
-snapshots are tuples of local ids) and never re-runs a runtime on an
-edge it has seen. The symbolic closure is the same table class filled
-eagerly, which is what its BDD encoding is built from. Simulation and
-campaigns still step the caller's live model, which policies and
-observers read.
+dict lookup. Explicit exploration, simulation and campaigns step
+through these tables (:class:`~repro.engine.tables.CompiledStateView`,
+whose snapshots are tuples of local ids) and never re-run a runtime on
+an edge they have seen; a simulation's policy chooses from the view,
+and the caller's model is synced from the tables' snapshot tokens for
+observers and at the end of the run. The symbolic closure is the same
+table class filled eagerly, which is what its BDD encoding is built
+from.
 
 Choosing a strategy — exploration and property checking
 =======================================================

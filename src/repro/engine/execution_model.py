@@ -17,12 +17,12 @@ conjunction is memoized per compiled-node tuple, and step enumeration
 is memoized per conjunction node — hash-consing makes the node id a
 canonical key for the boolean function itself. The kernel also holds the
 per-constraint local transition tables (:mod:`repro.engine.tables`)
-that explicit exploration steps through.
+that explicit exploration and simulation step through.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from repro.boolalg.bdd import Bdd
 from repro.boolalg.expr import And, BExpr
@@ -33,6 +33,7 @@ from repro.engine.tables import (
     TableStepper,
     _LruCache,
 )
+from repro.engine.symbolic import _constraint_order
 from repro.errors import EngineError
 from repro.moccml.semantics.runtime import ConstraintRuntime
 
@@ -47,15 +48,15 @@ class SymbolicKernel(TableStepper):
       — the slot is the constraint's position in the model, so clones
       (which have structurally identical constraint lists) share
       compiled nodes;
-    * the global conjunction, keyed by the tuple of per-constraint
-      nodes (re-conjoining is itself incremental through the manager's
-      memoized AND);
+    * the global conjunction, a balanced tree over the constraint slots
+      whose every subtree is memoized by its tuple of per-constraint
+      nodes (:meth:`~repro.engine.tables.TableStepper.conjunction`);
     * enumerated step lists and maximal steps, keyed by the conjunction
       node id — hash-consing guarantees equal ids mean equal functions,
       so revisited configurations anywhere in an exploration hit here;
     * one lazily filled :class:`~repro.engine.tables.LocalTable` per
-      constraint slot, which explicit exploration steps through
-      (:meth:`table_view`) instead of re-running the runtimes.
+      constraint slot, which explicit exploration and simulation step
+      through (:meth:`table_view`) instead of re-running the runtimes.
 
     All caches but the tables are bounded LRUs; the tables grow with
     what has been explored. The kernel is a pure accelerator and can be
@@ -70,11 +71,12 @@ class SymbolicKernel(TableStepper):
     #: checker's explicit backend) — also heavyweight, also few
     EXPLORED_SPACE_CACHE_SIZE = 4
 
-    def __init__(self, events: Iterable[str]):
+    def __init__(self, events: Iterable[str],
+                 constraints: Sequence[ConstraintRuntime]):
         events = tuple(events)
-        super().__init__(Bdd(order=events), events, [])
+        super().__init__(Bdd(order=events), events, [],
+                         _constraint_order(constraints))
         self._node_cache = _LruCache(self.NODE_CACHE_SIZE)
-        self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
         self._ts_cache = _LruCache(self.TRANSITION_SYSTEM_CACHE_SIZE)
         self._space_cache = _LruCache(self.EXPLORED_SPACE_CACHE_SIZE)
         self.stats.update(node_hits=0, node_misses=0)
@@ -99,16 +101,16 @@ class SymbolicKernel(TableStepper):
 
     def table_view(self, model: "ExecutionModel") -> CompiledStateView:
         """A table-driven working view of *model*'s current configuration
-        — the explicit exploration driver. The slot tables are made on
-        first use and shared by every clone; *model* must belong to the
-        family owning this kernel, and is only read."""
+        — what explicit exploration and simulation step. The slot
+        tables are made on first use and shared by every clone; *model*
+        must belong to the family owning this kernel, and is only
+        read."""
         if not self.tables:
-            self.tables = [LocalTable(slot, constraint) for slot, constraint
-                           in enumerate(model.constraints)]
-            self._formula_nodes = [[] for _ in self.tables]
+            self._adopt([LocalTable(slot, constraint) for slot, constraint
+                         in enumerate(model.constraints)])
         ids = tuple(table.locate(constraint) for table, constraint
                     in zip(self.tables, model.constraints))
-        return CompiledStateView(self, ids)
+        return CompiledStateView(self, ids, model.name)
 
     def transition_system(self, model: "ExecutionModel",
                           max_local_states: int | None = None,
@@ -212,8 +214,7 @@ class SymbolicKernel(TableStepper):
         self._max_step_cache.clear()
         self._ts_cache.clear()
         self._space_cache.clear()
-        self.tables = []
-        self._formula_nodes = []
+        self._adopt([])
         self.bdd.clear_operation_caches()
 
 
@@ -242,7 +243,7 @@ class ExecutionModel:
     def kernel(self) -> SymbolicKernel:
         """The model's persistent symbolic kernel (created lazily)."""
         if self._kernel is None:
-            self._kernel = SymbolicKernel(self.events)
+            self._kernel = SymbolicKernel(self.events, self.constraints)
         return self._kernel
 
     def clear_caches(self) -> None:
@@ -314,27 +315,11 @@ class ExecutionModel:
         linear in the BDD size — so the ASAP policy scales to wide
         models where the candidate set is exponential.
         """
-        kernel = self.kernel
-        node = self._step_node()
-        cached = kernel._max_step_cache.get(node, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        model = kernel.bdd.max_true_model(node, self.events)
-        if model is None:
-            step = None
-        else:
-            step = frozenset(name for name, value in model.items()
-                             if value) or None
-        kernel._max_step_cache.put(node, step)
-        return step
+        return self.kernel.max_step_of(self._step_node())
 
     def is_acceptable(self, step: frozenset[str]) -> bool:
         """Whether *step* satisfies the current conjunction."""
-        unknown = step - set(self.events)
-        if unknown:
-            raise EngineError(f"unknown event(s) in step: {sorted(unknown)}")
-        assignment = {name: name in step for name in self.events}
-        return self.kernel.bdd.evaluate(self._step_node(), assignment)
+        return self.kernel.accepts(self._step_node(), step)
 
     def advance(self, step: frozenset[str], check: bool = True) -> None:
         """Commit *step*: every constraint updates its internal state.

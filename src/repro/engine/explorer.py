@@ -143,21 +143,27 @@ def _bfs(work, name: str, events: list[str], max_states: int,
     :class:`~repro.engine.tables.CompiledStateView` (over the kernel's
     tables or a compiled system's), so admission order, truncation and
     frontier marking are identical across strategies by construction.
-    An :class:`ExecutionModel` clone implements the protocol too, by
-    re-running its constraint runtimes edge by edge — the reference the
-    tables are tested against.
+    A view's states are matched on their id tuples, and a configuration
+    key is decoded only when a state is admitted. An
+    :class:`ExecutionModel` clone implements the protocol too, by
+    re-running its constraint runtimes edge by edge and matching states
+    on their configurations — the reference the tables are tested
+    against.
     """
     obs.count("explore.spaces")
     graph = nx.MultiDiGraph()
-    root_key = work.configuration()
-
-    key_to_id: dict = {root_key: 0}
-    graph.add_node(0, accepting=work.is_accepting(), depth=0, key=root_key)
-    #: BFS frontier of (snapshot token, configuration key, node id, depth)
-    frontier: deque = deque([(work.snapshot(), root_key, 0, 0)])
+    identify = (work.snapshot if isinstance(work, CompiledStateView)
+                else work.configuration)
+    root = identify()
+    key_to_id: dict = {root: 0}
+    graph.add_node(0, accepting=work.is_accepting(), depth=0,
+                   key=work.configuration())
+    #: BFS frontier of (snapshot token, state identity, node id, depth)
+    frontier: deque = deque([(work.snapshot(), root, 0, 0)])
     with obs.span("explore.bfs", model=name) as trace:
-        truncated = _bfs_loop(work, graph, key_to_id, frontier, name,
-                              max_states=max_states, max_depth=max_depth,
+        truncated = _bfs_loop(work, identify, graph, key_to_id, frontier,
+                              name, max_states=max_states,
+                              max_depth=max_depth,
                               include_empty=include_empty, strict=strict,
                               maximal_only=maximal_only)
         trace.set(states=graph.number_of_nodes(),
@@ -168,16 +174,16 @@ def _bfs(work, name: str, events: list[str], max_states: int,
                       maximal_only=maximal_only)
 
 
-def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
-              max_states: int, max_depth: int | None, include_empty: bool,
-              strict: bool, maximal_only: bool) -> bool:
+def _bfs_loop(work, identify, graph, key_to_id: dict, frontier: deque,
+              name: str, max_states: int, max_depth: int | None,
+              include_empty: bool, strict: bool, maximal_only: bool) -> bool:
     """The admission loop of :func:`_bfs`, factored out so the whole
-    walk sits under one ``explore.bfs`` span; returns the truncation
-    flag."""
+    walk sits under one ``explore.bfs`` span; *identify* names the state
+    *work* is in. Returns the truncation flag."""
     truncated = False
 
     while frontier:
-        snapshot, current_key, node_id, depth = frontier.popleft()
+        snapshot, current, node_id, depth = frontier.popleft()
         if max_depth is not None and depth >= max_depth:
             graph.nodes[node_id]["frontier"] = True
             truncated = True
@@ -188,12 +194,12 @@ def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
             steps = _maximal_steps(steps)
         for step in steps:
             work.advance(step, check=False)
-            succ_key = work.configuration()
-            if not step and succ_key == current_key:
+            succ = identify()
+            if not step and succ == current:
                 work.restore(snapshot)
                 continue  # stuttering self-loop carries no information
-            if succ_key in key_to_id:
-                succ_id = key_to_id[succ_key]
+            if succ in key_to_id:
+                succ_id = key_to_id[succ]
             else:
                 if len(key_to_id) >= max_states:
                     if strict:
@@ -205,10 +211,10 @@ def _bfs_loop(work, graph, key_to_id: dict, frontier: deque, name: str,
                     work.restore(snapshot)
                     continue
                 succ_id = len(key_to_id)
-                key_to_id[succ_key] = succ_id
+                key_to_id[succ] = succ_id
                 graph.add_node(succ_id, accepting=work.is_accepting(),
-                               depth=depth + 1, key=succ_key)
-                frontier.append((work.snapshot(), succ_key, succ_id,
+                               depth=depth + 1, key=work.configuration())
+                frontier.append((work.snapshot(), succ, succ_id,
                                  depth + 1))
             graph.add_edge(node_id, succ_id, step=step)
             work.restore(snapshot)

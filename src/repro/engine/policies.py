@@ -11,6 +11,14 @@ that choice for simulation purposes:
 * :class:`MinimalPolicy` — a minimal non-empty step, serializing as much
   as possible;
 * :class:`PriorityPolicy` — weighted choice by per-event priorities.
+
+:func:`~repro.engine.simulator.simulate_model` hands a policy a stepping
+view of the model's local tables
+(:class:`~repro.engine.tables.CompiledStateView`), not the live model:
+the view answers ``events``, ``acceptable_steps``, ``max_step`` and
+``is_acceptable`` as an
+:class:`~repro.engine.execution_model.ExecutionModel` does, so a policy
+reads either one.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ class SchedulingPolicy:
         raise NotImplementedError
 
     def choose_from_model(self, model, step_index: int) -> frozenset[str] | None:
-        """Pick the next step directly from an execution model.
+        """Pick the next step directly from an execution model or a
+        stepping view of one (see the module docstring).
 
         The default enumerates the acceptable steps and delegates to
         :meth:`choose`; policies with a symbolic shortcut (ASAP)
@@ -73,10 +82,15 @@ class RandomPolicy(SchedulingPolicy):
 class AsapPolicy(SchedulingPolicy):
     """A maximal step: as many events as the constraints allow.
 
-    Ties are broken lexicographically so simulations are reproducible.
-    On wide models (more than *symbolic_threshold* events) the step is
-    extracted symbolically from the BDD instead of enumerating the
-    (exponentially many) candidates.
+    Ties are broken deterministically, so simulations are reproducible,
+    but the two ways of finding the step break them differently. Up to
+    *symbolic_threshold* events the candidates are enumerated, and the
+    step whose sorted event names form the greatest list wins: with the
+    exclusive pairs ``e0|e1`` and ``e2|e3`` that is ``{e1, e3}``. On
+    wider models the step is extracted symbolically from the BDD instead
+    of enumerating the (exponentially many) candidates, and that walk
+    takes the true branch first at every event, in the model's event
+    order: ``{e0, e2}`` there.
     """
 
     name = "asap"

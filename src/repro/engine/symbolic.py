@@ -186,7 +186,7 @@ class TransitionSystem(TableStepper):
                 auto_reorder_budget=(DEFAULT_AUTO_REORDER_BUDGET
                                      if reorder_budget is None
                                      else reorder_budget)),
-            list(model.events), tables)
+            list(model.events), tables, self.order)
         # installing the provider *before* compiling matters: it stops
         # the manager from firing mid-compile standalone reorders, whose
         # parentless default roots treat every dead intermediate of the

@@ -15,15 +15,16 @@ Two owners hold tables, and both step through :class:`TableStepper`:
 
 * a model family's :class:`~repro.engine.execution_model.SymbolicKernel`
   holds one lazily filled table per constraint slot, shared by clones —
-  explicit exploration walks these;
+  explicit exploration and simulation walk these;
 * a compiled :class:`~repro.engine.symbolic.TransitionSystem` fills
   fresh tables eagerly (:meth:`LocalTable.close`, the local closure in
   breadth-first id order), and builds its BDD encoding from them.
 
-:class:`CompiledStateView` drives the explorer's breadth-first search
-over either owner: a state is a tuple of local ids, a successor is one
-dict lookup per constraint, and the acceptable steps at a state are the
-owner's memoized enumeration of the conjunction of per-id formula nodes
+:class:`CompiledStateView` is the one stepping view over either
+owner: the explorer's breadth-first search and the simulator both run
+on it. A state is a tuple of local ids, a successor is one dict lookup
+per constraint, and the acceptable steps at a state are the owner's
+memoized enumeration of the conjunction of per-id formula nodes
 (:meth:`TableStepper.steps_of`, the same enumeration
 :meth:`~repro.engine.execution_model.ExecutionModel.acceptable_steps`
 uses on a live model).
@@ -205,39 +206,71 @@ class TableStepper:
 
     The base of both table owners (see the module docstring). It
     memoizes the global step conjunction per tuple of compiled formula
-    nodes and the enumerated steps per conjunction node — hash-consing
-    makes a node id a canonical key for its boolean function, so any two
-    configurations with the same acceptable steps share one enumeration.
-    Per-id formula nodes are compiled on first use. The memos are
-    bounded LRUs: an owner lives as long as its model family, so
-    unbounded dicts would grow with every exploration (eviction merely
-    costs a recompute).
+    nodes, and the enumerated steps and the maximal step per conjunction
+    node — hash-consing makes a node id a canonical key for its boolean
+    function, so any two configurations with the same acceptable steps
+    share one enumeration. Per-id formula nodes are compiled on first
+    use. The memos are bounded LRUs: an owner lives as long as its model
+    family, so unbounded dicts would grow with every exploration
+    (eviction merely costs a recompute).
+
+    *leaf_order* lists the constraint slots in the order the conjunction
+    tree takes them (:func:`~repro.engine.symbolic._constraint_order`:
+    coupled constraints side by side).
     """
 
     CONJ_CACHE_SIZE = 8_192
     STEPS_CACHE_SIZE = 4_096
 
     def __init__(self, bdd, events: Sequence[str],
-                 tables: list[LocalTable]):
+                 tables: list[LocalTable], leaf_order: Sequence[int]):
         self.bdd = bdd
         self.events = events
-        self.tables = tables
-        #: compiled step-formula node per (slot, local id)
-        self._formula_nodes: list[list[int]] = [[] for _ in tables]
+        self._event_set = frozenset(events)
+        self.leaf_order = tuple(leaf_order)
+        self._adopt(tables)
         self._conj_cache = _LruCache(self.CONJ_CACHE_SIZE)
         self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
+        self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
         #: hit/miss counters (introspection, tests, tuning)
         self.stats = {"steps_hits": 0, "steps_misses": 0}
 
+    def _adopt(self, tables: list[LocalTable]) -> None:
+        """Step through *tables* from now on."""
+        self.tables = tables
+        #: compiled step-formula node per (slot, local id)
+        self._formula_nodes: list[list[int]] = [[] for _ in tables]
+
     def conjunction(self, nodes: tuple[int, ...]) -> int:
-        """The conjunction of compiled constraint *nodes* (memoized)."""
-        if not nodes:
+        """The conjunction of compiled constraint *nodes*, given in slot
+        order (memoized).
+
+        The nodes are folded as a balanced tree over :attr:`leaf_order`,
+        and every subtree is memoized: a successor whose constraints
+        changed k formulas redoes about k·log n pairwise ANDs, where a
+        left fold redoes every AND after the first changed slot. The
+        manager's caches are trimmed once the whole tree is built, so no
+        pending reorder fires while subtree nodes are held in locals.
+        """
+        leaves = tuple([nodes[slot] for slot in self.leaf_order])
+        if not leaves:
             return self.bdd.one
-        cached = self._conj_cache.get(nodes, _MISSING)
-        if cached is _MISSING:
-            cached = self.bdd.conjoin(nodes)
-            self._conj_cache.put(nodes, cached)
-        return cached
+        conjunction = self._conj_cache.get(leaves, _MISSING)
+        if conjunction is _MISSING:
+            conjunction = self._conjoin(leaves)
+            self.bdd._trim_caches()
+        return conjunction
+
+    def _conjoin(self, leaves: tuple[int, ...]) -> int:
+        if len(leaves) == 1:
+            return leaves[0]
+        conjunction = self._conj_cache.get(leaves, _MISSING)
+        if conjunction is _MISSING:
+            half = len(leaves) // 2
+            conjunction = self.bdd.apply_and(self._conjoin(leaves[:half]),
+                                             self._conjoin(leaves[half:]))
+            self._conj_cache.put(leaves, conjunction)
+        return conjunction
 
     def steps_of(self, node: int,
                  include_empty: bool = False) -> tuple[frozenset[str], ...]:
@@ -248,18 +281,78 @@ class TableStepper:
         steps = self._steps_cache.get(key)
         if steps is None:
             self.stats["steps_misses"] += 1
-            collected = []
-            for model in self.bdd.iter_models(node, self.events):
-                step = frozenset(name for name, value in model.items()
-                                 if value)
-                if step or include_empty:
-                    collected.append(step)
-            collected.sort(key=lambda s: (len(s), sorted(s)))
-            steps = tuple(collected)
+            models = [sorted(model) for model in self._models(node)
+                      if model or include_empty]
+            models.sort(key=lambda model: (len(model), model))
+            steps = tuple([frozenset(model) for model in models])
             self._steps_cache.put(key, steps)
         else:
             self.stats["steps_hits"] += 1
         return steps
+
+    def _models(self, node: int) -> list[tuple[str, ...]]:
+        """Every assignment of the events satisfying *node*, as the tuple
+        of its true events: one pass over the BDD in event-level order,
+        memoized per node, which expands each event a path skips (a free
+        level) both ways. Raises :class:`ValueError` when *node* reads a
+        variable that is not an event."""
+        bdd = self.bdd
+        rows = bdd._nodes
+        zero, one = bdd.zero, bdd.one
+        names = sorted(self.events, key=bdd.declare)
+        position = {bdd.declare(name): index
+                    for index, name in enumerate(names)}
+        #: node -> (its event position, the models from there on)
+        below: dict[int, tuple[int, list]] = {one: (len(names), [()])}
+
+        def free(start: int, stop: int, models: list) -> list:
+            for name in names[start:stop]:
+                models = models + [(name,) + model for model in models]
+            return models
+
+        def models_of(current: int) -> tuple[int, list]:
+            entry = below.get(current)
+            if entry is None:
+                level, low, high = rows[current]
+                at = position.get(level)
+                if at is None:
+                    missing = sorted(bdd.support(node) - self._event_set)
+                    raise ValueError(
+                        f"step enumeration must cover the support; "
+                        f"missing {missing}")
+                models = []
+                if low != zero:
+                    models = free(at + 1, *models_of(low))
+                if high != zero:
+                    name = names[at]
+                    models = models + [(name,) + model for model in
+                                       free(at + 1, *models_of(high))]
+                entry = below[current] = (at, models)
+            return entry
+
+        if node == zero:
+            return []
+        return free(0, *models_of(node))
+
+    def max_step_of(self, node: int) -> frozenset[str] | None:
+        """A maximal step satisfying conjunction *node* (memoized), or
+        None when only the empty step does — see
+        :meth:`~repro.engine.execution_model.ExecutionModel.max_step`."""
+        step = self._max_step_cache.get(node, _MISSING)
+        if step is _MISSING:
+            model = self.bdd.max_true_model(node, self.events)
+            step = None if model is None else frozenset(
+                name for name, value in model.items() if value) or None
+            self._max_step_cache.put(node, step)
+        return step
+
+    def accepts(self, node: int, step: frozenset[str]) -> bool:
+        """Whether *step* satisfies conjunction *node*; an event outside
+        the stepper's events is an :class:`EngineError`."""
+        unknown = step - self._event_set
+        if unknown:
+            raise EngineError(f"unknown event(s) in step: {sorted(unknown)}")
+        return self.bdd.evaluate(node, dict.fromkeys(step, True))
 
     def _compile_formulas(self) -> None:
         """Compile every admitted state's formula not compiled yet."""
@@ -275,8 +368,11 @@ class TableStepper:
         :meth:`ExecutionModel.acceptable_steps
         <repro.engine.execution_model.ExecutionModel.acceptable_steps>`
         orders them."""
-        return self.steps_of(self.conjunction(self._nodes_at(ids)),
-                             include_empty)
+        return self.steps_of(self.conjunction_at(ids), include_empty)
+
+    def conjunction_at(self, ids: Sequence[int]) -> int:
+        """The step conjunction at the table state *ids*."""
+        return self.conjunction(self._nodes_at(ids))
 
     def _nodes_at(self, ids: Sequence[int]) -> tuple[int, ...]:
         """The compiled formula node of every constraint at *ids*."""
@@ -286,6 +382,14 @@ class TableStepper:
         except IndexError:  # a state admitted since the last compile
             self._compile_formulas()
             return self._nodes_at(ids)
+
+    def tokens_at(self, ids: Sequence[int]) -> tuple:
+        """The :meth:`ExecutionModel.snapshot
+        <repro.engine.execution_model.ExecutionModel.snapshot>` token of
+        the table state *ids*: each constraint's stored runtime
+        snapshot."""
+        return tuple([table.tokens[local]
+                      for table, local in zip(self.tables, ids)])
 
     def successor(self, ids: Sequence[int],
                   step: frozenset[str]) -> tuple[int, ...]:
@@ -310,23 +414,32 @@ class TableStepper:
 
 
 class CompiledStateView:
-    """The explorer's working-model protocol over local tables.
+    """The one stepping view over local tables.
 
-    Implements ``configuration``/``snapshot``/``restore``/
-    ``acceptable_steps``/``advance``/``is_accepting`` for the BFS of
-    :mod:`repro.engine.explorer` on a :class:`TableStepper` — a model
-    kernel (explicit strategy) or a compiled transition system (symbolic
-    strategy). Snapshots are tuples of local ids and no caller's runtime
-    is ever touched. *ids* defaults to the compiled system's initial
-    state.
+    Implements the working-model protocol — ``events``,
+    ``configuration``/``snapshot``/``restore``, ``acceptable_steps``,
+    ``max_step``, ``is_acceptable``, ``advance`` and ``is_accepting`` —
+    on a :class:`TableStepper`: a model kernel (explicit exploration,
+    simulation) or a compiled transition system (symbolic strategy).
+    The explorer's breadth-first search and the simulator's policies
+    both run on it. Snapshots are tuples of local ids and no caller's
+    runtime is ever touched; :meth:`model_snapshot` gives the token that
+    brings a live model to the view's state. *ids* defaults to the
+    compiled system's initial state and *name* to its name.
     """
 
-    __slots__ = ("stepper", "_current")
+    __slots__ = ("stepper", "name", "_current")
 
     def __init__(self, stepper: TableStepper,
-                 ids: tuple[int, ...] | None = None):
+                 ids: tuple[int, ...] | None = None,
+                 name: str | None = None):
         self.stepper = stepper
+        self.name = stepper.name if name is None else name
         self._current = stepper.initial_ids if ids is None else ids
+
+    @property
+    def events(self) -> Sequence[str]:
+        return self.stepper.events
 
     def configuration(self) -> tuple:
         return self.stepper.decode_key(self._current)
@@ -337,11 +450,33 @@ class CompiledStateView:
     def restore(self, token: tuple[int, ...]) -> None:
         self._current = token
 
+    def model_snapshot(self) -> tuple:
+        """The live model's snapshot token of the current state (restore
+        it into any model of the family)."""
+        return self.stepper.tokens_at(self._current)
+
     def acceptable_steps(self,
                          include_empty: bool = False) -> list[frozenset[str]]:
         return list(self.stepper.steps_at(self._current, include_empty))
 
+    def max_step(self) -> frozenset[str] | None:
+        stepper = self.stepper
+        return stepper.max_step_of(stepper.conjunction_at(self._current))
+
+    def is_acceptable(self, step: frozenset[str]) -> bool:
+        stepper = self.stepper
+        return stepper.accepts(stepper.conjunction_at(self._current), step)
+
     def advance(self, step: frozenset[str], check: bool = True) -> None:
+        """Take *step*. With *check* (the default) it is validated
+        against the conjunction first, exactly as
+        :meth:`ExecutionModel.advance
+        <repro.engine.execution_model.ExecutionModel.advance>` does, so an
+        unacceptable step never reaches a table's probe runtime."""
+        if check and not self.is_acceptable(step):
+            raise EngineError(
+                f"step {sorted(step)} is not acceptable in the current "
+                f"configuration of {self.name!r}")
         self._current = self.stepper.successor(self._current, step)
 
     def is_accepting(self) -> bool:

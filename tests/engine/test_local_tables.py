@@ -1,20 +1,39 @@
-"""Explicit exploration through memoized local transition tables.
+"""Exploration and simulation through memoized local transition tables.
 
 The reference is the stepping the tables replace: the same BFS skeleton
-driven by a model clone, re-running every constraint runtime on every
-edge. Every exploration here must match it byte for byte.
+driven by a model clone, and the same simulation loop driven by the live
+model, re-running every constraint runtime on every edge or step. Every
+exploration and simulation here must match it byte for byte.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.ccsl import PrecedesRuntime
+from repro.boolalg import Bdd
+from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.deployment import Allocation, Platform, deploy
-from repro.engine import ExecutionModel, LocalTable, explore
+from repro.engine import (
+    AsapPolicy,
+    ExecutionModel,
+    LocalTable,
+    MinimalPolicy,
+    PriorityPolicy,
+    RandomPolicy,
+    ReplayPolicy,
+    SimulationResult,
+    Trace,
+    explore,
+    simulate_model,
+)
 from repro.engine.explorer import _bfs
+from repro.engine.policies import CallbackPolicy
 from repro.engine.symbolic import _close_local
+from repro.engine.tables import TableStepper
 from repro.errors import EngineError
 from repro.pam.experiments import build_configuration
 from repro.sdf import SdfBuilder
+from tests.boolalg.test_bdd_reorder import NAMES, exprs
 from tests.engine.test_symbolic_equivalence import CORPUS
 from tests.moccml.test_semantic_corners import watchdog_runtime
 
@@ -28,13 +47,37 @@ def reference(model, max_states=10_000, max_depth=None,
                 maximal_only=maximal_only)
 
 
+def keys(space):
+    """The configuration key of every explored state, in id order."""
+    return [data["key"] for _node, data in space.graph.nodes(data=True)]
+
+
 def assert_same(model, **budgets):
-    expected = reference(model, **budgets).to_json()
-    assert explore(model, strategy="explicit", **budgets).to_json() \
-        == expected
-    # a second exploration reads the now-warm tables
-    assert explore(model, strategy="explicit", **budgets).to_json() \
-        == expected
+    expected = reference(model, **budgets)
+    for _ in range(2):  # the second exploration reads the warm tables
+        space = explore(model, strategy="explicit", **budgets)
+        assert space.to_json() == expected.to_json()
+        assert keys(space) == keys(expected)
+
+
+def reference_simulate(model, policy, max_steps, observers=()):
+    """Simulation by re-running the runtimes of the live model step by
+    step: the loop the tables replace."""
+    result = SimulationResult(trace=Trace(model.events))
+    check = not getattr(policy, "yields_acceptable_steps", False)
+    for index in range(max_steps):
+        step = policy.choose_from_model(model, index)
+        if step is None:
+            result.deadlocked = True
+            result.stop_reason = "deadlock"
+            break
+        model.advance(step, check=check)
+        result.trace.append(step)
+        result.steps_run += 1
+        for observer in observers:
+            observer(index, step, model)
+    result.final_accepting = model.is_accepting()
+    return result
 
 
 def deployed_chain(length=4, latency=2):
@@ -194,3 +237,197 @@ class TestLocalTable:
         local_id = table.locate(probe)
         assert table.keys[local_id] == probe.state_key()
         assert table.locate(probe) == local_id
+
+
+class LenientPrecedes(PrecedesRuntime):
+    """A precedence whose ``advance()`` trusts its caller: it counts
+    whatever it is given, even an effect before its cause."""
+
+    def advance(self, step):
+        self.advance_count += (self.cause in step) - (self.effect in step)
+
+    def clone(self):
+        copy = LenientPrecedes(self.cause, self.effect, self.bound,
+                               self.label)
+        copy.advance_count = self.advance_count
+        return copy
+
+
+class TestViewAdvanceCheck:
+    @pytest.mark.parametrize("runtime", [AlternatesRuntime("a", "b"),
+                                         LenientPrecedes("a", "b")],
+                             ids=["rejecting", "lenient"])
+    def test_unacceptable_step_never_reaches_the_tables(self, runtime):
+        model = ExecutionModel(["a", "b"], [runtime], name="alt")
+        view = model.kernel.table_view(model)
+        states = model.kernel.cache_sizes()["local_states"]
+        with pytest.raises(EngineError, match=(
+                r"step \['b'\] is not acceptable in the current "
+                r"configuration of 'alt'")):
+            view.advance(frozenset({"b"}))
+        assert model.kernel.cache_sizes()["local_states"] == states
+        assert view.configuration() == model.configuration()
+
+    def test_unknown_event_is_rejected(self):
+        model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])
+        with pytest.raises(EngineError, match="unknown event"):
+            model.kernel.table_view(model).advance(frozenset({"zz"}))
+
+    def test_unchecked_advance_trusts_the_caller(self):
+        model = ExecutionModel(["a", "b"], [LenientPrecedes("a", "b")])
+        view = model.kernel.table_view(model)
+        view.advance(frozenset({"b"}), check=False)
+        assert view.configuration() == ((model.constraints[0].label, -1),)
+
+
+def simulated_models():
+    models = dict(CORPUS)
+    models.update({
+        "deployed-chain": deployed_chain,
+        "pam-mono": lambda: build_configuration("mono"),
+        "pam-dual": lambda: build_configuration("dual"),
+        "unbounded": unbounded_precedes,
+    })
+    return models
+
+
+def recorded_trace(make):
+    """A schedule to replay: a random run of the model."""
+    return list(simulate_model(make(), RandomPolicy(seed=11), 30).trace)
+
+
+POLICIES = {
+    "asap": lambda make: AsapPolicy(),
+    "asap-symbolic": lambda make: AsapPolicy(symbolic_threshold=0),
+    "minimal": lambda make: MinimalPolicy(),
+    "random": lambda make: RandomPolicy(seed=3),
+    "priority": lambda make: PriorityPolicy(
+        {event: index % 3 for index, event in enumerate(make().events)}),
+    "replay": lambda make: ReplayPolicy(recorded_trace(make)),
+    "callback": lambda make: CallbackPolicy(
+        lambda candidates, index: candidates[index % len(candidates)]),
+}
+
+
+def outcome(result, model):
+    return (list(result.trace), result.deadlocked, result.stop_reason,
+            result.final_accepting, result.steps_run, model.snapshot(),
+            model.configuration())
+
+
+class TestSimulationMatchesLiveModel:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("name", sorted(simulated_models()))
+    def test_same_run_as_the_live_model(self, name, policy):
+        make = simulated_models()[name]
+        expected_model = make()
+        expected = reference_simulate(expected_model,
+                                      POLICIES[policy](make), 30)
+        model = make()
+        result = simulate_model(model, POLICIES[policy](make), 30)
+        assert outcome(result, model) == outcome(expected, expected_model)
+
+    def test_observers_see_the_synced_model(self):
+        seen = {"live": [], "tables": []}
+
+        def watcher(label):
+            def observe(index, step, model):
+                seen[label].append((index, step, model.snapshot(),
+                                    model.configuration(),
+                                    model.is_accepting()))
+            return observe
+
+        make = deployed_chain
+        reference_simulate(make(), RandomPolicy(seed=4), 25,
+                           observers=[watcher("live")])
+        simulate_model(make(), RandomPolicy(seed=4), 25,
+                       observers=[watcher("tables")])
+        assert len(seen["tables"]) == 25
+        assert seen["tables"] == seen["live"]
+
+    def test_replay_divergence_keeps_the_last_committed_state(self):
+        def run(simulate):
+            model = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])
+            policy = ReplayPolicy([{"a"}, {"b"}, {"b"}])
+            with pytest.raises(EngineError) as caught:
+                simulate(model, policy, 5)
+            return str(caught.value), model.snapshot()
+
+        message, snapshot = run(simulate_model)
+        assert "replay diverged at step 2" in message
+        assert (message, snapshot) == run(reference_simulate)
+
+    def test_unacceptable_callback_step_keeps_the_last_committed_state(self):
+        def run(simulate):
+            model = deployed_chain()
+            policy = CallbackPolicy(
+                lambda candidates, index: candidates[0] if index < 3
+                else frozenset({"a0.stop"}) | candidates[0])
+            with pytest.raises(EngineError) as caught:
+                simulate(model, policy, 10)
+            return str(caught.value), model.snapshot()
+
+        message, snapshot = run(simulate_model)
+        assert "is not acceptable in the current configuration" in message
+        assert (message, snapshot) == run(reference_simulate)
+
+    def test_cold_kernel_fills_tables_that_explore_reuses(self):
+        model = deployed_chain()
+        result = simulate_model(model.clone(), RandomPolicy(seed=2), 6)
+        tables = model.kernel.tables
+        assert len(tables) == len(model.constraints)
+        simulated = model.kernel.cache_sizes()["local_states"]
+        assert simulated <= (result.steps_run + 1) * len(tables)
+        assert_same(model)
+        assert model.kernel.tables is tables
+        assert model.kernel.cache_sizes()["local_states"] > simulated
+
+
+#: the enumeration tests' events: the formulas' variables and two free
+#: events no formula reads
+EVENTS = NAMES + ["u", "v"]
+
+
+def enumerated(bdd, node, include_empty):
+    """Every step satisfying *node*, by :meth:`Bdd.iter_models`, in the
+    engine's step order."""
+    steps = [frozenset(name for name, value in model.items() if value)
+             for model in bdd.iter_models(node, EVENTS)]
+    steps = [step for step in steps if step or include_empty]
+    return tuple(sorted(steps, key=lambda step: (len(step), sorted(step))))
+
+
+class TestStepEnumeration:
+    @settings(max_examples=80, deadline=None)
+    @given(expr=exprs(), include_empty=st.booleans(),
+           order=st.permutations(EVENTS + ["#s0"]))
+    def test_steps_of_matches_iter_models(self, expr, include_empty,
+                                          order):
+        # the manager's level order need not be the event order, and may
+        # hold levels that are not events (a compiled system's state bits)
+        bdd = Bdd(order=order)
+        stepper = TableStepper(bdd, EVENTS, [], [])
+        node = bdd.from_expr(expr)
+        assert stepper.steps_of(node, include_empty) \
+            == enumerated(bdd, node, include_empty)
+
+    def test_support_outside_the_events_raises(self):
+        bdd = Bdd(order=EVENTS + ["#s0"])
+        stepper = TableStepper(bdd, EVENTS, [], [])
+        with pytest.raises(ValueError, match="#s0"):
+            stepper.steps_of(bdd.apply_and(bdd.var("p"), bdd.var("#s0")))
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas=st.lists(exprs(max_leaves=4), min_size=1, max_size=7),
+           data=st.data())
+    def test_balanced_conjunction_is_the_fold(self, formulas, data):
+        bdd = Bdd(order=EVENTS)
+        nodes = tuple(bdd.from_expr(formula) for formula in formulas)
+        order = data.draw(st.permutations(range(len(nodes))))
+        stepper = TableStepper(bdd, EVENTS, [], order)
+        assert stepper.conjunction(nodes) == bdd.conjoin(nodes)
+        assert stepper.conjunction(nodes) == bdd.conjoin(nodes)  # memo
+
+    def test_no_constraints_accept_every_step(self):
+        bdd = Bdd(order=EVENTS)
+        assert TableStepper(bdd, EVENTS, [], []).conjunction(()) == bdd.one

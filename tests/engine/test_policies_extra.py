@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.boolalg.expr import And, Not, Var
 from repro.ccsl import AlternatesRuntime
 from repro.engine import (
     AsapPolicy,
@@ -10,6 +11,7 @@ from repro.engine import (
     simulate_model,
 )
 from repro.errors import EngineError
+from repro.moccml.semantics.runtime import FormulaRuntime
 from repro.sdf import SdfBuilder, weave_sdf
 
 
@@ -121,3 +123,23 @@ class TestSymbolicAsap:
         assert engine_model.is_acceptable(step)
         best = max(engine_model.acceptable_steps(), key=len)
         assert len(step) == len(best)
+
+    def test_tie_breaks_of_both_paths(self):
+        # three independent exclusive pairs: eight maximal steps of size 3
+        events = [f"e{index}" for index in range(6)]
+        pairs = [FormulaRuntime(f"x{index}", Not(And(
+            Var(f"e{2 * index}"), Var(f"e{2 * index + 1}"))))
+            for index in range(3)]
+        model = ExecutionModel(events, pairs)
+        # enumerating: the greatest sorted list of event names
+        enumerating = frozenset({"e1", "e3", "e5"})
+        # symbolic: the BDD's high branch first, in event order
+        symbolic = frozenset({"e0", "e2", "e4"})
+        assert AsapPolicy().choose_from_model(model, 0) == enumerating
+        assert AsapPolicy(symbolic_threshold=0).choose_from_model(
+            model, 0) == symbolic
+        for policy, expected in ((AsapPolicy(), enumerating),
+                                 (AsapPolicy(symbolic_threshold=0),
+                                  symbolic)):
+            run = simulate_model(model.clone(), policy, 1)
+            assert run.trace.steps == [expected]

@@ -61,6 +61,32 @@ class TestVerdictsSurviveReorder:
         assert after == before
         assert before[0] is Verdict.HOLDS
 
+    def test_forced_reorder_keeps_steps_at(self):
+        """Table stepping on a compiled system reads its manager: after
+        a forced sift, every state's steps are the same, whether served
+        from the memos or enumerated afresh in the new level order."""
+        model = CORPUS["forkjoin-cap2"]()
+        system = model.kernel.transition_system(model)
+        steps = {}
+        frontier = [system.initial_ids]
+        while frontier:
+            ids = frontier.pop()
+            if ids in steps:
+                continue
+            steps[ids] = (system.steps_at(ids),
+                          system.steps_at(ids, include_empty=True))
+            frontier += [system.successor(ids, step)
+                         for step in steps[ids][0]]
+        order = system.bdd.order
+        system.bdd.reorder()
+        assert system.bdd.order != order
+        for fresh in (False, True):
+            if fresh:
+                system._steps_cache.clear()
+            assert {ids: (system.steps_at(ids),
+                          system.steps_at(ids, include_empty=True))
+                    for ids in steps} == steps
+
     def test_reorder_between_fixpoints_keeps_the_count(self):
         model = CORPUS["forkjoin-cap2"]()
         first = symbolic_reachable(model)
