@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.engine.ctl import Verdict
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.policies import AsapPolicy, SchedulingPolicy
@@ -72,10 +70,7 @@ def variable_bounds(model: ExecutionModel, space: StateSpace | None = None
     automaton_labels = {
         constraint.label for constraint in model.constraints
         if isinstance(constraint, AutomatonRuntime)}
-    for _node, data in space.graph.nodes(data=True):
-        configuration = data.get("key")
-        if configuration is None:
-            continue
+    for configuration in space.keys or ():
         for part in configuration:
             if (isinstance(part, tuple) and len(part) == 3
                     and part[0] in automaton_labels
@@ -116,20 +111,21 @@ def max_cycle_mean_throughput(space: StateSpace, event: str) -> float:
     """
     best = Fraction(0)
     for component in space.recurrent_components():
-        subgraph = space.graph.subgraph(component)
-        mean = _karp_max_cycle_mean(subgraph, event)
+        mean = _karp_max_cycle_mean(space, component, event)
         if mean is not None and mean > best:
             best = mean
     return float(best)
 
 
-def _karp_max_cycle_mean(graph: nx.MultiDiGraph, event: str) -> Fraction | None:
-    """Karp's algorithm on one strongly connected (multi)graph.
+def _karp_max_cycle_mean(space: StateSpace, component: set[int],
+                         event: str) -> Fraction | None:
+    """Karp's algorithm on one strongly connected *component* of
+    *space*, over the edges that stay inside it.
 
     Edge weight = 1 if the step contains *event* else 0; the maximum
     cycle mean of those weights is occurrences-per-step.
     """
-    nodes = list(graph.nodes)
+    nodes = sorted(component)
     if not nodes:
         return None
     index = {node: i for i, node in enumerate(nodes)}
@@ -138,11 +134,14 @@ def _karp_max_cycle_mean(graph: nx.MultiDiGraph, event: str) -> Fraction | None:
 
     # collapse parallel edges, keeping the max weight per (u, v)
     weights: dict[tuple[int, int], int] = {}
-    for u, v, data in graph.edges(data=True):
-        w = 1 if event in data["step"] else 0
-        key = (index[u], index[v])
-        if key not in weights or w > weights[key]:
-            weights[key] = w
+    for u in nodes:
+        for step, v in space.succ[u]:
+            if v not in index:
+                continue
+            w = 1 if event in step else 0
+            key = (index[u], index[v])
+            if key not in weights or w > weights[key]:
+                weights[key] = w
     if not weights:
         return None
 
@@ -268,8 +267,8 @@ def check_mutual_exclusion(space: StateSpace, events: list[str]) -> Verdict:
     ``HOLDS`` on a complete one.
     """
     event_set = set(events)
-    for _u, _v, data in space.graph.edges(data=True):
-        if len(data["step"] & event_set) > 1:
+    for _source, step, _target in space.edges():
+        if len(step & event_set) > 1:
             return Verdict.FAILS
     if space.truncated or space.maximal_only:
         return Verdict.UNKNOWN

@@ -600,52 +600,38 @@ class _ExplicitChecker:
 
     def __init__(self, space: StateSpace):
         self.space = space
-        graph = space.graph
-        self.all_nodes = frozenset(graph.nodes)
-        self.frontier = frozenset(
-            node for node, data in graph.nodes(data=True)
-            if data.get("frontier", False))
-        self.succ: dict[int, list[tuple[frozenset[str], int]]] = {}
-        self.pred: dict[int, set[int]] = {node: set() for node in graph.nodes}
-        for node in graph.nodes:
-            edges = [(data["step"], successor)
-                     for _u, successor, data in graph.out_edges(node,
-                                                                data=True)]
-            edges.sort(key=lambda edge: (len(edge[0]), sorted(edge[0])))
-            self.succ[node] = edges
+        self.succ = space.succ
+        self.all_nodes = frozenset(range(space.n_states))
+        self.frontier = frozenset(space.frontier)
+        #: per state: its distinct predecessors
+        self.pred: list[list[int]] = [[] for _ in self.succ]
+        for node, edges in enumerate(self.succ):
             for _step, successor in edges:
-                self.pred[successor].add(node)
-        self.must_dead = frozenset(
-            node for node in graph.nodes
-            if not self.succ[node] and node not in self.frontier)
+                preds = self.pred[successor]
+                if not preds or preds[-1] != node:
+                    preds.append(node)
+        self.must_dead = frozenset(space.deadlocks())
         self.may_dead = frozenset(
-            node for node in graph.nodes if not self.succ[node])
+            node for node, edges in enumerate(self.succ) if not edges)
         self._memo: dict[Prop, tuple[frozenset, frozenset]] = {}
-        self._keys: dict[int, tuple] | None = None
         #: atom-evaluation notes (possible typos), keyed by atom
         self.notes: dict[Prop, str] = {}
 
     # -- state keys --------------------------------------------------------
 
-    def _node_keys(self) -> dict[int, tuple]:
-        if self._keys is None:
-            keys = {}
-            for node, data in self.space.graph.nodes(data=True):
-                key = data.get("key")
-                if key is None:
-                    raise EngineError(
-                        "this state space carries no configuration keys "
-                        "(was it reloaded from JSON?); state()/var() atoms "
-                        "need a freshly explored space")
-                keys[node] = key
-            self._keys = keys
-        return self._keys
+    def _node_keys(self) -> list[tuple]:
+        if self.space.keys is None:
+            raise EngineError(
+                "this state space carries no configuration keys "
+                "(was it reloaded from JSON?); state()/var() atoms "
+                "need a freshly explored space")
+        return self.space.keys
 
     def _key_set(self, match) -> frozenset:
         keys = self._node_keys()
         found_label = False
         selected = set()
-        for node, configuration in keys.items():
+        for node, configuration in enumerate(keys):
             for part in configuration:
                 outcome = match(part)
                 if outcome is None:
@@ -656,7 +642,7 @@ class _ExplicitChecker:
                 break
         if not found_label:
             labels = sorted({
-                label for configuration in keys.values()
+                label for configuration in keys
                 for label in (_key_label(part) for part in configuration)
                 if label})
             raise EngineError(
@@ -765,7 +751,7 @@ class _ExplicitChecker:
             if not nodes:
                 known = (
                     _key_value_text(part)
-                    for configuration in self._node_keys().values()
+                    for configuration in self._node_keys()
                     for part in configuration
                     if _key_label(part) == prop.constraint)
                 self.notes[prop] = _instate_note(prop, known)
@@ -830,7 +816,10 @@ class _ExplicitChecker:
         return self.space.initial
 
     def successors(self, state):
-        return self.succ[state]
+        """*state*'s edges by step size, then sorted step — the order
+        both backends' witness walks try them in."""
+        return sorted(self.succ[state],
+                      key=lambda edge: (len(edge[0]), sorted(edge[0])))
 
     def sat(self, prop: Prop):
         """Opaque sat handle for witness walks — the definite side."""
@@ -1300,8 +1289,8 @@ class CheckResult:
 
 def _explicit_checker(space: StateSpace) -> _ExplicitChecker:
     """One evaluator per space, parked on the space instance — repeated
-    checks (the equivalence battery) share adjacency maps and memoized
-    sat sets. Callers must not mutate the graph afterwards."""
+    checks (the equivalence battery) share predecessor lists and
+    memoized sat sets. Callers must not mutate the space afterwards."""
     checker = getattr(space, "_ctl_checker", None)
     if checker is None:
         checker = _ExplicitChecker(space)

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from repro.engine import ctl
 from repro.engine.explorer import explore
-from repro.engine.statespace import StateSpace
 from repro.errors import EquivalenceError, SymbolicEncodingError
 
 #: the compared backend configurations: (label, strategy, relation_mode)
@@ -66,10 +65,6 @@ PROPERTY_BATTERY = (
     "occurs({e0}) leads_to occurs({e1})",
     "AX (occurs({e0}) | occurs({e1}) | deadlock)",
 )
-
-
-def _graph_keys(space: StateSpace) -> set:
-    return {data["key"] for _node, data in space.graph.nodes(data=True)}
 
 
 def battery_texts(model) -> list[str]:
@@ -136,7 +131,7 @@ def cross_check(
     check("states", explicit.n_states, symbolic.n_states)
     check("transitions", explicit.n_transitions, symbolic.n_transitions)
     check("truncated", explicit.truncated, symbolic.truncated)
-    check("reachable keys", _graph_keys(explicit), _graph_keys(symbolic))
+    check("reachable keys", set(explicit.keys), set(symbolic.keys))
     check("serialized space", explicit.to_json(), symbolic.to_json())
 
     report = {
@@ -156,7 +151,7 @@ def cross_check(
             model, include_empty=include_empty,
             relation_mode=relation_mode)
         check("fixpoint state count", explicit.n_states, reachable.count())
-        check("fixpoint keys", _graph_keys(explicit), set(reachable.states()))
+        check("fixpoint keys", set(explicit.keys), set(reachable.states()))
         check(
             "deadlock freedom",
             explicit.is_deadlock_free(),

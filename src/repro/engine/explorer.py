@@ -2,10 +2,12 @@
 
 From the initial configuration, the explorer enumerates every
 acceptable (non-empty) step and builds a
-:class:`~repro.engine.statespace.StateSpace` — a directed multigraph
-whose nodes are global constraint configurations and whose edges are
-steps. This implements the paper's "exhaustive exploration" usage of the
-generic engine.
+:class:`~repro.engine.statespace.StateSpace`: per-state lists indexed
+by admission order, holding each global constraint configuration's
+key, acceptance, depth and ``(step, target)`` edges. A state's edges
+are grouped by target in first-seen order, step order within a target
+— the order artifacts are written in. This implements the paper's
+"exhaustive exploration" usage of the generic engine.
 
 Both strategies drive the same breadth-first skeleton over a
 :class:`~repro.engine.tables.CompiledStateView`: a state is a tuple of
@@ -35,11 +37,9 @@ from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
 from repro import obs
 from repro.engine.execution_model import ExecutionModel
-from repro.engine.statespace import StateSpace
+from repro.engine.statespace import StateSpace, grouped_by_target
 from repro.engine.tables import CompiledStateView
 from repro.errors import EngineError, ExplorationLimitError, \
     SymbolicEncodingError
@@ -151,75 +151,71 @@ def _bfs(work, name: str, events: list[str], max_states: int,
     against.
     """
     obs.count("explore.spaces")
-    graph = nx.MultiDiGraph()
     identify = (work.snapshot if isinstance(work, CompiledStateView)
                 else work.configuration)
     root = identify()
     key_to_id: dict = {root: 0}
-    graph.add_node(0, accepting=work.is_accepting(), depth=0,
-                   key=work.configuration())
-    #: BFS frontier of (snapshot token, state identity, node id, depth)
-    frontier: deque = deque([(work.snapshot(), root, 0, 0)])
+    space = StateSpace(succ=[[]], accepting=[work.is_accepting()],
+                       depth=[0], keys=[work.configuration()], initial=0,
+                       events=events, name=name, maximal_only=maximal_only)
+    #: BFS queue of (snapshot token, state identity, state id, depth)
+    queue: deque = deque([(work.snapshot(), root, 0, 0)])
     with obs.span("explore.bfs", model=name) as trace:
-        truncated = _bfs_loop(work, identify, graph, key_to_id, frontier,
-                              name, max_states=max_states,
-                              max_depth=max_depth,
-                              include_empty=include_empty, strict=strict,
-                              maximal_only=maximal_only)
-        trace.set(states=graph.number_of_nodes(),
-                  transitions=graph.number_of_edges(), truncated=truncated)
-
-    return StateSpace(graph=graph, initial=0, events=events,
-                      truncated=truncated, name=name,
-                      maximal_only=maximal_only)
+        _bfs_loop(work, identify, space, key_to_id, queue, name,
+                  max_states=max_states, max_depth=max_depth,
+                  include_empty=include_empty, strict=strict,
+                  maximal_only=maximal_only)
+        trace.set(states=space.n_states, transitions=space.n_transitions,
+                  truncated=space.truncated)
+    return space
 
 
-def _bfs_loop(work, identify, graph, key_to_id: dict, frontier: deque,
-              name: str, max_states: int, max_depth: int | None,
-              include_empty: bool, strict: bool, maximal_only: bool) -> bool:
+def _bfs_loop(work, identify, space: StateSpace, key_to_id: dict,
+              queue: deque, name: str, max_states: int,
+              max_depth: int | None, include_empty: bool, strict: bool,
+              maximal_only: bool) -> None:
     """The admission loop of :func:`_bfs`, factored out so the whole
     walk sits under one ``explore.bfs`` span; *identify* names the state
-    *work* is in. Returns the truncation flag."""
-    truncated = False
-
-    while frontier:
-        snapshot, current, node_id, depth = frontier.popleft()
+    *work* is in. Appends each admitted state to *space*'s per-state
+    lists, sets each expanded state's edges, grouped by target (the
+    artifact order), and marks truncation on *space*."""
+    while queue:
+        snapshot, current, state, depth = queue.popleft()
         if max_depth is not None and depth >= max_depth:
-            graph.nodes[node_id]["frontier"] = True
-            truncated = True
+            space.frontier.add(state)
+            space.truncated = True
             continue
         work.restore(snapshot)
         steps = work.acceptable_steps(include_empty=include_empty)
         if maximal_only:
             steps = _maximal_steps(steps)
+        edges = []
         for step in steps:
             work.advance(step, check=False)
-            succ = identify()
-            if not step and succ == current:
+            reached = identify()
+            if not step and reached == current:
                 work.restore(snapshot)
                 continue  # stuttering self-loop carries no information
-            if succ in key_to_id:
-                succ_id = key_to_id[succ]
-            else:
+            target = key_to_id.get(reached)
+            if target is None:
                 if len(key_to_id) >= max_states:
                     if strict:
                         raise ExplorationLimitError(
                             f"exploration of {name!r} exceeded "
                             f"{max_states} states")
-                    truncated = True
-                    graph.nodes[node_id]["frontier"] = True
+                    space.truncated = True
+                    space.frontier.add(state)
                     work.restore(snapshot)
                     continue
-                succ_id = len(key_to_id)
-                key_to_id[succ] = succ_id
-                graph.add_node(succ_id, accepting=work.is_accepting(),
-                               depth=depth + 1, key=work.configuration())
-                frontier.append((work.snapshot(), succ, succ_id,
-                                 depth + 1))
-            graph.add_edge(node_id, succ_id, step=step)
+                target = key_to_id[reached] = len(key_to_id)
+                space.succ.append([])
+                space.accepting.append(work.is_accepting())
+                space.depth.append(depth + 1)
+                space.keys.append(work.configuration())
+                queue.append((work.snapshot(), reached, target, depth + 1))
+            edges.append((step, target))
             work.restore(snapshot)
-
-    return truncated
+        space.succ[state] = grouped_by_target(edges)
 
 
 def _maximal_steps(steps: list[frozenset[str]]) -> list[frozenset[str]]:

@@ -54,24 +54,23 @@ def statespace_to_dot(space: StateSpace, max_nodes: int = 200) -> str:
     lines = [f'digraph "{_escape(space.name)}" {{',
              "  rankdir=LR;",
              "  node [shape=circle, fontsize=10];"]
-    nodes = list(space.graph.nodes)[:max_nodes]
-    shown = set(nodes)
-    for node in nodes:
-        data = space.graph.nodes[node]
+    shown = range(min(space.n_states, max_nodes))
+    deadlocks = set(space.deadlocks())
+    for node in shown:
         attrs = []
         if node == space.initial:
             attrs.append("penwidth=2")
-        if space.graph.out_degree(node) == 0 and not data.get("frontier"):
+        if node in deadlocks:
             attrs.append('color=red')
         attr_text = (" [" + ", ".join(attrs) + "]") if attrs else ""
         lines.append(f'  {node}{attr_text};')
-    for u, v, data in space.graph.edges(data=True):
+    for u, step, v in space.edges():
         if u in shown and v in shown:
-            label = _escape(", ".join(sorted(data["step"])))
+            label = _escape(", ".join(sorted(step)))
             lines.append(f'  {u} -> {v} [label="{label}"];')
-    if space.graph.number_of_nodes() > max_nodes:
+    if space.n_states > max_nodes:
         lines.append(
             f'  more [shape=plaintext, label="... '
-            f'{space.graph.number_of_nodes() - max_nodes} more states"];')
+            f'{space.n_states - max_nodes} more states"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

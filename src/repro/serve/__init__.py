@@ -67,7 +67,7 @@ final metrics snapshot is logged. No request is ever killed mid-run.
 
 from repro.serve.client import (fetch_metrics, ping, run_local, submit,
                                 submit_or_local)
-from repro.serve.metrics import LatencyHistogram, Metrics
+from repro.serve.metrics import Metrics
 from repro.serve.server import (PROTOCOL, AnalysisService, ReproServer,
                                 serve, split_document)
 from repro.serve.state import (CacheEntry, ModelCache, ServeError,
@@ -77,7 +77,6 @@ __all__ = [
     "PROTOCOL",
     "AnalysisService",
     "CacheEntry",
-    "LatencyHistogram",
     "Metrics",
     "ModelCache",
     "ReproServer",

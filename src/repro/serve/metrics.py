@@ -11,8 +11,6 @@ The counter/histogram/gauge machinery itself lives in
 :class:`~repro.obs.metrics.MetricsRegistry` every subsystem writes to);
 this module keeps the serve-specific surface: the seeded counter names
 the wire protocol promises and the derived ``cache_hit_rate`` field.
-``DEFAULT_BUCKETS`` and ``LatencyHistogram`` are re-exported for
-compatibility — they are the same objects the registry uses.
 
 Everything here is *out-of-band* telemetry: nothing a histogram or
 counter holds ever enters a canonical result artifact (two identical
@@ -21,11 +19,7 @@ requests must stay byte-identical regardless of server history).
 
 from __future__ import annotations
 
-from repro.obs.metrics import (  # noqa: F401 - compatibility re-exports
-    DEFAULT_BUCKETS,
-    LatencyHistogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import LatencyHistogram, MetricsRegistry
 
 
 class Metrics(MetricsRegistry):

@@ -168,9 +168,7 @@ class TestExplicitBackend:
     def test_frontier_is_not_a_deadlock(self):
         model = chain_model(8)
         space = explore(model, max_states=50)
-        frontier = [node for node, data in space.graph.nodes(data=True)
-                    if data.get("frontier")]
-        assert frontier
+        assert space.frontier
         # the explored prefix alone cannot prove a deadlock exists —
         # frontier nodes without successors must not masquerade as one
         assert check_space(space, "EF deadlock").verdict is Verdict.UNKNOWN

@@ -11,7 +11,8 @@ checked against independent machinery:
 * *determinism* — exploring twice yields the same graph.
 """
 
-import networkx as nx
+from collections import deque
+
 import pytest
 
 from repro.engine import (
@@ -35,14 +36,28 @@ def small_model():
     return weave_sdf(model).execution_model
 
 
+def shortest_steps(space, target):
+    """The steps of a shortest path from the initial state to *target*
+    (breadth-first over ``space.succ``)."""
+    parent = {space.initial: None}
+    queue = deque([space.initial])
+    while target not in parent:
+        state = queue.popleft()
+        for step, successor in space.succ[state]:
+            if successor not in parent:
+                parent[successor] = (state, step)
+                queue.append(successor)
+    steps = []
+    while parent[target] is not None:
+        target, step = parent[target]
+        steps.append(step)
+    return steps[::-1]
+
+
 def replay_to(space, model, target):
     """Drive a clone of *model* along a shortest path to *target*."""
-    path = nx.shortest_path(space.graph, space.initial, target)
     clone = model.clone()
-    for previous, current in zip(path, path[1:]):
-        step = next(data["step"] for _u, v, data
-                    in space.graph.out_edges(previous, data=True)
-                    if v == current)
+    for step in shortest_steps(space, target):
         clone.advance(step)
     return clone
 
@@ -52,21 +67,18 @@ class TestSoundness:
         model = small_model()
         space = explore(model, max_states=5000)
         assert not space.truncated
-        for node in space.graph.nodes:
+        for node in range(space.n_states):
             replayed = replay_to(space, model, node)
-            expected = set()
-            for _u, _v, data in space.graph.out_edges(node, data=True):
-                expected.add(data["step"])
+            expected = {step for step, _target in space.succ[node]}
             actual = set(replayed.acceptable_steps())
             assert expected == actual, f"node {node} disagrees"
 
     def test_configuration_keys_match_replay(self):
         model = small_model()
         space = explore(model, max_states=5000)
-        for node in list(space.graph.nodes)[:10]:
+        for node in range(min(10, space.n_states)):
             replayed = replay_to(space, model, node)
-            assert replayed.configuration() == \
-                space.graph.nodes[node]["key"]
+            assert replayed.configuration() == space.keys[node]
 
 
 class TestCompleteness:
@@ -80,8 +92,8 @@ class TestCompleteness:
         node = space.initial
         for step in simulation.trace:
             successors = [
-                v for _u, v, data in space.graph.out_edges(node, data=True)
-                if data["step"] == step]
+                target for taken, target in space.succ[node]
+                if taken == step]
             assert successors, f"step {sorted(step)} missing from node {node}"
             node = successors[0]
 
@@ -92,10 +104,4 @@ class TestDeterminism:
         second = explore(small_model(), max_states=5000)
         assert first.n_states == second.n_states
         assert first.n_transitions == second.n_transitions
-        first_edges = sorted(
-            (u, v, tuple(sorted(data["step"])))
-            for u, v, data in first.graph.edges(data=True))
-        second_edges = sorted(
-            (u, v, tuple(sorted(data["step"])))
-            for u, v, data in second.graph.edges(data=True))
-        assert first_edges == second_edges
+        assert first.succ == second.succ

@@ -22,8 +22,7 @@ def chain_model(length=4, capacity=2):
 
 
 def frontier_ids(space):
-    return [node for node, data in space.graph.nodes(data=True)
-            if data.get("frontier")]
+    return sorted(space.frontier)
 
 
 class TestTruncationParity:

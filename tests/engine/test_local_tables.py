@@ -49,7 +49,7 @@ def reference(model, max_states=10_000, max_depth=None,
 
 def keys(space):
     """The configuration key of every explored state, in id order."""
-    return [data["key"] for _node, data in space.graph.nodes(data=True)]
+    return list(space.keys)
 
 
 def assert_same(model, **budgets):

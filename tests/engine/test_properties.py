@@ -3,13 +3,14 @@ through ``check_space`` and the one step-level question,
 ``check_mutual_exclusion`` — including the three-valued verdicts on
 truncated and ``maximal_only`` spaces."""
 
-import networkx as nx
+import dataclasses
+from collections import deque
+
 import pytest
 
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import ExecutionModel, Verdict, check_space, explore
 from repro.engine.analysis import check_mutual_exclusion
-from repro.engine.statespace import StateSpace
 from repro.errors import EngineError
 from repro.sdf import SdfBuilder, weave_sdf
 
@@ -312,7 +313,7 @@ class TestEdgeCases:
         # mutual precedence deadlocks immediately: one state, no steps
         space = deadlock_space()
         assert space.n_states == 1
-        assert space.graph.number_of_edges() == 0
+        assert space.n_transitions == 0
         assert check_mutual_exclusion(space, ["a", "b"]) is Verdict.HOLDS
         assert verdict(space, "EF occurs(a)") is Verdict.FAILS
         assert verdict(space, "AF occurs(a)") is Verdict.FAILS  # deadlock
@@ -323,10 +324,8 @@ class TestEdgeCases:
         # truncation frontier nodes have no outgoing edges but are NOT
         # deadlocks
         space = truncated_space()
-        frontier = [node for node, data in space.graph.nodes(data=True)
-                    if data.get("frontier")]
-        assert frontier
-        assert not set(space.deadlocks()) & set(frontier)
+        assert space.frontier
+        assert not set(space.deadlocks()) & space.frontier
 
     def test_counterexample_on_deadlocked_space(self):
         # nothing is reachable from the deadlock: EF has no witness, and
@@ -340,15 +339,26 @@ class TestEdgeCases:
         assert avoid.witness_steps == []
 
 
+def reachable_states(space):
+    """Every state reachable from the initial one (breadth-first over
+    ``space.succ``)."""
+    seen = {space.initial}
+    queue = deque(seen)
+    while queue:
+        for _step, successor in space.succ[queue.popleft()]:
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return seen
+
+
 def naive_leads_to(space, trigger, target):
     """The per-source oracle for ``trigger leads_to target``: re-root
     the space at every reachable state and check ``AF target`` from
     each one where *trigger* holds."""
-    reachable = nx.descendants(space.graph, space.initial) | {space.initial}
-    for source in sorted(reachable):
-        rooted = StateSpace(graph=space.graph, initial=source,
-                            events=space.events, truncated=False,
-                            name=f"{space.name}@{source}")
+    for source in sorted(reachable_states(space)):
+        rooted = dataclasses.replace(space, initial=source,
+                                     name=f"{space.name}@{source}")
         if verdict(rooted, trigger) is Verdict.FAILS:
             continue
         if verdict(rooted, f"AF ({target})") is Verdict.FAILS:

@@ -164,8 +164,7 @@ class TestExplorer:
         model = ExecutionModel(["a", "b"], [PrecedesRuntime("a", "b")])
         space = explore(model, max_depth=3)
         assert space.truncated
-        assert all(data["depth"] <= 3
-                   for _n, data in space.graph.nodes(data=True))
+        assert all(depth <= 3 for depth in space.depth)
 
     def test_does_not_mutate_input(self):
         model = place_model(capacity=2)

@@ -1,13 +1,17 @@
 """Tests for state-space metrics, analyses, latency and projections."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     AsapPolicy,
     ExecutionModel,
+    StateSpace,
     Trace,
     event_liveness,
     explore,
+    max_cycle_mean_throughput,
     parallelism_profile,
     simulate_model,
 )
@@ -65,6 +69,88 @@ class TestStateSpaceMetrics:
         assert profile["max"] >= 3.0
         assert 0 < profile["mean"] <= profile["max"]
         assert profile["transitions"] == float(space.n_transitions)
+
+
+def hand_space(n_states, edges):
+    """A state space over *n_states* states with the given
+    ``(source, step, target)`` edges."""
+    succ = [[] for _ in range(n_states)]
+    for source, step, target in edges:
+        succ[source].append((frozenset(step), target))
+    return StateSpace(succ=succ, accepting=[True] * n_states,
+                      depth=[0] * n_states, initial=0, events=["x", "y"])
+
+
+def mutual_reachability_components(space):
+    """The oracle: states grouped by mutual reachability, keeping the
+    groups that contain a cycle (several states, or a self-loop)."""
+    reach = []
+    for start in range(space.n_states):
+        seen, stack = set(), [start]
+        while stack:
+            for _step, target in space.succ[stack.pop()]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        reach.append(seen)  # states reachable in one or more steps
+    components = set()
+    for state in range(space.n_states):
+        members = frozenset({state} | {
+            other for other in reach[state] if state in reach[other]})
+        if len(members) > 1 or state in reach[state]:
+            components.add(members)
+    return components
+
+
+@st.composite
+def multigraphs(draw):
+    n_states = draw(st.integers(1, 12))
+    state = st.integers(0, n_states - 1)
+    step = st.sampled_from([(), ("x",), ("y",), ("x", "y")])
+    edges = draw(st.lists(st.tuples(state, step, state), max_size=30))
+    return hand_space(n_states, edges)
+
+
+class TestGraphAlgorithms:
+    @settings(max_examples=150, deadline=None)
+    @given(space=multigraphs())
+    def test_recurrent_components_match_mutual_reachability(self, space):
+        found = space.recurrent_components()
+        assert len({frozenset(c) for c in found}) == len(found)
+        assert {frozenset(c) for c in found} == \
+            mutual_reachability_components(space)
+
+    def test_isolated_states_and_self_loops(self):
+        space = hand_space(4, [(0, "x", 1), (1, "", 0), (2, "y", 2),
+                               (2, "x", 2), (3, "x", 0)])
+        assert sorted(map(sorted, space.recurrent_components())) == \
+            [[0, 1], [2]]
+
+    def test_long_ring_is_one_component(self):
+        # deeper than the recursion limit: Tarjan must not recurse
+        n_states = 20_000
+        space = hand_space(n_states, [(state, "x", (state + 1) % n_states)
+                                      for state in range(n_states)])
+        components = space.recurrent_components()
+        assert len(components) == 1
+        assert len(components[0]) == n_states
+
+    def test_max_cycle_mean_picks_the_best_cycle(self):
+        # cycle 0 -> 1 -> 0 takes x once in two steps (the parallel
+        # {} edge must not lower it); cycle 2 -> 3 -> 4 -> 2 takes x
+        # twice in three steps; the 0 -> 2 edge joins no cycle
+        slow = [(0, "x", 1), (0, "", 1), (1, "", 0), (0, "y", 2)]
+        fast = [(2, "x", 3), (3, "x", 4), (4, "y", 2)]
+        assert max_cycle_mean_throughput(hand_space(5, slow), "x") == \
+            pytest.approx(1 / 2)
+        both = hand_space(5, slow + fast)
+        assert max_cycle_mean_throughput(both, "x") == pytest.approx(2 / 3)
+        assert max_cycle_mean_throughput(both, "y") == pytest.approx(1 / 3)
+
+    def test_max_cycle_mean_without_cycles(self):
+        space = hand_space(3, [(0, "x", 1), (1, "x", 2)])
+        assert space.recurrent_components() == []
+        assert max_cycle_mean_throughput(space, "x") == 0.0
 
 
 class TestMaximalOnlyExploration:

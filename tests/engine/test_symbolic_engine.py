@@ -144,8 +144,7 @@ class TestFixpoint:
     def test_states_enumeration_matches_graph(self):
         model = chain_model(3)
         space = explore(model)
-        keys = {data["key"] for _n, data in space.graph.nodes(data=True)}
-        assert set(symbolic_reachable(model).states()) == keys
+        assert set(symbolic_reachable(model).states()) == set(space.keys)
 
     def test_contains_initial(self):
         model = chain_model(3)

@@ -118,8 +118,7 @@ class TestSafety:
         # stronger: from any state where ns is green, ew cannot turn
         # green before ns turns red — encoded in the automaton, checked
         # by the absence of any interleaving violating it:
-        for _u, _v, data in space.graph.edges(data=True):
-            step = data["step"]
+        for step in space.distinct_steps():
             assert not ("ew.turnGreen" in step and "ns.turnGreen" in step)
 
     def test_both_directions_live(self, woven):
@@ -131,8 +130,7 @@ class TestSafety:
         # after ns turns red, ew may turn green only in a later step
         # (the automaton has no red->green handover within one step)
         space = explore(woven.execution_model.clone())
-        for _u, _v, data in space.graph.edges(data=True):
-            step = data["step"]
+        for step in space.distinct_steps():
             if "ns.turnRed" in step:
                 assert "ew.turnGreen" not in step
 

@@ -61,9 +61,7 @@ class TestUnlessOnlyTransitions:
         with_empty = explore(model, include_empty=True)
         # the Tripped state is reachable only through the empty step
         assert with_empty.n_states > without_empty.n_states
-        accepting = [data["accepting"]
-                     for _n, data in with_empty.graph.nodes(data=True)]
-        assert not all(accepting)
+        assert not all(with_empty.accepting)
 
 
 class TestTriggerFreeTransition:

@@ -2,7 +2,8 @@
 
 import threading
 
-from repro.serve.metrics import DEFAULT_BUCKETS, LatencyHistogram, Metrics
+from repro.obs.metrics import DEFAULT_BUCKETS, LatencyHistogram
+from repro.serve.metrics import Metrics
 
 #: the exact top-level key order GET /metrics has always promised —
 #: Metrics moving onto the shared repro.obs registry must not move,
