@@ -43,14 +43,17 @@ from repro.farm.fingerprint import (
     FingerprintError,
     canonical_json,
     fingerprint,
+    fingerprint_prefix,
     model_doc,
+    spec_fingerprint,
     try_fingerprint,
 )
 from repro.farm.store import ArtifactStore, StoreError
 
 __all__ = [
     "ArtifactStore", "StoreError",
-    "fingerprint", "try_fingerprint", "model_doc", "canonical_json",
+    "fingerprint", "try_fingerprint", "fingerprint_prefix",
+    "spec_fingerprint", "model_doc", "canonical_json",
     "FingerprintError",
     "BACKENDS", "BackendError", "GroupTask", "execute_groups",
 ]

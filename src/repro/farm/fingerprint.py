@@ -25,6 +25,16 @@ canonical forms, and anything unknown raises :class:`FingerprintError`.
 Unknown runtimes therefore make a model *uncacheable* rather than
 silently colliding: :func:`try_fingerprint` returns ``None`` and the
 caller recomputes, which is always sound.
+
+The model part is serialized once per model configuration, not once
+per spec: :func:`fingerprint_prefix` feeds a SHA-256 state with the
+canonical document's bytes up to the spec, and :func:`spec_fingerprint`
+finishes a copy of it with the spec's canonical JSON. The hashed bytes
+are exactly those of the whole document, so fingerprints, store keys
+and artifacts are the same as if each spec serialized the model anew.
+A workbench handle memoizes its prefix
+(:func:`repro.workbench.session.try_model_prefix`), so warm store hits
+on a resident model hash only their spec.
 """
 
 from __future__ import annotations
@@ -124,27 +134,52 @@ def model_doc(model: ExecutionModel) -> dict:
                             for constraint in model.constraints]}
 
 
+def fingerprint_prefix(model_document: dict):
+    """The model part of every fingerprint on one model, hashed once.
+
+    A SHA-256 state fed with the canonical bytes of the fingerprint
+    document up to its spec: ``{"engine":…,"format":1,"model":<model
+    JSON>,"spec":`` (canonical JSON sorts the keys, so ``spec`` comes
+    last). Finish it with :func:`spec_fingerprint`. The state cannot be
+    pickled; it lives on a handle memo, and handles never are.
+    """
+    import repro
+    head = canonical_json({"format": FORMAT, "engine": repro.__version__,
+                           "model": model_document})
+    return hashlib.sha256(head[:-1].encode("utf-8") + b',"spec":')
+
+
+def spec_fingerprint(prefix, spec) -> str:
+    """The fingerprint of *spec* on the model whose
+    :func:`fingerprint_prefix` is *prefix*.
+
+    Hashes the spec's canonical JSON and the document's closing brace
+    into a copy of *prefix*, which itself is never fed, so one prefix
+    serves any number of specs and threads. Raises
+    :class:`~repro.errors.SerializationError` (or ``PolicyError``) when
+    the spec has no canonical JSON.
+    """
+    state = prefix.copy()
+    state.update(canonical_json(spec.to_doc()).encode("utf-8"))
+    state.update(b"}")
+    return state.hexdigest()
+
+
 def fingerprint(model: ExecutionModel, spec,
                 model_document: dict | None = None) -> str:
-    """The SHA-256 content address of (*model*, *spec*).
+    """The SHA-256 content address of (*model*, *spec*): the hash of
+    the canonical JSON of ``{"format", "engine", "model", "spec"}``.
 
-    *spec* is a :class:`~repro.workbench.artifacts.RunSpec`. The batch
-    runner passes a precomputed *model_document* so a hundred specs on
-    one model serialize the model once. Raises
-    :class:`FingerprintError` when the model is not fingerprintable and
+    *spec* is a :class:`~repro.workbench.artifacts.RunSpec`; a caller
+    holding the model's :func:`model_doc` may pass it as
+    *model_document*. Raises :class:`FingerprintError` when the model
+    is not fingerprintable and
     :class:`~repro.errors.SerializationError` when the spec is not
     (e.g. it carries a policy instance instead of a policy spec).
     """
-    import repro
-    document = {
-        "format": FORMAT,
-        "engine": repro.__version__,
-        "model": (model_doc(model) if model_document is None
-                  else model_document),
-        "spec": spec.to_doc(),
-    }
-    payload = canonical_json(document)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if model_document is None:
+        model_document = model_doc(model)
+    return spec_fingerprint(fingerprint_prefix(model_document), spec)
 
 
 def try_fingerprint(model: ExecutionModel, spec,

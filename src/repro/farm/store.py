@@ -156,10 +156,10 @@ class ArtifactStore:
         }
         payload = canonical_json(envelope).encode("utf-8")
         shard = path.parent
-        shard.mkdir(parents=True, exist_ok=True)
         temp = shard / (f".tmp-{fingerprint[:8]}-{os.getpid()}"
                         f"-{threading.get_ident()}-{next(_tmp_counter)}")
         try:
+            shard.mkdir(parents=True, exist_ok=True)
             with open(temp, "wb") as handle:
                 handle.write(payload)
             os.replace(temp, path)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.errors import ReproError
 from repro.fuzz.generators import FuzzCase
 from repro.fuzz.oracle import backend_specs
 from repro.fuzz.rng import GENERATION
@@ -35,22 +36,20 @@ CORPUS_KIND = "fuzz-corpus-entry"
 def case_key(case: FuzzCase, handle) -> str | None:
     """The corpus key of *case*, or ``None`` when any of its runs has
     no canonical fingerprint (such a case is simply never deduped)."""
-    from repro.farm import canonical_json, model_doc, try_fingerprint
+    from repro.farm import canonical_json, spec_fingerprint
+    from repro.workbench.session import try_model_prefix
 
-    model = handle.execution_model
-    try:
-        model_document = model_doc(model)
-    except Exception:
+    prefix = try_model_prefix(handle)
+    if prefix is None:
         return None
     rows = [backend_specs(case)]
     rows += [backend_specs(case, prop) for prop in case.properties]
-    prints = []
-    for column in zip(*rows):  # per backend: its exploration, then checks
-        for spec in column:
-            print_ = try_fingerprint(model, spec, model_document)
-            if print_ is None:
-                return None
-            prints.append(print_)
+    try:
+        # per backend: its exploration, then its checks
+        prints = [spec_fingerprint(prefix, spec)
+                  for column in zip(*rows) for spec in column]
+    except ReproError:
+        return None
     digest = hashlib.sha256(canonical_json(prints).encode("utf-8"))
     return digest.hexdigest()
 

@@ -20,6 +20,14 @@ speaks (see :mod:`repro.serve`): request bodies are
 envelopes around canonical ``RunResult`` documents. Model source
 documents must be inline — the server never reads model files off its
 own disk on a request's behalf.
+
+The transport trusts no client with its threads or memory. A ``POST
+/run`` whose ``Content-Length`` is negative or not an integer is
+answered 400, and one declaring more than :data:`MAX_BODY_BYTES` is
+answered 413, both before any body byte is read. Every connection
+carries a 600 s socket timeout (``_Handler.timeout``), so a client that
+stalls mid-body is answered 400 and cannot pin a handler thread, or the
+SIGTERM drain waiting on it, forever.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ from repro.serve.state import ModelCache, ServeError
 #: NDJSON envelope format version (transport framing, never part of
 #: the canonical result documents it carries)
 PROTOCOL = 1
+
+#: the largest request body ``POST /run`` accepts (a larger declared
+#: ``Content-Length`` is answered 413 before anything is read)
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def split_document(document) -> tuple[dict, list]:
@@ -230,6 +242,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Content-Length up front and no chunked encoding machinery
     protocol_version = "HTTP/1.0"
     server_version = f"repro-serve/{repro.__version__}"
+    #: per-connection socket timeout (``StreamRequestHandler.setup``
+    #: applies it) so a stalled client cannot pin a handler thread, and
+    #: the drain joining it, forever
+    timeout = 600
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         if getattr(self.server, "verbose", False):
@@ -259,10 +275,25 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/run":
             self._send_json(404, {"error": f"no route {self.path!r}"})
             return
+        declared = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.service.metrics.count("requests_failed")
+            self._send_json(400, {"error": f"bad Content-Length "
+                                           f"{declared!r}"})
+            return
+        if length > MAX_BODY_BYTES:
+            self.service.metrics.count("requests_failed")
+            self._send_json(413, {"error": f"request body of {length} "
+                                           f"bytes exceeds the "
+                                           f"{MAX_BODY_BYTES}-byte limit"})
+            return
+        try:
             document = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # a timeout is an OSError
             self.service.metrics.count("requests_failed")
             self._send_json(400, {"error": f"unreadable request: {exc}"})
             return
@@ -296,9 +327,9 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(status, {"error": str(exc)})
             return
-        except (BrokenPipeError, ConnectionResetError):
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
             self.service.metrics.count("requests_failed")
-            return  # client went away mid-stream; nothing to answer
+            return  # client went away or stalled mid-stream
         emit(summary)
 
 
@@ -312,9 +343,6 @@ class ReproServer(ThreadingHTTPServer):
 
     daemon_threads = False
     block_on_close = True
-    #: per-connection socket timeout so a stalled client cannot pin a
-    #: handler thread (and the drain) forever
-    timeout = 600
 
     def __init__(self, address, service: AnalysisService,
                  verbose: bool = False):

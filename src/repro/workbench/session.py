@@ -313,12 +313,7 @@ class Workbench:
         handle = self._resolve(spec)
         if self.store is None:
             return execute(spec, handle)
-        from repro.farm import try_fingerprint
-        document = _try_model_doc(handle)
-        fingerprint = None
-        if document is not None:
-            fingerprint = try_fingerprint(handle.execution_model, spec,
-                                          model_document=document)
+        fingerprint = _try_fingerprint(try_model_prefix(handle), spec)
         cached = _store_lookup(self.store, fingerprint)
         if cached is not None:
             return cached
@@ -389,7 +384,7 @@ class Workbench:
     def _run_many_impl(self, specs: list[RunSpec], workers: int,
                        on_result: Callable[[int, RunResult], None] | None,
                        backend: str, store) -> list[RunResult]:
-        from repro.farm import GroupTask, execute_groups, try_fingerprint
+        from repro.farm import GroupTask, execute_groups
 
         store = (self.store if store is _SESSION_STORE
                  else _coerce_store(store))
@@ -433,17 +428,10 @@ class Workbench:
         cold: dict[int, list[int]] = groups
         if store is not None:
             cold = {}
-            model_docs: dict[int, object] = {}
             for key, indices in groups.items():
-                handle = group_handle[key]
-                if key not in model_docs:
-                    model_docs[key] = _try_model_doc(handle)
+                prefix = try_model_prefix(group_handle[key])
                 for index in indices:
-                    fingerprint = None
-                    if model_docs[key] is not None:
-                        fingerprint = try_fingerprint(
-                            handle.execution_model, specs[index],
-                            model_document=model_docs[key])
+                    fingerprint = _try_fingerprint(prefix, specs[index])
                     fingerprints[index] = fingerprint
                     cached = None
                     if not cancelled():
@@ -481,36 +469,54 @@ def _coerce_store(store):
     return ArtifactStore(store)
 
 
-def _try_model_doc(handle: ModelHandle):
-    """The handle model's canonical serialization, or None when the
-    model is not fingerprintable (then nothing on it is cached).
+def try_model_prefix(handle: ModelHandle):
+    """The fingerprint prefix of the handle's model
+    (:func:`repro.farm.fingerprint.fingerprint_prefix` over its
+    canonical serialization), or None when the model is not
+    fingerprintable (then nothing on it is cached).
 
-    Memoized on the handle: the full structural walk is O(model), and
-    a session firing many runs at one handle would otherwise redo it
-    per run. The memo key — event alphabet plus configuration — is a
-    cheap summary that changes whenever the serialization could. The
-    walk and the memo ride under the handle's ``exec_lock`` so two
-    sessions sharing one warm handle never race on it."""
-    from repro.farm import FingerprintError, model_doc
+    Memoized on the handle: the structural walk and its JSON are
+    O(model), and a session firing many runs at one handle would
+    otherwise redo them per run. The memo key — engine version, event
+    alphabet, constraint count and configuration — is a cheap summary
+    that changes whenever the hashed prefix could. The walk and the memo
+    ride under the handle's ``exec_lock`` so two sessions sharing one
+    warm handle never race on it. The memoized hash state is not
+    picklable, and neither is the handle (its lock): the process
+    backend ships ``source_doc`` instead."""
+    import repro
+    from repro.farm import FingerprintError, fingerprint_prefix, model_doc
     lock = getattr(handle, "exec_lock", None)
     if lock is not None:
         lock.acquire()
     try:
         model = handle.execution_model
-        key = (tuple(model.events), len(model.constraints),
-               model.configuration())
-        memo = getattr(handle, "_farm_doc_memo", None)
+        key = (repro.__version__, tuple(model.events),
+               len(model.constraints), model.configuration())
+        memo = getattr(handle, "_farm_prefix_memo", None)
         if memo is not None and memo[0] == key:
             return memo[1]
         try:
-            document = model_doc(model)
+            prefix = fingerprint_prefix(model_doc(model))
         except FingerprintError:
-            document = None
-        handle._farm_doc_memo = (key, document)
-        return document
+            prefix = None
+        handle._farm_prefix_memo = (key, prefix)
+        return prefix
     finally:
         if lock is not None:
             lock.release()
+
+
+def _try_fingerprint(prefix, spec: RunSpec) -> str | None:
+    """The store key of *spec* on the model of *prefix*, or None when
+    either has no canonical serialization (computed without caching)."""
+    from repro.farm import spec_fingerprint
+    if prefix is None:
+        return None
+    try:
+        return spec_fingerprint(prefix, spec)
+    except ReproError:
+        return None
 
 
 def _store_lookup(store, fingerprint: str | None) -> RunResult | None:

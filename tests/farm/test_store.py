@@ -50,6 +50,15 @@ class TestRoundTrip:
         with pytest.raises(StoreError):
             store.put("x", doc())
 
+    def test_uncreatable_shard_is_a_store_error(self, store):
+        # a regular file where the shard directory belongs: callers
+        # swallow StoreError, so nothing else may escape
+        (store.objects / FP[:2]).write_text("not a directory")
+        with pytest.raises(StoreError, match="cannot write"):
+            store.put(FP, doc())
+        assert store.get(FP) is None
+        assert store.counters["writes"] == 0
+
 
 class TestCorruptionTolerance:
     def entry_path(self, store):

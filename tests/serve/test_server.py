@@ -2,6 +2,7 @@
 write-through, concurrency, and drain semantics."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -10,6 +11,7 @@ import pytest
 
 from repro.serve import (ServeError, fetch_metrics, ping, run_local,
                          serve, submit)
+from repro.serve.server import MAX_BODY_BYTES, _Handler
 
 CHAIN = """
 application serve_chain {
@@ -136,6 +138,71 @@ class TestErrorPaths:
         served = submit(doc, server.url)
         assert not served[0].ok  # the bad property fails its own run
         assert served[1].ok      # without taking the batch down
+
+
+def raw_post(server, head: bytes) -> socket.socket:
+    """A connection that has sent *head* after ``POST /run``."""
+    host, port = server.server_address[:2]
+    connection = socket.create_connection((host, port), timeout=5)
+    connection.sendall(b"POST /run HTTP/1.0\r\n" + head)
+    return connection
+
+
+def status_line(connection: socket.socket) -> bytes:
+    with connection.makefile("rb") as reply:
+        return reply.readline()
+
+
+class TestUntrustedLength:
+    """The declared body length is checked before any byte is read."""
+
+    @pytest.mark.parametrize("declared, status", [
+        (b"-1", b"400"),  # would read until the client closes
+        (b"99999999999", b"413"),  # would allocate the declared size
+        (str(MAX_BODY_BYTES + 1).encode(), b"413"),
+        (b"twelve", b"400"),
+    ])
+    def test_bad_length_is_answered(self, server, declared, status):
+        with raw_post(server, b"Content-Length: " + declared
+                      + b"\r\n\r\n") as connection:
+            assert status_line(connection).startswith(
+                b"HTTP/1.0 " + status)
+        counters = fetch_metrics(server.url)["counters"]
+        assert counters["requests_failed"] == 1
+        assert counters["requests"] == 0  # nothing was executed
+        assert ping(server.url)["status"] == "ok"
+
+    def test_body_limit_is_64_mib(self):
+        assert MAX_BODY_BYTES == 64 * 1024 * 1024
+
+
+class TestStalledClient:
+    def test_connection_timeout_lives_on_the_handler(self):
+        # StreamRequestHandler.setup() applies the handler's timeout to
+        # every accepted socket; serve_forever never reads the server's
+        assert _Handler.timeout == 600
+
+    def test_drain_returns_while_a_client_stalls_mid_body(self,
+                                                         monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        server = serve(port=0).start()
+        report = {}
+
+        def drainer():
+            report.update(server.drain())
+
+        with raw_post(server, b"Content-Length: 100\r\n\r\n"
+                      + b"{" * 50) as connection:
+            # connections are accepted in arrival order, so once a later
+            # one is answered the stalled one has its handler thread
+            assert ping(server.url)["status"] == "ok"
+            thread = threading.Thread(target=drainer)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            # the timed-out body read is answered like any unreadable one
+            assert status_line(connection).startswith(b"HTTP/1.0 400")
+        assert report["counters"]["requests_failed"] == 1
 
 
 class TestIntrospection:
