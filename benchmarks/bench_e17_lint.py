@@ -13,8 +13,9 @@ Pinned by sanity tests and measured by benchmarks:
    identical corpus; the wall-time ratio rides
    ``extra_info["engine"]`` into ``BENCH_engine.json``.
 2. **Predictor agreement is total.** ``predict(model).encodable``
-   matches whether ``TransitionSystem`` actually compiles, model by
-   model — no misses, in either direction.
+   matches whether the symbolic backend actually compiles, model by
+   model — no misses, in either direction
+   (:func:`repro.engine.equivalence.check_encodability`).
 3. **The static<->dynamic cross-check is green corpus-wide.** Every
    engine-confirmable lint claim replays on the engine.
 """
@@ -25,8 +26,7 @@ import pytest
 
 from repro.engine import explore
 from repro.engine.encodability import predict
-from repro.engine.symbolic import TransitionSystem
-from repro.errors import SymbolicEncodingError
+from repro.engine.equivalence import check_encodability
 from repro.lint import crosscheck_corpus, lint_handle
 from repro.workbench import CcslSpec, load
 
@@ -128,14 +128,9 @@ class TestLintContract:
     def test_predictor_agreement_is_total(self):
         misses = []
         for handle in build_corpus():
-            predicted = predict(handle.execution_model).encodable
-            try:
-                TransitionSystem(handle.execution_model.clone())
-                actual = True
-            except SymbolicEncodingError:
-                actual = False
-            if predicted != actual:
-                misses.append((handle.name, predicted, actual))
+            _, finding = check_encodability(handle.execution_model)
+            if finding is not None:
+                misses.append((handle.name, finding))
         assert not misses, f"predictor misses: {misses}"
 
     def test_crosscheck_is_green_corpus_wide(self):

@@ -63,11 +63,6 @@ class PrecedesRuntime(ConstraintRuntime):
     def state_key(self) -> Hashable:
         return (self.label, self.advance_count)
 
-    def formula_version(self) -> Hashable:
-        # the formula only depends on whether the counter is at either end
-        return (self.advance_count == 0,
-                self.bound is not None and self.advance_count >= self.bound)
-
     def snapshot(self) -> Hashable:
         return self.advance_count
 
@@ -107,9 +102,6 @@ class CausesRuntime(ConstraintRuntime):
 
     def state_key(self) -> Hashable:
         return (self.label, self.advance_count)
-
-    def formula_version(self) -> Hashable:
-        return self.advance_count == 0
 
     def snapshot(self) -> Hashable:
         return self.advance_count
@@ -163,9 +155,6 @@ class DelayedForRuntime(ConstraintRuntime):
     def state_key(self) -> Hashable:
         return (self.label, min(self.base_count, self.depth))
 
-    def formula_version(self) -> Hashable:
-        return self.base_count >= self.depth
-
     def snapshot(self) -> Hashable:
         return self.base_count
 
@@ -216,9 +205,6 @@ class PeriodicOnRuntime(ConstraintRuntime):
     def state_key(self) -> Hashable:
         return (self.label, self.base_index)
 
-    def formula_version(self) -> Hashable:
-        return self.base_index % self.period == self.offset
-
     def snapshot(self) -> Hashable:
         return self.base_index
 
@@ -265,9 +251,6 @@ class SampledOnRuntime(ConstraintRuntime):
 
     def state_key(self) -> Hashable:
         return (self.label, self.pending)
-
-    def formula_version(self) -> Hashable:
-        return self.pending
 
     def snapshot(self) -> Hashable:
         return self.pending
@@ -319,9 +302,6 @@ class FilterByRuntime(ConstraintRuntime):
 
     def state_key(self) -> Hashable:
         return (self.label, self.word.state_of(self.base_index))
-
-    def formula_version(self) -> Hashable:
-        return bool(self.word[self.base_index])
 
     def snapshot(self) -> Hashable:
         return self.base_index
@@ -375,9 +355,6 @@ class DeadlineRuntime(ConstraintRuntime):
 
     def state_key(self) -> Hashable:
         return (self.label, self.remaining)
-
-    def formula_version(self) -> Hashable:
-        return self.remaining is not None and self.remaining <= 0
 
     def snapshot(self) -> Hashable:
         return self.remaining

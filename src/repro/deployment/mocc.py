@@ -87,10 +87,6 @@ class ProcessorMutexRuntime(ConstraintRuntime):
     def state_key(self) -> Hashable:
         return (self.label, self.running)
 
-    def formula_version(self) -> Hashable:
-        # busy vs idle fully determines the formula (not *who* runs)
-        return self.running is not None
-
     def snapshot(self) -> Hashable:
         return self.running
 
@@ -162,9 +158,6 @@ class CommDelayRuntime(ConstraintRuntime):
 
     def state_key(self) -> Hashable:
         return (self.label, self.matured, self.in_flight)
-
-    def formula_version(self) -> Hashable:
-        return self.matured >= self.pop
 
     def snapshot(self) -> Hashable:
         return (self.matured, self.in_flight)

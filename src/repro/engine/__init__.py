@@ -23,9 +23,11 @@ cannot phrase — no two of these events *taken* in one step — is
 Architecture: the incremental symbolic kernel
 =============================================
 
-The engine's hot path is symbolic: at every step the conjunction of the
-constraints' boolean formulas is compiled to a BDD and queried. Four
-mechanisms make that incremental instead of per-step-throwaway:
+At every step the conjunction of the constraints' boolean formulas,
+compiled to a BDD, gives the acceptable steps. Exploration and
+simulation read it from memoized local tables instead of re-running the
+runtimes; four mechanisms make the work incremental instead of
+per-step-throwaway:
 
 **Persistent manager.** Every execution model owns one
 :class:`~repro.engine.execution_model.SymbolicKernel` holding a single
@@ -38,23 +40,27 @@ all reuse each other's compiled results. All kernel caches are bounded
 LRUs with a :meth:`~repro.engine.execution_model.ExecutionModel.\
 clear_caches` hook.
 
-**Dirty tracking.** Each constraint runtime reports a
-:meth:`~repro.moccml.semantics.runtime.ConstraintRuntime.\
-formula_version` — a token that changes only when its step formula may
-have changed. The kernel compiles a constraint at most once per
-version: stateless constraints compile exactly once, a bounded counter
-compiles once per *regime* (e.g. at-zero / in-between / at-bound)
-rather than once per value. The global conjunction is a balanced tree
-over the constraint slots, memoized per subtree, so re-conjoining after
-k constraints changed their formulas redoes about k·log n pairwise ANDs
+**Formula memo.** The manager memoizes compilation per structural
+expression (:meth:`~repro.boolalg.bdd.Bdd.from_expr`), so a formula it
+has seen is a dictionary lookup. A local table compiles each state's
+formula once; the live model's own queries
+(:meth:`~repro.engine.execution_model.ExecutionModel.acceptable_steps`,
+``max_step``, ``is_acceptable``, ``count_acceptable_steps``) re-run the
+runtimes and compile their current formulas through the same memo, so
+a live query recompiles no formula it has seen — those queries stay
+the reference the tables are tested against. The global conjunction
+is a balanced tree over the constraint slots, memoized per subtree, so
+re-conjoining after k constraints changed their formulas redoes about
+k·log n pairwise ANDs
 (:meth:`~repro.engine.tables.TableStepper.conjunction`).
 
 **Snapshot/restore contract.** Alongside ``clone()``, every runtime
-offers a lightweight ``snapshot()``/``restore()`` pair: the snapshot is
-a plain value token (counter, state name, tuple) that stays valid
-across any number of restores. Campaigns rewind one clone between
-policy runs instead of re-cloning, and the local tables below restore
-their probe runtimes from these tokens.
+offers a ``snapshot()``/``restore()`` pair: the snapshot is a token
+that stays valid across any number of restores — a plain value
+(counter, state name, tuple) for the built-in runtimes, a clone by
+default. Campaigns rewind one clone between policy runs instead of
+re-cloning, and the local tables below restore their probe runtimes
+from these tokens.
 
 **Local transition tables.** A constraint's behaviour is a function of
 its local state and of the step projected on its own alphabet, so the

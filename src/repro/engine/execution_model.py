@@ -7,17 +7,22 @@ constraint runtimes. At every step the conjunction of the constraints'
 boolean expressions characterizes the acceptable event sets; the
 conjunction is compiled to a BDD for enumeration and counting.
 
-The symbolic work is *incremental*: every execution model owns (and
-shares with its clones) a :class:`SymbolicKernel` — one persistent BDD
-manager with a stable variable order plus bounded caches. Constraints
-are compiled at most once per :meth:`~repro.moccml.semantics.runtime.\
-ConstraintRuntime.formula_version` (dirty tracking: a constraint whose
-state did not change its formula never recompiles), the global
-conjunction is memoized per compiled-node tuple, and step enumeration
-is memoized per conjunction node — hash-consing makes the node id a
-canonical key for the boolean function itself. The kernel also holds the
+Every execution model owns (and shares with its clones) a
+:class:`SymbolicKernel` — one persistent BDD manager with a stable
+variable order plus bounded caches — and the kernel holds the
 per-constraint local transition tables (:mod:`repro.engine.tables`)
 that explicit exploration and simulation step through.
+
+The model's own queries (:meth:`ExecutionModel.acceptable_steps`,
+``max_step``, ``is_acceptable``, ``count_acceptable_steps``) re-run the
+live runtimes instead: they are the reference the tables are tested
+against, and they serve lint's cross-check, CTL witness replay and any
+caller stepping a model by hand. Each query compiles every constraint's
+current ``step_formula()`` through the manager's per-expression
+:meth:`~repro.boolalg.bdd.Bdd.from_expr` memo, the global conjunction
+is memoized per compiled-node tuple, and step enumeration is memoized
+per conjunction node — hash-consing makes the node id a canonical key
+for the boolean function itself.
 """
 
 from __future__ import annotations
@@ -44,10 +49,9 @@ class SymbolicKernel(TableStepper):
     Owns the BDD manager for the lifetime of the model family plus the
     caches that make stepping incremental:
 
-    * per-constraint compiled nodes, keyed ``(slot, formula_version)``
-      — the slot is the constraint's position in the model, so clones
-      (which have structurally identical constraint lists) share
-      compiled nodes;
+    * compiled step formulas, memoized per structural expression by the
+      manager itself (:meth:`~repro.boolalg.bdd.Bdd.from_expr`), so a
+      live query whose constraints repeat a formula compiles nothing;
     * the global conjunction, a balanced tree over the constraint slots
       whose every subtree is memoized by its tuple of per-constraint
       nodes (:meth:`~repro.engine.tables.TableStepper.conjunction`);
@@ -63,7 +67,6 @@ class SymbolicKernel(TableStepper):
     dropped at any time (:meth:`ExecutionModel.clear_caches`).
     """
 
-    NODE_CACHE_SIZE = 8_192
     #: compiled transition systems are heavyweight (own BDD manager);
     #: keep only a few, keyed by the configuration they were built from
     TRANSITION_SYSTEM_CACHE_SIZE = 4
@@ -76,28 +79,8 @@ class SymbolicKernel(TableStepper):
         events = tuple(events)
         super().__init__(Bdd(order=events), events, [],
                          _constraint_order(constraints))
-        self._node_cache = _LruCache(self.NODE_CACHE_SIZE)
         self._ts_cache = _LruCache(self.TRANSITION_SYSTEM_CACHE_SIZE)
         self._space_cache = _LruCache(self.EXPLORED_SPACE_CACHE_SIZE)
-        self.stats.update(node_hits=0, node_misses=0)
-
-    def constraint_node(self, slot: int,
-                        constraint: ConstraintRuntime) -> int:
-        """The compiled BDD node of *constraint*'s current formula.
-
-        Recompiles only when the constraint's ``formula_version()``
-        changed since the last compilation for this slot (dirty
-        tracking); static constraints compile exactly once.
-        """
-        key = (slot, constraint.formula_version())
-        node = self._node_cache.get(key, _MISSING)
-        if node is _MISSING:
-            node = self.bdd.from_expr(constraint.step_formula())
-            self._node_cache.put(key, node)
-            self.stats["node_misses"] += 1
-        else:
-            self.stats["node_hits"] += 1
-        return node
 
     def table_view(self, model: "ExecutionModel") -> CompiledStateView:
         """A table-driven working view of *model*'s current configuration
@@ -194,7 +177,6 @@ class SymbolicKernel(TableStepper):
 
     def cache_sizes(self) -> dict[str, int]:
         return {
-            "nodes": len(self._node_cache),
             "conjunctions": len(self._conj_cache),
             "steps": len(self._steps_cache),
             "max_steps": len(self._max_step_cache),
@@ -208,7 +190,6 @@ class SymbolicKernel(TableStepper):
     def clear(self) -> None:
         """Drop every cached result and local table (the manager itself
         survives)."""
-        self._node_cache.clear()
         self._conj_cache.clear()
         self._steps_cache.clear()
         self._max_step_cache.clear()
@@ -282,11 +263,13 @@ class ExecutionModel:
                      for constraint in self.constraints))
 
     def _step_node(self) -> int:
-        """The BDD node of the current global conjunction (incremental)."""
+        """The BDD node of the current global conjunction, compiled from
+        the live runtimes' formulas."""
         kernel = self.kernel
-        nodes = tuple(kernel.constraint_node(slot, constraint)
-                      for slot, constraint in enumerate(self.constraints))
-        return kernel.conjunction(nodes)
+        from_expr = kernel.bdd.from_expr
+        return kernel.conjunction(tuple([
+            from_expr(constraint.step_formula())
+            for constraint in self.constraints]))
 
     def acceptable_steps(self, include_empty: bool = False) -> list[frozenset[str]]:
         """Enumerate the acceptable steps at the current configuration.
@@ -369,11 +352,11 @@ class ExecutionModel:
         """Deep copy: cloned constraints, shared immutable event list.
 
         The clone *shares* the symbolic kernel: its constraint list is
-        structurally identical, so compiled nodes, conjunctions and step
-        enumerations carry over (the manager is append-only, making the
-        sharing safe). Mutating the structure afterwards
-        (:meth:`add_constraint` / :meth:`add_event`) detaches only the
-        mutated model.
+        structurally identical, so compiled formulas, conjunctions, step
+        enumerations and local tables carry over (the manager is
+        append-only, making the sharing safe). Mutating the structure
+        afterwards (:meth:`add_constraint` / :meth:`add_event`) detaches
+        only the mutated model.
         """
         copy = ExecutionModel(self.events, [], name=self.name)
         copy.constraints = [constraint.clone()

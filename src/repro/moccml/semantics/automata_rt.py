@@ -76,9 +76,6 @@ class AutomatonRuntime:
             action.apply(env)
             self._writeback(env)
 
-    # ConstraintRuntime duck-type; not inheriting keeps __init__ simple but
-    # we register as a virtual subclass for isinstance checks.
-
     # -- environment helpers ---------------------------------------------------
 
     def _environment(self) -> dict[str, int]:
@@ -116,10 +113,10 @@ class AutomatonRuntime:
         Memoized by (state, variable values) — exact, because guards
         read only the bound parameters (fixed per instance) and the
         local variables. The memo is shared with clones (identical
-        parameters), so exploration, simulation sweeps and campaigns
-        over one model family scan each guard valuation once. This is
-        the per-step hot path: ``formula_version``, ``step_formula``
-        and ``advance`` all start from this set.
+        parameters), so every caller over one model family scans each
+        guard valuation once: the local tables' fills (``step_formula``
+        on admission, ``advance`` on each new edge), lint's MoCCML local
+        walk (``enabled_transitions``) and the live model's queries.
         """
         key = (self.current_state, tuple(self._vars.values()))
         cached = self._guard_cache.get(key)
@@ -194,15 +191,6 @@ class AutomatonRuntime:
     def state_key(self) -> Hashable:
         return (self.label, self.current_state,
                 tuple(sorted(self._vars.items())))
-
-    def formula_version(self) -> Hashable:
-        """Current state plus the set of guard-enabled transitions.
-
-        Distinct variable valuations that enable the same transitions
-        produce the same formula — sharing the compiled BDD node across
-        e.g. every fill level of a place whose guards all still hold.
-        """
-        return (self.current_state, self._enabled_guards())
 
     def snapshot(self) -> Hashable:
         return (self.current_state, tuple(self._vars.items()))

@@ -1,36 +1,30 @@
 """Constraint runtime protocol and generic runtimes.
 
 A :class:`ConstraintRuntime` is one live constraint instance inside an
-execution model. The engine drives all runtimes through the same
-two-phase loop:
+execution model. A MoCC author implements four methods:
 
-1. ``step_formula()`` — contribute a boolean expression over event
-   variables describing which steps this constraint accepts *now*;
-2. ``advance(step)`` — once a step satisfying the global conjunction is
-   chosen, update internal state (automaton state, counters).
+* ``step_formula()`` — a boolean expression over event variables
+  describing which steps this constraint accepts *now*;
+* ``advance(step)`` — once a step satisfying the global conjunction is
+  chosen, update internal state (automaton state, counters);
+* ``state_key()`` — a hashable key capturing the internal state exactly:
+  the exhaustive explorer hashes global configurations as the tuple of
+  all runtimes' keys;
+* ``clone()`` — an independent copy, so the engine can branch.
 
-``state_key()`` must capture the internal state exactly: the exhaustive
-explorer hashes global configurations as the tuple of all runtimes'
-keys. ``clone()`` must produce an independent copy so the explorer can
-branch. Both phases may read only the step's ``constrained_events``:
-exploration tabulates each runtime's transitions per local state and
-per step projected on that alphabet (:mod:`repro.engine.tables`).
+``is_accepting()`` (final states) defaults to ``True``.
+``step_formula()`` and ``advance()`` may read only the step's
+``constrained_events``: exploration tabulates each runtime's transitions
+per local state and per step projected on that alphabet
+(:mod:`repro.engine.tables`).
 
-Two optional refinements keep the symbolic kernel incremental:
-
-* ``formula_version()`` — a hashable token that changes *only when the
-  step formula may have changed*. The engine compiles a constraint's
-  formula to a BDD node at most once per version (dirty tracking);
-  a stateless constraint returns a constant and compiles exactly once.
-  The default derives the version from ``state_key()``, which is always
-  sound (the formula is a function of the internal state) but may
-  recompile more often than strictly necessary.
-* ``snapshot()``/``restore()`` — a lightweight alternative to
-  ``clone()`` for depth-style exploration: ``snapshot()`` captures the
-  mutable state as a cheap (ideally immutable) token, ``restore()``
-  rewinds to it. A token must stay valid across multiple restores. The
-  defaults fall back to ``clone()`` semantics; stateful runtimes
-  override them with plain value tuples.
+The one optional refinement is ``snapshot()``/``restore()``, a
+lightweight alternative to ``clone()``: ``snapshot()`` captures the
+mutable state as a cheap (ideally immutable) token, ``restore()``
+rewinds to it, and a token must stay valid across any number of
+restores. The defaults fall back to ``clone()`` semantics; stateful
+runtimes override them with plain values, which the local tables store
+once per local state.
 """
 
 from __future__ import annotations
@@ -65,16 +59,6 @@ class ConstraintRuntime:
     def clone(self) -> "ConstraintRuntime":
         """An independent copy sharing no mutable state."""
         raise NotImplementedError
-
-    def formula_version(self) -> Hashable:
-        """Hashable token identifying the *current* step formula.
-
-        Two configurations with equal versions must produce equivalent
-        ``step_formula()`` results; the engine recompiles a constraint's
-        BDD node only when the version changes. The conservative default
-        is the full state key.
-        """
-        return self.state_key()
 
     def snapshot(self) -> Hashable:
         """A cheap token capturing the mutable state (see module doc).
@@ -138,9 +122,6 @@ class FormulaRuntime(ConstraintRuntime):
         return FormulaRuntime(self.label, self._formula,
                               self.constrained_events)
 
-    def formula_version(self) -> Hashable:
-        return "static"  # compiled exactly once per kernel
-
     def snapshot(self) -> Hashable:
         return None
 
@@ -171,9 +152,6 @@ class CompositeRuntime(ConstraintRuntime):
     def clone(self) -> "CompositeRuntime":
         return CompositeRuntime(self.label,
                                 [child.clone() for child in self.children])
-
-    def formula_version(self) -> Hashable:
-        return tuple(child.formula_version() for child in self.children)
 
     def snapshot(self) -> Hashable:
         return tuple(child.snapshot() for child in self.children)

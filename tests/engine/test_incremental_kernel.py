@@ -1,4 +1,4 @@
-"""The incremental symbolic kernel: dirty tracking, snapshot/restore,
+"""The incremental symbolic kernel: snapshot/restore, the formula memo,
 kernel sharing across clones, and the bounded per-model caches."""
 
 import pytest
@@ -81,27 +81,6 @@ class TestSnapshotRestoreProtocol:
         runtime.restore(token)
         assert runtime.state_key() == key_at_token
 
-    @pytest.mark.parametrize(
-        "runtime,steps", all_runtime_samples(),
-        ids=lambda value: value.label if hasattr(value, "label") else None)
-    def test_version_constant_implies_same_formula(self, runtime, steps):
-        seen = {}
-        seen[runtime.formula_version()] = runtime.step_formula()
-        for step in steps:
-            runtime.advance(frozenset(step))
-            version = runtime.formula_version()
-            formula = runtime.step_formula()
-            if version in seen:
-                assert seen[version] == formula, (
-                    f"{runtime.label}: same version, different formula")
-            seen[version] = formula
-
-    def test_formula_runtime_version_is_static(self):
-        runtime = FormulaRuntime("sub", subclock("a", "b").step_formula())
-        before = runtime.formula_version()
-        runtime.advance(frozenset({"b"}))
-        assert runtime.formula_version() == before
-
 
 class TestModelSnapshotRestore:
     def model(self):
@@ -135,27 +114,47 @@ class TestModelSnapshotRestore:
             model.restore((None,))
 
 
-class TestKernelSharingAndDirtyTracking:
+def compiled(model):
+    """What the kernel's manager holds and has done: its node count, the
+    number of expressions its ``from_expr`` memo has compiled, and the
+    ``ite`` and negation operations it has run (a recompile that only
+    rebuilds known nodes still counts them)."""
+    bdd = model.kernel.bdd
+    stats = bdd.cache_stats()
+    operations = sum(stats[op]["hits"] + stats[op]["misses"]
+                     for op in ("ite", "not"))
+    return bdd.node_count(), bdd.cache_sizes()["expr"], operations
+
+
+class TestKernelSharingAndFormulaMemo:
     def test_static_constraint_compiles_once(self):
         model = ExecutionModel(
             ["a", "b"],
             [FormulaRuntime("sub", subclock("a", "b").step_formula())])
         model.acceptable_steps()
-        misses = model.kernel.stats["node_misses"]
+        before = compiled(model)
         for _ in range(5):
             model.advance(frozenset({"b"}))
             model.acceptable_steps()
-        assert model.kernel.stats["node_misses"] == misses
+        assert compiled(model) == before
 
-    def test_versions_bound_recompilation(self):
+    def test_formula_regimes_bound_recompilation(self):
         # bounded precedence has three formula regimes -> <= 3 compiles
         model = ExecutionModel(["a", "b"],
                                [PrecedesRuntime("a", "b", bound=3)])
+        sizes = [compiled(model)]
         for step in ({"a"}, {"a"}, {"a"}, {"b"}, {"a"}, {"b"}, {"b"}):
             model.acceptable_steps()
+            sizes.append(compiled(model))
             model.advance(frozenset(step))
         model.acceptable_steps()
-        assert model.kernel.stats["node_misses"] <= 3
+        sizes.append(compiled(model))
+        compiles = sum(after != before
+                       for before, after in zip(sizes, sizes[1:]))
+        assert compiles <= 3
+        # the fourth query reached the bound, the last regime: from
+        # there on every formula is one the memo has compiled
+        assert sizes[4:] == [sizes[4]] * len(sizes[4:])
 
     def test_clone_shares_kernel_and_diverges_independently(self):
         one = ExecutionModel(["a", "b"], [AlternatesRuntime("a", "b")])

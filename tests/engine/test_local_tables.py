@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.boolalg import Bdd
+from repro.boolalg import Bdd, Not, TRUE, Var
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.deployment import Allocation, Platform, deploy
 from repro.engine import (
@@ -30,7 +30,8 @@ from repro.engine.explorer import _bfs
 from repro.engine.policies import CallbackPolicy
 from repro.engine.symbolic import _close_local
 from repro.engine.tables import TableStepper
-from repro.errors import EngineError
+from repro.errors import EngineError, SemanticsError
+from repro.moccml.semantics.runtime import ConstraintRuntime
 from repro.pam.experiments import build_configuration
 from repro.sdf import SdfBuilder
 from tests.boolalg.test_bdd_reorder import NAMES, exprs
@@ -108,6 +109,39 @@ def watchdog():
                           name="watchdog")
 
 
+class ModThreeGate(ConstraintRuntime):
+    """A runtime written to the four required methods alone: a mod-3
+    counter of *tick* that lets *gated* occur only at zero. It keeps the
+    default ``snapshot``/``restore``, so the tables hold clone tokens."""
+
+    def __init__(self, tick, gated):
+        super().__init__(f"ModThree({tick}, {gated})", (tick, gated))
+        self.tick = tick
+        self.gated = gated
+        self.count = 0
+
+    def step_formula(self):
+        return TRUE if self.count == 0 else Not(Var(self.gated))
+
+    def advance(self, step):
+        if self.gated in step and self.count:
+            raise SemanticsError(f"{self.label}: {self.gated} is gated")
+        self.count = (self.count + (self.tick in step)) % 3
+
+    def state_key(self):
+        return (self.label, self.count)
+
+    def clone(self):
+        copy = ModThreeGate(self.tick, self.gated)
+        copy.count = self.count
+        return copy
+
+
+def mod_three():
+    return ExecutionModel(["tick", "gated"],
+                          [ModThreeGate("tick", "gated")], name="mod3")
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_equivalence_corpus(self, name):
@@ -144,6 +178,10 @@ class TestByteIdentity:
     def test_max_depth(self, max_depth):
         assert_same(CORPUS["chain3-cap2"](), max_depth=max_depth)
         assert_same(deployed_chain(), max_depth=max_depth)
+
+    def test_four_method_runtime(self):
+        assert_same(mod_three())
+        assert_same(mod_three(), include_empty=True)
 
     def test_auto_below_threshold_and_unencodable_use_tables(self):
         for model in (CORPUS["ccsl-mix"](), deployed_chain()):
@@ -371,6 +409,18 @@ class TestSimulationMatchesLiveModel:
         assert "is not acceptable in the current configuration" in message
         assert (message, snapshot) == run(reference_simulate)
 
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_four_method_runtime(self, policy):
+        # clone tokens compare by identity: compare the configurations
+        expected_model = mod_three()
+        expected = reference_simulate(expected_model,
+                                      POLICIES[policy](mod_three), 30)
+        model = mod_three()
+        result = simulate_model(model, POLICIES[policy](mod_three), 30)
+        assert outcome(result, model)[:5] \
+            == outcome(expected, expected_model)[:5]
+        assert model.configuration() == expected_model.configuration()
+
     def test_cold_kernel_fills_tables_that_explore_reuses(self):
         model = deployed_chain()
         result = simulate_model(model.clone(), RandomPolicy(seed=2), 6)
@@ -381,6 +431,59 @@ class TestSimulationMatchesLiveModel:
         assert_same(model)
         assert model.kernel.tables is tables
         assert model.kernel.cache_sizes()["local_states"] > simulated
+
+
+#: the most table states one model's agreement walk visits
+WALK_STATES = 50
+
+
+def walked_models():
+    models = dict(CORPUS)
+    models.update({
+        "deployed-chain": deployed_chain,
+        "unbounded": unbounded_precedes,
+        "watchdog": watchdog,
+        "pam-mono": lambda: build_configuration("mono"),
+        "mod3": mod_three,
+    })
+    return models
+
+
+class TestLiveQueriesMatchTables:
+    """The live model's queries are the reference the tables answer for:
+    at every table state a breadth-first walk reaches, a live clone
+    restored to that state must answer each query as the view does."""
+
+    @pytest.mark.parametrize("name", sorted(walked_models()))
+    def test_query_by_query(self, name):
+        model = walked_models()[name]()
+        view = model.kernel.table_view(model)
+        live = model.clone()
+        events = list(model.events)
+        prefixes = [frozenset(events[:end]) for end in range(len(events) + 1)]
+        seen = {view.snapshot()}
+        queue = [view.snapshot()]
+        while queue:
+            state = queue.pop(0)
+            view.restore(state)
+            live.restore(view.model_snapshot())
+            assert live.configuration() == view.configuration()
+            steps = view.acceptable_steps(include_empty=True)
+            assert live.acceptable_steps(include_empty=True) == steps
+            assert live.acceptable_steps() == view.acceptable_steps()
+            assert live.max_step() == view.max_step()
+            assert live.count_acceptable_steps() == len(steps)
+            for step in steps:
+                assert live.is_acceptable(step) and view.is_acceptable(step)
+            for step in prefixes:
+                assert live.is_acceptable(step) == view.is_acceptable(step)
+            for step in steps:
+                view.restore(state)
+                view.advance(step, check=False)
+                successor = view.snapshot()
+                if successor not in seen and len(seen) < WALK_STATES:
+                    seen.add(successor)
+                    queue.append(successor)
 
 
 #: the enumeration tests' events: the formulas' variables and two free
