@@ -1,21 +1,21 @@
-"""E15 — partitioned transition relation vs the monolithic product.
+"""E15 — the clustered transition relation on wrap-around grids.
 
-The topology class that motivates conjunctive partitioning: wrap-around
-grids (toruses). On an open mesh the connection-topology variable order
-keeps every coupled constraint pair close, so the monolithic ``∧ T_i``
-stays polite. Wrap-around edges destroy that: no linear order can keep
-both ends of a ring adjacent, and the eager monolithic conjunction
-explodes — ``torus(5,5)`` costs the monolithic build over 30s and ~8M
-BDD nodes before the first image, and at ``torus(6,6)`` the eager
-conjoin alone needs ~9 minutes (at the edge of the 600s per-file bench
-budget, and beyond it under any load), while the partitioned
-representation never conjoins the parts at all and runs compile *plus*
-the exact fixpoint in seconds — a ~25x gap that widens with size. The
-headline asserts are structural (node allocations) and wall-clock (≥2x
-on the largest config both modes can build comfortably); the
-infeasibility pin checks the torus size whose monolithic build busts
-the checkable budget several times over yet verifies in well under a
-minute partitioned.
+The topology class that motivates conjunctive partitioning: toruses.
+On an open mesh the connection-topology variable order keeps every
+coupled constraint pair close. Wrap-around edges destroy that: no
+linear order can keep both ends of a ring adjacent, and the one
+conjoined relation ``∧ T_i`` explodes. The engine used to offer that
+conjunction as a second, "monolithic" layout; its eager conjoin took
+over 30s and ~8M BDD nodes at ``torus(5,5)`` and ~9 minutes at
+``torus(6,6)``, and it ran compile plus fixpoint 3-4x slower at
+``torus(4,4)``. The layout is gone. The symbolic backend never
+conjoins the clusters and computes every image by a clustered product
+with early quantification.
+
+What stays measured here: the ``torus(6,6)`` infeasibility pin (the
+exact fixpoint and deadlock verdict within the checkable budget), an
+explicit-vs-symbolic agreement check on the bench family, and the
+clustered cost growth along ``torus(3,3)``..``torus(4,5)``.
 
 Each torus edge that wraps around carries one pipeline delay token
 (plus one unit of slack capacity), the classic software-pipelining
@@ -31,18 +31,14 @@ from repro.engine.symbolic import TransitionSystem, symbolic_reachable
 from repro.sdf import SdfBuilder, weave_sdf
 
 #: wall-clock budget (seconds) that defines "checkable" for the
-#: infeasibility pin — the monolithic/base engine blows ~4.5x past it
-#: on ``INFEASIBLE_CONFIG`` (the eager conjoin alone takes ~9 minutes),
-#: the partitioned engine stays well inside it.
+#: infeasibility pin — the eagerly conjoined relation blew ~4.5x past
+#: it on ``INFEASIBLE_CONFIG`` (the conjoin alone took ~9 minutes); the
+#: clustered product stays well inside it.
 CHECKABLE_BUDGET_S = 120.0
 
-#: the largest torus both relation modes can build comfortably — the
-#: ≥2x assert runs here (measured margin ~4.5x wall, ~5x nodes).
-LARGEST_BOTH_MODES = (4, 5)
-
-#: the monolithic build needs ~9 minutes here (at (5, 5) it already
-#: needs >30s and ~8M nodes); partitioned computes the exact 2772-state
-#: fixpoint in ~17s.
+#: the eager conjoin needed ~9 minutes here (at (5, 5) it already
+#: needed >30s and ~8M nodes); the clustered product computes the exact
+#: 2772-state fixpoint in ~17s.
 INFEASIBLE_CONFIG = (6, 6)
 
 
@@ -67,39 +63,11 @@ def torus(rows: int, cols: int, capacity: int = 1):
     return weave_sdf(model).execution_model
 
 
-def _fixpoint_seconds(model, mode: str) -> tuple[float, "TransitionSystem"]:
-    """Compile + exact reachable fixpoint under *mode*, timed."""
-    started = time.perf_counter()
-    system = TransitionSystem(model, relation_mode=mode)
-    reached = system.reachable()
-    assert not reached.truncated
-    return time.perf_counter() - started, system
-
-
-class TestPartitionedBeyondMonolithic:
-    def test_partitioned_2x_on_largest_config(self):
-        """The acceptance pin: ≥2x over monolithic where both run."""
-        rows, cols = LARGEST_BOTH_MODES
-        partitioned_s, part_system = _fixpoint_seconds(torus(rows, cols),
-                                                       "partitioned")
-        monolithic_s, mono_system = _fixpoint_seconds(torus(rows, cols),
-                                                      "monolithic")
-        # structural, deterministic: the monolithic build allocates the
-        # conjunction the partitioned product never materializes
-        assert mono_system.bdd.node_count() >= \
-            2 * part_system.bdd.node_count()
-        # wall-clock, the measured margin is ~4.5x
-        assert monolithic_s >= 2 * partitioned_s, (
-            f"partitioned {partitioned_s:.2f}s vs monolithic "
-            f"{monolithic_s:.2f}s — expected >= 2x")
-        print(f"\ntorus{rows}x{cols}: partitioned {partitioned_s:.2f}s "
-              f"({part_system.bdd.node_count()} nodes) vs monolithic "
-              f"{monolithic_s:.2f}s ({mono_system.bdd.node_count()} nodes)")
-
+class TestClusteredTorus:
     def test_previously_infeasible_torus_is_checkable(self):
-        """A config whose monolithic relation build blows the bench
-        budget is checkable partitioned — the exact reachable fixpoint
-        and the exact deadlock-freedom verdict land in seconds."""
+        """A config whose eagerly conjoined relation blew the bench
+        budget is checkable: the exact reachable fixpoint and the exact
+        deadlock-freedom verdict land in seconds."""
         rows, cols = INFEASIBLE_CONFIG
         model = torus(rows, cols)
         started = time.perf_counter()
@@ -115,37 +83,18 @@ class TestPartitionedBeyondMonolithic:
         print(f"\ntorus{rows}x{cols}: deadlock-free over "
               f"{reached.count()} states in {elapsed:.2f}s")
 
-    def test_modes_agree_on_small_torus(self):
-        """Both relation layouts denote the same system (the corpus-wide
-        sweep lives in tests/engine; this pins the bench family)."""
+    def test_small_torus_matches_explicit(self):
+        """The symbolic backend denotes the same system as explicit
+        exploration on the bench family (the corpus-wide sweep lives in
+        tests/engine)."""
         from repro.engine.equivalence import assert_equivalent
-        assert_equivalent(torus(3, 3), max_states=5_000,
-                          relation_mode="partitioned")
-        assert_equivalent(torus(3, 3), max_states=5_000,
-                          relation_mode="monolithic")
-
-
-@pytest.mark.benchmark(group="e15-partitioned")
-@pytest.mark.parametrize("mode", ["partitioned", "monolithic"])
-def bench_torus_fixpoint_mode(benchmark, mode):
-    """Compile + fixpoint under each relation layout, torus(4,4)."""
-    model = torus(4, 4)
-
-    def fixpoint():
-        model.clear_caches()
-        system = TransitionSystem(model, relation_mode=mode)
-        reached = system.reachable()
-        return system, reached
-
-    system, reached = benchmark.pedantic(fixpoint, rounds=1, iterations=1)
-    assert reached.count() == 140
-    benchmark.extra_info["engine"] = obs.engine_snapshot(system)
+        assert_equivalent(torus(3, 3), max_states=5_000)
 
 
 @pytest.mark.benchmark(group="e15-scaling")
 @pytest.mark.parametrize("size", [(3, 3), (4, 4), (4, 5)])
 def bench_torus_scaling_partitioned(benchmark, size):
-    """Partitioned cost growth along the torus family."""
+    """Clustered-product cost growth along the torus family."""
     rows, cols = size
     model = torus(rows, cols)
 

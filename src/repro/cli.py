@@ -171,7 +171,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     workbench = _workbench_for(args)
     result = workbench.run(ExploreSpec(
         "app", max_states=args.max_states, strategy=args.strategy,
-        relation_mode=args.relation_mode, include_graph=True))
+        include_graph=True))
     if args.json:
         print(_json_with_engine(result, workbench))
         return 0 if result.ok else 1
@@ -185,7 +185,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     workbench = _workbench_for(args)
     result = workbench.run(CheckSpec(
         "app", args.property, strategy=args.strategy,
-        max_states=args.max_states, relation_mode=args.relation_mode))
+        max_states=args.max_states))
     if args.json:
         print(_json_with_engine(result, workbench))
         return 0 if result.ok and result.data["verdict"] == "holds" else 1
@@ -675,21 +675,14 @@ def _selftest_store_roundtrip(handles) -> dict:
             "agree": not mismatches}
 
 
-def _selftest_relation_modes(handles) -> dict:
-    """Symbolic-core phase of the selftest: cross-check every bundled
-    model against the monolithic relation layout (the main phase
-    covered the default partitioned one, so the two layouts agree with
-    each other); then force a full variable reorder on the compiled
-    kernel and re-check that verdicts survive the renumbering."""
+def _selftest_reorder(handles) -> dict:
+    """Symbolic-core phase of the selftest: force a full variable
+    reorder on every bundled model's compiled kernel and re-check that
+    verdicts survive the renumbering."""
     from repro.engine.ctl import check
-    from repro.engine.equivalence import cross_check
     mismatches = []
     for handle in handles:
         model = handle.execution_model
-        report = cross_check(model, relation_mode="monolithic",
-                             properties=[])
-        mismatches.extend(f"{handle.name} (monolithic): {mismatch}"
-                          for mismatch in report["mismatches"])
         model.clear_caches()
         before = check(model, "AG !deadlock", strategy="symbolic").verdict
         model.kernel.transition_system(model).bdd.reorder()
@@ -788,18 +781,18 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                              max_states=args.max_states)
         report["model"] = handle.name
         reports.append(report)
-    modes_report = _selftest_relation_modes(handles)
+    reorder_report = _selftest_reorder(handles)
     store_report = _selftest_store_roundtrip(handles)
     serve_report = _selftest_serve(handles)
     lint_report = _selftest_lint(handles)
     ok = all(report["agree"] for report in reports) \
-        and modes_report["agree"] and store_report["agree"] \
+        and reorder_report["agree"] and store_report["agree"] \
         and serve_report["agree"] and lint_report["agree"]
     if args.json:
         print(json.dumps({"kind": "selftest", "ok": ok,
                           "version": repro.__version__,
                           "reports": reports,
-                          "relation_modes": modes_report,
+                          "reorder": reorder_report,
                           "store": store_report,
                           "serve": serve_report,
                           "lint": lint_report},
@@ -816,10 +809,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         print(line)
         for mismatch in report["mismatches"]:
             print(f"    - {mismatch}")
-    modes_verdict = "OK" if modes_report["agree"] else "MISMATCH"
-    print(f"  relation modes     {modes_report['models']:>6} model(s) "
-          f"partitioned==monolithic, reorder-stable  {modes_verdict}")
-    for mismatch in modes_report["mismatches"]:
+    reorder_verdict = "OK" if reorder_report["agree"] else "MISMATCH"
+    print(f"  variable reorder   {reorder_report['models']:>6} model(s) "
+          f"verdicts reorder-stable  {reorder_verdict}")
+    for mismatch in reorder_report["mismatches"]:
         print(f"    - {mismatch}")
     store_verdict = "OK" if store_report["agree"] else "MISMATCH"
     print(f"  artifact store     {store_report['specs']:>6} spec(s) "
@@ -870,14 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("explicit", "symbolic", "auto"),
                           help="exploration strategy (identical result; "
                                "symbolic compiles a BDD transition relation)")
-    explorer.add_argument("--relation-mode", default=None,
-                          dest="relation_mode",
-                          choices=("partitioned", "monolithic"),
-                          help="symbolic relation layout: partitioned "
-                               "(default; image/preimage by clustered "
-                               "early quantification) or monolithic "
-                               "(eagerly conjoined relation); the "
-                               "result is identical either way")
     _add_trace(explorer)
     explorer.set_defaults(handler=cmd_explore)
 
@@ -897,12 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     checker.add_argument("--max-states", type=int, default=10_000,
                          help="explicit-strategy state budget; exceeding "
                               "it yields the UNKNOWN verdict")
-    checker.add_argument("--relation-mode", default=None,
-                         dest="relation_mode",
-                         choices=("partitioned", "monolithic"),
-                         help="symbolic relation layout (verdict-"
-                              "neutral, cost-relevant); see "
-                              "'repro explore --help'")
     _add_trace(checker)
     checker.set_defaults(handler=cmd_check)
 

@@ -135,38 +135,20 @@ cost, and about what a bounded budget can soundly conclude:
     ``UNKNOWN``. Use this when batching heterogeneous models — it is
     the default of ``repro check`` and ``CheckSpec``.
 
-Tuning the symbolic backend — relation layout and reordering
-============================================================
+Tuning the symbolic backend — the clustered relation and reordering
+===================================================================
 
-Within ``strategy="symbolic"`` two further knobs trade compile cost
-against iteration cost. Both are *verdict-neutral*: every artifact —
-state space, verdict, witness — is byte-identical under any setting
-(``tests/engine/test_relation_modes.py`` sweeps the corpus to pin
-this); only the cost profile moves.
-
-``relation_mode="partitioned"`` (the default) keeps the transition
-relation as a list of per-constraint conjuncts, clustered up to
-:data:`~repro.engine.symbolic.DEFAULT_CLUSTER_CAP` nodes
-(``cluster_cap``), and computes images and preimages by early
-quantification — conjoin a cluster, quantify the variables no later
-cluster mentions, move on. ``relation_mode="monolithic"`` eagerly
-conjoins everything into one relation BDD at compile time.
-
-The honest guidance, from the bench data (``bench_e15``): on *open*
-topologies (chains, open meshes, crossbars) below the blowup
-transition, monolithic is mildly *faster* — one conjoined relation
-makes each image a single ``and_exists``, and the connection-order
-variable layout keeps the conjunction small. Past the transition the
-monolithic conjunction explodes super-linearly (mesh(4,4) at capacity
-3: ~29M nodes, 3.5x slower) — and on *wrap-around* topologies
-(toruses), where no linear variable order can keep every coupled pair
-adjacent, it is never competitive: 4.5x slower at torus(4,5), ~25x at
-torus(6,6) (~9 minutes for the eager conjoin alone vs seconds
-partitioned, growing without bound with size). Since the partitioned
-penalty on small models is a few hundred milliseconds at worst and the
-monolithic penalty at the frontier is unbounded, partitioned is the
-default; force ``relation_mode="monolithic"`` only for small,
-open-topology models checked many times against one compiled kernel.
+The symbolic backend keeps the transition relation as its
+per-constraint conjuncts, merged in topology order into clusters of at
+most :data:`~repro.engine.symbolic.DEFAULT_CLUSTER_CAP` nodes, and
+computes every image and preimage by early quantification: conjoin a
+cluster, quantify the variables no later cluster mentions, move on
+(Burch, Clarke & Long 1991). Nothing conjoins the clusters into one
+relation BDD. On wrap-around topologies (toruses), where no linear
+variable order keeps every coupled pair adjacent, that conjunction
+explodes: the eager conjoin alone took ~9 minutes at torus(6,6), and
+compile plus fixpoint ran 3-4x slower at torus(4,4), while the
+clustered product checks torus(6,6) in seconds (``bench_e15``).
 
 Dynamic variable reordering (:meth:`~repro.boolalg.bdd.Bdd.reorder`,
 Rudell sifting) is the escape hatch for a bad variable order. It runs
@@ -177,8 +159,11 @@ append-only table counts transient allocations, an auto-fired reorder
 first probes the truly live structure and *skips* the sift (keeping
 all operation caches) when growth is churn-dominated — live nodes
 below an eighth of the table — so healthy orders are never torn up
-mid-fixpoint. ``reorder_budget`` caps sift passes per firing; explicit
-``system.bdd.reorder()`` always sifts to convergence.
+mid-fixpoint. Each firing sifts at most
+:data:`~repro.engine.symbolic.DEFAULT_AUTO_REORDER_BUDGET` variables;
+explicit ``system.bdd.reorder()`` always sifts to convergence, and
+every artifact — state space, verdict, witness — is byte-identical
+across a reorder (``tests/engine/test_relation_modes.py``).
 
 Property syntax, worked example
 ===============================
@@ -239,7 +224,6 @@ from repro.engine.tables import CompiledStateView, LocalTable
 from repro.engine.symbolic import (
     ReachableSet,
     TransitionSystem,
-    compile_transition_system,
     symbolic_reachable,
 )
 from repro.engine.campaign import format_campaign
@@ -255,7 +239,7 @@ __all__ = [
     "event_liveness", "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
-    "CompiledStateView", "LocalTable", "compile_transition_system",
+    "CompiledStateView", "LocalTable",
     "symbolic_deadlock_free", "symbolic_event_liveness",
     "symbolic_variable_bounds", "symbolic_check_variable_bound",
     "assert_equivalent", "cross_check",

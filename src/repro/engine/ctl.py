@@ -862,11 +862,11 @@ class _SymbolicChecker:
     """Definitive CTL evaluation on the BDD transition relation.
 
     Sat sets are BDDs over the current state bits, kept inside the
-    exact reachable set ``R``; path operators use the relation
-    restricted to ``R`` on both sides (``T ∧ R ∧ R'``), which never
-    changes verdicts at the initial state — successors of reachable
-    states are reachable — but keeps every fixpoint iterate small and
-    excludes unreachable encoding junk.
+    exact reachable set ``R``: every preimage is the clustered product
+    restricted to ``R`` afterwards. That never changes verdicts at the
+    initial state — successors of reachable states are reachable, and
+    every sat set fed to a preimage is ⊆ ``R`` — but keeps every
+    fixpoint iterate small and excludes unreachable encoding junk.
     """
 
     def __init__(self, system, include_empty: bool = False):
@@ -876,22 +876,7 @@ class _SymbolicChecker:
         self.reached = system.reachable_set(include_empty=include_empty)
         reach = self.reached.node
         self.universe = reach
-        if system.relation_mode == "monolithic":
-            reach_primed = bdd.substitute(reach, system.cur_to_primed)
-            self.relation = bdd.apply_and(
-                system.step_relation(include_empty),
-                bdd.apply_and(reach, reach_primed))
-            can_step = system.can_step_node(relation=self.relation)
-        else:
-            # partitioned mode never materializes the restricted
-            # relation: _pre runs the clustered product and restricts
-            # the *result* to R, which denotes the same set (successors
-            # of reachable states are reachable, and every sat set fed
-            # to _pre is ⊆ R) — hence the identical canonical node, so
-            # verdicts and witnesses match the monolithic path bit for
-            # bit.
-            self.relation = None
-            can_step = system.can_step_node(include_empty)
+        can_step = system.can_step_node(include_empty)
         self.dead = bdd.apply_and(reach, bdd.apply_not(can_step))
         self._memo: dict[Prop, int] = {}
         #: distance-gauge onion rings still referenced by live gauge
@@ -907,17 +892,12 @@ class _SymbolicChecker:
         system's reorder-roots sweep through the ``analysis_cache``
         protocol (see :meth:`TransitionSystem._reorder_roots`)."""
         roots = [self.universe, self.dead]
-        if self.relation is not None:
-            roots.append(self.relation)
         roots.extend(self._memo.values())
         roots.extend(self._ring_pins)
         return roots
 
     def _pre(self, node: int) -> int:
-        if self.relation is None:
-            return self._restrict(
-                self.system.preimage(node, self.include_empty))
-        return self.system.preimage(node, relation=self.relation)
+        return self._restrict(self.system.preimage(node, self.include_empty))
 
     def _restrict(self, node: int) -> int:
         return self.system.bdd.apply_and(self.universe, node)
@@ -947,12 +927,8 @@ class _SymbolicChecker:
         if isinstance(prop, Occurs):
             # occurs_node also validates the event name — a typoed
             # event must error, never yield a definitive verdict
-            if self.relation is None:
-                return self._restrict(
-                    self.system.occurs_node(prop.event,
-                                            self.include_empty))
-            return self.system.occurs_node(prop.event,
-                                           relation=self.relation)
+            return self._restrict(
+                self.system.occurs_node(prop.event, self.include_empty))
         if isinstance(prop, Deadlock):
             return self.dead
         if isinstance(prop, InState):
@@ -1353,9 +1329,7 @@ def check_space(space: StateSpace, prop: Prop | str,
 
 def check(model, prop: Prop | str, strategy: str = "auto",
           max_states: int = 10_000, max_depth: int | None = None,
-          include_empty: bool = False, witness: bool = True,
-          relation_mode: str | None = None,
-          cluster_cap: int | None = None) -> CheckResult:
+          include_empty: bool = False, witness: bool = True) -> CheckResult:
     """Check a temporal property of *model* — the front door.
 
     *strategy* selects the backend: ``"explicit"`` explores up to the
@@ -1366,10 +1340,6 @@ def check(model, prop: Prop | str, strategy: str = "auto",
     ``"auto"`` picks symbolic for large models, uses it to resolve an
     explicit ``UNKNOWN`` on small ones, and falls back to explicit when
     the model cannot be finitely encoded.
-    *relation_mode*/*cluster_cap* select the symbolic relation layout
-    (``None`` keeps the engine defaults; see
-    :data:`repro.engine.symbolic.RELATION_MODES`) — verdicts and
-    witnesses are identical under every layout.
     """
     if isinstance(prop, str):
         prop = parse_property(prop)
@@ -1378,17 +1348,14 @@ def check(model, prop: Prop | str, strategy: str = "auto",
         result = _check_dispatch(
             model, prop, strategy=strategy, max_states=max_states,
             max_depth=max_depth, include_empty=include_empty,
-            witness=witness, relation_mode=relation_mode,
-            cluster_cap=cluster_cap)
+            witness=witness)
         trace.set(strategy=result.strategy, verdict=result.verdict.name)
     return result
 
 
 def _check_dispatch(model, prop: Prop, strategy: str,
                     max_states: int, max_depth: int | None,
-                    include_empty: bool, witness: bool,
-                    relation_mode: str | None,
-                    cluster_cap: int | None) -> CheckResult:
+                    include_empty: bool, witness: bool) -> CheckResult:
     if strategy not in PROPERTY_STRATEGIES:
         raise EngineError(
             f"unknown check strategy {strategy!r}; expected one of "
@@ -1401,11 +1368,8 @@ def _check_dispatch(model, prop: Prop, strategy: str,
         return check_space(space, prop, witness=witness)
 
     def symbolic() -> CheckResult:
-        checker = _symbolic_checker(
-            model.kernel.transition_system(
-                model, relation_mode=relation_mode,
-                cluster_cap=cluster_cap),
-            include_empty)
+        checker = _symbolic_checker(model.kernel.transition_system(model),
+                                    include_empty)
         verdict = checker.verdict(prop)
         result = CheckResult(
             prop=prop, verdict=verdict, strategy="symbolic",

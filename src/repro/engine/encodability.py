@@ -454,8 +454,8 @@ def predict(model, max_local_states: int | None = None,
     The parameters default to the engine's compilation limits
     (:data:`~repro.engine.symbolic.DEFAULT_MAX_LOCAL_STATES`,
     :data:`~repro.engine.symbolic.MAX_ALPHABET`), so a default
-    ``predict`` agrees with a default
-    :func:`~repro.engine.symbolic.compile_transition_system`.
+    ``predict`` agrees with the compile of
+    :class:`~repro.engine.symbolic.TransitionSystem`.
     """
     from repro.engine.symbolic import DEFAULT_MAX_LOCAL_STATES, MAX_ALPHABET
 

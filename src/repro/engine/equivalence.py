@@ -1,10 +1,10 @@
 """The differential oracle: the one place that decides whether analyses agree.
 
 The engine answers through redundant backends — explicit exploration,
-symbolic fixpoints under two relation layouts (:data:`ORACLE_CONFIGS`)
-and the static encodability predictor — and an answer is only as
-trustworthy as the rule that makes them agree. ``repro selftest``, the
-fuzz oracle (:mod:`repro.fuzz.oracle`) and the lint cross-check
+symbolic fixpoints (:data:`ORACLE_CONFIGS`) and the static
+encodability predictor — and an answer is only as trustworthy as the
+rule that makes them agree. ``repro selftest``, the fuzz oracle
+(:mod:`repro.fuzz.oracle`) and the lint cross-check
 (:mod:`repro.lint.crosscheck`) all apply the rules below; none keeps
 its own copy.
 
@@ -18,14 +18,13 @@ events. :func:`assert_equivalent` raises
 Properties — :func:`property_findings` compares one property's
 ``CheckResult.to_doc()`` documents across backends:
 
-* verdicts are three-valued: the symbolic layouts agree with each
-  other; a definitive explicit verdict equals the symbolic one, even on
-  a truncated exploration, where the explored region alone must prove
-  it; an explicit ``unknown`` is sound only on a truncated exploration
-  (otherwise a ``disagreement``);
-* witnesses — kind and steps — are identical across the symbolic
-  layouts, and between explicit and symbolic whenever the explicit
-  exploration is complete and its verdict definitive;
+* verdicts are three-valued: a definitive explicit verdict equals the
+  symbolic one, even on a truncated exploration, where the explored
+  region alone must prove it; an explicit ``unknown`` is sound only on
+  a truncated exploration (otherwise a ``disagreement``);
+* witnesses — kind and steps — are identical between explicit and
+  symbolic whenever the explicit exploration is complete and its
+  verdict definitive;
 * every witness replays as an actual schedule prefix of the model; a
   trace the kernel rejects, or cannot even attempt, is a ``witness``
   finding, never an exception.
@@ -44,11 +43,10 @@ from repro.engine import ctl
 from repro.engine.explorer import explore
 from repro.errors import EquivalenceError, SymbolicEncodingError
 
-#: the compared backend configurations: (label, strategy, relation_mode)
+#: the compared backend configurations: (label, strategy)
 ORACLE_CONFIGS = (
-    ("explicit", "explicit", None),
-    ("symbolic-partitioned", "symbolic", "partitioned"),
-    ("symbolic-monolithic", "symbolic", "monolithic"),
+    ("explicit", "explicit"),
+    ("symbolic", "symbolic"),
 )
 
 #: property templates cross-checked on every corpus model; ``{e0}`` and
@@ -86,7 +84,6 @@ def cross_check(
     max_depth: int | None = None,
     include_empty: bool = False,
     maximal_only: bool = False,
-    relation_mode: str | None = None,
     properties: list | None = None,
 ) -> dict:
     """Explore *model* with both strategies and diff the results.
@@ -96,10 +93,6 @@ def cross_check(
     the two graph explorations, the symbolic fixpoint is checked
     against the explicit state count and deadlock verdict whenever the
     comparison is meaningful (untruncated, full branching).
-    *relation_mode* forces the symbolic relation layout (``None`` keeps
-    the engine default) — running the harness once per mode is how the
-    corpus asserts that partitioned and monolithic products agree with
-    the explicit engine, and therefore with each other.
     *properties* overrides the checked property texts: ``None`` runs
     the instantiated :data:`PROPERTY_BATTERY`, an explicit list (the
     fuzz harness passes generated formulas) runs exactly those, and an
@@ -120,7 +113,6 @@ def cross_check(
         include_empty=include_empty,
         maximal_only=maximal_only,
         strategy="symbolic",
-        relation_mode=relation_mode,
     )
     mismatches: list[str] = []
 
@@ -147,9 +139,7 @@ def cross_check(
     if not explicit.truncated and max_depth is None and not maximal_only:
         from repro.engine.symbolic import symbolic_reachable
 
-        reachable = symbolic_reachable(
-            model, include_empty=include_empty,
-            relation_mode=relation_mode)
+        reachable = symbolic_reachable(model, include_empty=include_empty)
         check("fixpoint state count", explicit.n_states, reachable.count())
         check("fixpoint keys", set(explicit.keys), set(reachable.states()))
         check(
@@ -170,7 +160,6 @@ def cross_check(
                     text,
                     strategy="symbolic",
                     include_empty=include_empty,
-                    relation_mode=relation_mode,
                 )
                 docs = {
                     "explicit": by_explicit.to_doc(),
@@ -195,11 +184,11 @@ def cross_check(
 def property_findings(model, docs: dict) -> list[tuple[str, str]]:
     """The property rule (module docstring) over one property of *model*.
 
-    *docs* maps backend labels to ``CheckResult.to_doc()`` documents:
-    ``"explicit"`` plus any symbolic layouts, in :data:`ORACLE_CONFIGS`
-    order; a backend that did not run is absent. Returns ``(kind,
-    detail)`` findings, *kind* being ``"disagreement"`` or
-    ``"witness"``; an empty list means the backends agree.
+    *docs* maps backend labels (:data:`ORACLE_CONFIGS`) to
+    ``CheckResult.to_doc()`` documents; a backend that did not run is
+    absent. Returns ``(kind, detail)`` findings, *kind* being
+    ``"disagreement"`` or ``"witness"``; an empty list means the
+    backends agree.
     """
     findings: list[tuple[str, str]] = []
 
@@ -207,14 +196,8 @@ def property_findings(model, docs: dict) -> list[tuple[str, str]]:
         findings.append((kind, detail))
 
     explicit = docs.get("explicit")
-    symbolic = {label: doc for label, doc in docs.items() if label != "explicit"}
-    verdicts = [doc["verdict"] for doc in symbolic.values()]
-    if len(set(verdicts)) > 1:
-        modes = " ".join(
-            f"{label.removeprefix('symbolic-')}={doc['verdict']}"
-            for label, doc in symbolic.items()
-        )
-        fail("disagreement", f"relation modes disagree: {modes}")
+    symbolic = docs.get("symbolic")
+    compare_witnesses = False
     if explicit is not None:
         verdict = explicit["verdict"]
         truncated = bool(explicit.get("truncated"))
@@ -223,13 +206,16 @@ def property_findings(model, docs: dict) -> list[tuple[str, str]]:
                 "disagreement",
                 "explicit verdict is UNKNOWN on an untruncated exploration",
             )
-        if verdict != "unknown" and verdicts and verdict != verdicts[0]:
-            fail(
-                "disagreement",
-                f"explicit={verdict} "
-                f"({'truncated' if truncated else 'complete'} at "
-                f"{explicit['states']} states) but symbolic={verdicts[0]}",
-            )
+        if symbolic is not None and verdict != "unknown":
+            if verdict != symbolic["verdict"]:
+                fail(
+                    "disagreement",
+                    f"explicit={verdict} "
+                    f"({'truncated' if truncated else 'complete'} at "
+                    f"{explicit['states']} states) but "
+                    f"symbolic={symbolic['verdict']}",
+                )
+            compare_witnesses = not truncated
     for label, doc in docs.items():
         steps = doc.get("trace")
         if steps is None:
@@ -251,19 +237,14 @@ def property_findings(model, docs: dict) -> list[tuple[str, str]]:
                     f"{label} witness of {len(steps)} step(s) does not "
                     f"replay as a schedule prefix",
                 )
-    witnesses = {
-        label: (doc.get("witness_kind"), doc.get("trace"))
-        for label, doc in docs.items()
-    }
-    layouts = [witnesses[label] for label in symbolic]
-    if any(witness != layouts[0] for witness in layouts[1:]):
-        fail("witness", "symbolic relation modes report different witnesses")
-    if explicit is not None and verdict != "unknown" and not truncated:
-        for label in symbolic:
-            if witnesses[label] != witnesses["explicit"]:
-                fail("witness", f"explicit and {label} report different witnesses")
-                break
+    if compare_witnesses and _witness(explicit) != _witness(symbolic):
+        fail("witness", "explicit and symbolic report different witnesses")
     return findings
+
+
+def _witness(doc: dict) -> tuple:
+    """A property document's witness: its kind and its steps."""
+    return doc.get("witness_kind"), doc.get("trace")
 
 
 def compiles(model) -> bool:

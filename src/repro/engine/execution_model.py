@@ -38,7 +38,7 @@ from repro.engine.tables import (
     TableStepper,
     _LruCache,
 )
-from repro.engine.symbolic import _constraint_order
+from repro.engine.symbolic import TransitionSystem, _constraint_order
 from repro.errors import EngineError
 from repro.moccml.semantics.runtime import ConstraintRuntime
 
@@ -95,36 +95,19 @@ class SymbolicKernel(TableStepper):
                     in zip(self.tables, model.constraints))
         return CompiledStateView(self, ids, model.name)
 
-    def transition_system(self, model: "ExecutionModel",
-                          max_local_states: int | None = None,
-                          relation_mode: str | None = None,
-                          cluster_cap: int | None = None,
-                          reorder_budget: int | None = None):
+    def transition_system(self, model: "ExecutionModel"):
         """The compiled symbolic transition system for *model*'s current
         configuration (see :mod:`repro.engine.symbolic`).
 
-        Cached per build configuration (including the relation layout:
-        *relation_mode*, *cluster_cap*, *reorder_budget* — ``None``
-        means the engine defaults), so clones of one model family —
-        which share this kernel — share the compiled relation across
+        Cached per configuration, so clones of one model family — which
+        share this kernel — share the compiled relation across
         explorations and analyses. *model* must be a member of the
         family owning this kernel.
         """
-        from repro.engine import symbolic
-        if max_local_states is None:
-            max_local_states = symbolic.DEFAULT_MAX_LOCAL_STATES
-        if relation_mode is None:
-            relation_mode = symbolic.DEFAULT_RELATION_MODE
-        if cluster_cap is None:
-            cluster_cap = symbolic.DEFAULT_CLUSTER_CAP
-        key = (model.configuration(), max_local_states, relation_mode,
-               cluster_cap, reorder_budget)
+        key = model.configuration()
         system = self._ts_cache.get(key, _MISSING)
         if system is _MISSING:
-            system = symbolic.compile_transition_system(
-                model, max_local_states=max_local_states,
-                relation_mode=relation_mode, cluster_cap=cluster_cap,
-                reorder_budget=reorder_budget)
+            system = TransitionSystem(model)
             self._ts_cache.put(key, system)
         return system
 

@@ -55,9 +55,7 @@ AUTO_EVENT_THRESHOLD = 10
 def explore(model: ExecutionModel, max_states: int = 10_000,
             max_depth: int | None = None, include_empty: bool = False,
             strict: bool = False, maximal_only: bool = False,
-            strategy: str = "explicit",
-            relation_mode: str | None = None,
-            cluster_cap: int | None = None) -> StateSpace:
+            strategy: str = "explicit") -> StateSpace:
     """Breadth-first exploration from the model's current configuration.
 
     Parameters
@@ -87,22 +85,15 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
     strategy:
         ``"explicit"``, ``"symbolic"`` or ``"auto"`` (see module doc).
         The produced state space is identical either way.
-    relation_mode / cluster_cap:
-        Relation layout of the compiled system (symbolic strategies
-        only; ``None`` keeps the engine defaults — see
-        :data:`repro.engine.symbolic.RELATION_MODES`). The produced
-        state space is identical under every layout.
     """
-    work = _working_view(model, strategy, relation_mode=relation_mode,
-                         cluster_cap=cluster_cap)
+    work = _working_view(model, strategy)
     return _bfs(work, model.name, list(model.events), max_states=max_states,
                 max_depth=max_depth, include_empty=include_empty,
                 strict=strict, maximal_only=maximal_only)
 
 
-def _working_view(model: ExecutionModel, strategy: str,
-                  relation_mode: str | None = None,
-                  cluster_cap: int | None = None) -> CompiledStateView:
+def _working_view(model: ExecutionModel,
+                  strategy: str) -> CompiledStateView:
     """The BFS driver for *strategy*: a view over the kernel's lazily
     filled local tables (explicit) or over a compiled system's closed
     ones (symbolic)."""
@@ -122,8 +113,7 @@ def _working_view(model: ExecutionModel, strategy: str,
         if not is_encodable(model):
             return model.kernel.table_view(model)
     try:
-        return CompiledStateView(model.kernel.transition_system(
-            model, relation_mode=relation_mode, cluster_cap=cluster_cap))
+        return CompiledStateView(model.kernel.transition_system(model))
     except SymbolicEncodingError:
         if strategy == "symbolic":
             raise

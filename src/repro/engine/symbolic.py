@@ -33,7 +33,10 @@ The pipeline:
    ``T_i(bits_i, events_i, bits_i')`` disjoins one cube per closed-table
    transition; the global relation is their conjunction, which by
    construction enforces the same global step conjunction the explicit
-   engine evaluates.
+   engine evaluates. That conjunction is never built: adjacent parts
+   are merged into clusters of at most :data:`DEFAULT_CLUSTER_CAP`
+   nodes, and every image and preimage is a clustered relational
+   product with early quantification (Burch, Clarke & Long 1991).
 4. **Frontier fixpoint.** ``R_{k+1} = R_k ∨ rename(∃ state, events:
    T ∧ F_k)`` iterated until the frontier empties, with per-layer
    bookkeeping so depth/state budgets behave like the explicit BFS.
@@ -68,14 +71,6 @@ from repro.errors import EngineError, SymbolicEncodingError
 MAX_ALPHABET = 16
 DEFAULT_MAX_LOCAL_STATES = 4_096
 
-#: relation representations: ``partitioned`` keeps the per-constraint
-#: parts ``T_i`` separate and computes images by a clustered relational
-#: product with early quantification (the default — an order of
-#: magnitude faster on wide/mesh topologies); ``monolithic`` conjoins
-#: them into one relation BDD up front (the pre-partitioning behaviour,
-#: kept for the equivalence battery and as a fallback).
-RELATION_MODES = ("partitioned", "monolithic")
-DEFAULT_RELATION_MODE = "partitioned"
 #: greedy cluster merging stops once a merged cluster would exceed this
 #: many BDD nodes — small enough to keep early quantification effective,
 #: large enough to amortize the per-cluster conjunction overhead.
@@ -158,34 +153,21 @@ class TransitionSystem(TableStepper):
     and witness walks step through.
     """
 
-    def __init__(self, model, max_local_states: int = DEFAULT_MAX_LOCAL_STATES,
-                 relation_mode: str = DEFAULT_RELATION_MODE,
-                 cluster_cap: int = DEFAULT_CLUSTER_CAP,
-                 reorder_budget: int | None = None):
+    def __init__(self, model):
         obs.count("symbolic.compiles")
         with obs.span("symbolic.compile", model=model.name) as trace:
-            self._build(model, max_local_states, relation_mode,
-                        cluster_cap, reorder_budget)
-            trace.set(mode=self.relation_mode, clusters=len(self._clusters),
+            self._build(model)
+            trace.set(clusters=len(self._clusters),
                       bdd_nodes=self.bdd.node_count())
 
-    def _build(self, model, max_local_states: int, relation_mode: str,
-               cluster_cap: int, reorder_budget: int | None) -> None:
-        if relation_mode not in RELATION_MODES:
-            raise EngineError(
-                f"unknown relation_mode {relation_mode!r}; expected one "
-                f"of {RELATION_MODES}")
+    def _build(self, model) -> None:
         self.name = model.name
-        self.relation_mode = relation_mode
-        self.cluster_cap = cluster_cap
-        tables = [_close_local(index, constraint, max_local_states)
+        tables = [_close_local(index, constraint, DEFAULT_MAX_LOCAL_STATES)
                   for index, constraint in enumerate(model.constraints)]
         self.order: list[int] = _constraint_order(model.constraints)
         super().__init__(
             Bdd(auto_reorder_threshold=DEFAULT_AUTO_REORDER_THRESHOLD,
-                auto_reorder_budget=(DEFAULT_AUTO_REORDER_BUDGET
-                                     if reorder_budget is None
-                                     else reorder_budget)),
+                auto_reorder_budget=DEFAULT_AUTO_REORDER_BUDGET),
             list(model.events), tables, self.order)
         # installing the provider *before* compiling matters: it stops
         # the manager from firing mid-compile standalone reorders, whose
@@ -197,7 +179,6 @@ class TransitionSystem(TableStepper):
         self._compile_relation()
         self.initial_ids: tuple[int, ...] = tuple(0 for _ in self.tables)
         self.initial_node = self._encode_state(self.initial_ids)
-        self._step_relation_cache: dict[bool, int] = {}
         self._guard_cache: dict[bool, int] = {}
         self._cluster_chain_cache: dict[bool, list[int]] = {}
         self._schedule_cache: dict[tuple[bool, bool], tuple] = {}
@@ -263,15 +244,11 @@ class TransitionSystem(TableStepper):
         return node
 
     def _compile_relation(self) -> None:
-        bdd = self.bdd
         self._compile_formulas()
         self.parts: list[int] = []
         for index in self.order:
             self.parts.append(self._relation_part(index))
         self._clusters: list[int] = self._build_clusters()
-        self._relation_node: int | None = None
-        if self.relation_mode == "monolithic":
-            self._relation_node = bdd.conjoin(self.parts)
 
     def _build_clusters(self) -> list[int]:
         """Greedily merge adjacent parts (topology order, so coupled
@@ -286,7 +263,7 @@ class TransitionSystem(TableStepper):
                 current = part
                 continue
             merged = bdd.apply_and(current, part)
-            if bdd.size(merged) <= self.cluster_cap:
+            if bdd.size(merged) <= DEFAULT_CLUSTER_CAP:
                 current = merged
             else:
                 clusters.append(current)
@@ -294,15 +271,6 @@ class TransitionSystem(TableStepper):
         if current is not None:
             clusters.append(current)
         return clusters
-
-    @property
-    def relation(self) -> int:
-        """The monolithic conjunction ``∧ T_i`` — built eagerly in
-        monolithic mode, on first demand otherwise (partitioned
-        image/preimage never need it)."""
-        if self._relation_node is None:
-            self._relation_node = self.bdd.conjoin(self.parts)
-        return self._relation_node
 
     def _reorder_roots(self) -> list[int]:
         """Every node id this system still holds — the live set a
@@ -321,9 +289,6 @@ class TransitionSystem(TableStepper):
         roots.extend(self._clusters)
         for nodes in self._formula_nodes:
             roots.extend(nodes)
-        if self._relation_node is not None:
-            roots.append(self._relation_node)
-        roots.extend(self._step_relation_cache.values())
         roots.extend(self._guard_cache.values())
         for chain in self._cluster_chain_cache.values():
             roots.extend(chain)
@@ -354,7 +319,7 @@ class TransitionSystem(TableStepper):
             return
         self._pinned = in_flight
         try:
-            bdd.reorder(budget=bdd._auto_reorder_budget, auto=True)
+            bdd.reorder(budget=DEFAULT_AUTO_REORDER_BUDGET, auto=True)
         finally:
             self._pinned = ()
 
@@ -417,19 +382,6 @@ class TransitionSystem(TableStepper):
         self._guard_cache[include_empty] = guard
         return guard
 
-    def step_relation(self, include_empty: bool = False) -> int:
-        """The monolithic relation restricted to explorer-visible steps
-        (see :meth:`_guard_node`). Partitioned image/preimage never
-        build this; it backs ``relation_mode='monolithic'`` and callers
-        that pass an explicit ``relation=`` override."""
-        cached = self._step_relation_cache.get(include_empty)
-        if cached is not None:
-            return cached
-        result = self.bdd.apply_and(self.relation,
-                                    self._guard_node(include_empty))
-        self._step_relation_cache[include_empty] = result
-        return result
-
     def _schedule(self, include_empty: bool,
                   backward: bool) -> tuple[list[int], list[str], list[list[str]]]:
         """The early-quantification schedule of the clustered product.
@@ -470,7 +422,7 @@ class TransitionSystem(TableStepper):
     def _clustered_product(self, seed: int, include_empty: bool,
                            backward: bool) -> int:
         """``∃ quantified · seed ∧ guard ∧ ∧ clusters`` with early
-        quantification — the partitioned relational product."""
+        quantification — the clustered relational product."""
         bdd = self.bdd
         chain, upfront, ready = self._schedule(include_empty, backward)
         product = bdd.exists(seed, upfront) if upfront else seed
@@ -485,19 +437,13 @@ class TransitionSystem(TableStepper):
 
     def image(self, frontier: int, include_empty: bool = False) -> int:
         """Successor states of the *frontier* set, over current bits."""
-        bdd = self.bdd
         self.image_count += 1
         obs.count("symbolic.images")
-        if self.relation_mode == "monolithic":
-            succ = bdd.and_exists(self.step_relation(include_empty), frontier,
-                                  self.all_cur + self.events)
-        else:
-            succ = self._clustered_product(frontier, include_empty,
-                                           backward=False)
-        return bdd.rename(succ, self.primed_to_cur)
+        succ = self._clustered_product(frontier, include_empty,
+                                       backward=False)
+        return self.bdd.rename(succ, self.primed_to_cur)
 
-    def preimage(self, targets: int, include_empty: bool = False,
-                 relation: int | None = None) -> int:
+    def preimage(self, targets: int, include_empty: bool = False) -> int:
         """Predecessor states of the *targets* set, over current bits.
 
         The backward relational product ``∃ events, primed:
@@ -507,49 +453,25 @@ class TransitionSystem(TableStepper):
         uses the manager's general :meth:`~repro.boolalg.bdd.Bdd.\
         substitute` (the paired twin of the primed→current
         :meth:`~repro.boolalg.bdd.Bdd.rename` used by :meth:`image`).
-        *relation* overrides the step relation — pass a restricted
-        relation (e.g. conjoined with the reachable set) to keep the
-        fixpoint iterates small; an override always takes the monolithic
-        product path.
         """
-        bdd = self.bdd
         self.preimage_count += 1
         obs.count("symbolic.preimages")
-        primed = bdd.substitute(targets, self.cur_to_primed)
-        if relation is None and self.relation_mode != "monolithic":
-            return self._clustered_product(primed, include_empty,
-                                           backward=True)
-        if relation is None:
-            relation = self.step_relation(include_empty)
-        return bdd.and_exists(relation, primed,
-                              self.all_primed + self.events)
+        primed = self.bdd.substitute(targets, self.cur_to_primed)
+        return self._clustered_product(primed, include_empty, backward=True)
 
-    def can_step_node(self, include_empty: bool = False,
-                      relation: int | None = None) -> int:
-        """States with at least one outgoing step (over current bits).
-        *relation* overrides the step relation, as in :meth:`preimage`."""
-        if relation is None and self.relation_mode != "monolithic":
-            return self._clustered_product(self.bdd.one, include_empty,
-                                           backward=True)
-        if relation is None:
-            relation = self.step_relation(include_empty)
-        return self.bdd.exists(relation, self.all_primed + self.events)
+    def can_step_node(self, include_empty: bool = False) -> int:
+        """States with at least one outgoing step (over current bits)."""
+        return self._clustered_product(self.bdd.one, include_empty,
+                                       backward=True)
 
-    def occurs_node(self, event: str, include_empty: bool = False,
-                    relation: int | None = None) -> int:
+    def occurs_node(self, event: str, include_empty: bool = False) -> int:
         """States with an outgoing step containing *event*."""
-        bdd = self.bdd
         if event not in self.events:
             raise EngineError(
                 f"unknown event {event!r} in {self.name!r}; known: "
                 f"{sorted(self.events)}")
-        if relation is None and self.relation_mode != "monolithic":
-            return self._clustered_product(bdd.var(event), include_empty,
-                                           backward=True)
-        if relation is None:
-            relation = self.step_relation(include_empty)
-        return bdd.and_exists(relation, bdd.var(event),
-                              self.all_primed + self.events)
+        return self._clustered_product(self.bdd.var(event), include_empty,
+                                       backward=True)
 
     def local_states_node(self, index: int, local_ids: Iterable[int]) -> int:
         """The set of states whose constraint *index* is in one of the
@@ -633,7 +555,7 @@ class TransitionSystem(TableStepper):
 
     def telemetry(self) -> dict[str, object]:
         """Engine counters for observability (bench harness, ``--json``
-        output, the future admission controller): relation layout, peak
+        output, the future admission controller): cluster count, peak
         BDD nodes (the table is append-only, so the total *is* the
         peak), dynamic-reorder count, image/preimage iterations and
         operation-cache hit rates. Never part of canonical artifacts —
@@ -645,9 +567,7 @@ class TransitionSystem(TableStepper):
         stays as the per-system view it dispatches to."""
         bdd = self.bdd
         return {
-            "relation_mode": self.relation_mode,
             "clusters": len(self._clusters),
-            "cluster_cap": self.cluster_cap,
             "bdd_nodes": bdd.node_count(),
             "reorders": bdd.reorder_count,
             "images": self.image_count,
@@ -800,45 +720,18 @@ class ReachableSet:
                 f"states, depth {self.depth}{status})")
 
 
-def compile_transition_system(
-        model, max_local_states: int = DEFAULT_MAX_LOCAL_STATES,
-        relation_mode: str = DEFAULT_RELATION_MODE,
-        cluster_cap: int = DEFAULT_CLUSTER_CAP,
-        reorder_budget: int | None = None) -> TransitionSystem:
-    """Compile *model*'s transition relation (see :class:`TransitionSystem`).
-
-    Prefer :meth:`SymbolicKernel.transition_system
-    <repro.engine.execution_model.SymbolicKernel.transition_system>`,
-    which caches the compiled system on the model's kernel so clones and
-    repeated analyses share it.
-    """
-    return TransitionSystem(model, max_local_states=max_local_states,
-                            relation_mode=relation_mode,
-                            cluster_cap=cluster_cap,
-                            reorder_budget=reorder_budget)
-
-
 def symbolic_reachable(model, include_empty: bool = False,
                        max_depth: int | None = None,
-                       max_states: int | None = None,
-                       max_local_states: int = DEFAULT_MAX_LOCAL_STATES,
-                       relation_mode: str | None = None,
-                       cluster_cap: int | None = None
-                       ) -> ReachableSet:
+                       max_states: int | None = None) -> ReachableSet:
     """The reachable configuration set of *model*, by fixpoint iteration.
 
     The compiled system is cached on the model's symbolic kernel; the
-    fixpoint itself is recomputed per call (budgets differ).
-    *relation_mode*/*cluster_cap* select the relation layout (``None``
-    keeps the engine defaults — partitioned with early quantification;
-    see :data:`RELATION_MODES`). Raises
+    fixpoint itself is recomputed per call (budgets differ). Raises
     :class:`~repro.errors.SymbolicEncodingError` when the model cannot
     be finitely encoded (use ``explore(strategy='auto')`` to fall back
     to explicit search automatically).
     """
-    system = model.kernel.transition_system(
-        model, max_local_states=max_local_states,
-        relation_mode=relation_mode, cluster_cap=cluster_cap)
+    system = model.kernel.transition_system(model)
     if max_depth is None and max_states is None:
         return system.reachable_set(include_empty=include_empty)
     return system.reachable(include_empty=include_empty,

@@ -1,12 +1,11 @@
 """repro.fuzz — the continuous differential-fuzzing farm.
 
 The engine has two independent verdict backends (explicit three-valued
-exploration and symbolic BDD fixpoints, the latter under two relation
-layouts) and five front-ends feeding them. That redundancy is this
-package's oracle: generate a well-formed model, generate CTL properties
-over its actual events, run every property through every backend
-configuration, and *any* disagreement — verdict, witness, or crash —
-is a bug by definition, no specification needed.
+exploration and symbolic BDD fixpoints) and five front-ends feeding
+them. That redundancy is this package's oracle: generate a well-formed
+model, generate CTL properties over its actual events, run every
+property through both backends, and *any* disagreement — verdict,
+witness, or crash — is a bug by definition, no specification needed.
 
 Pieces (one module each):
 

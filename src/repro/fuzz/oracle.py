@@ -63,10 +63,9 @@ def backend_specs(case: FuzzCase, prop: str | None = None) -> list:
             prop=prop,
             max_states=case.max_states,
             strategy=strategy,
-            relation_mode=mode,
             label=label,
         )
-        for label, strategy, mode in ORACLE_CONFIGS
+        for label, strategy in ORACLE_CONFIGS
     ]
 
 
@@ -156,25 +155,18 @@ def _check_static(case: FuzzCase, handle, outcome: CaseOutcome) -> None:
 
 
 def _check_spaces(case: FuzzCase, handle, outcome: CaseOutcome) -> None:
-    """Phase 1: the state-space cross-check, both relation layouts."""
+    """Phase 1: the state-space cross-check."""
     if outcome.unencodable:
         return
-    for mode in ("partitioned", "monolithic"):
-        report = cross_check(
-            handle.execution_model,
-            max_states=case.max_states,
-            relation_mode=mode,
-            properties=[],
-        )
-        outcome.checks += 1
-        if report["mismatches"]:
-            detail = (
-                f"state-space cross-check ({mode}): "
-                + "; ".join(report["mismatches"])
-            )
-            outcome.failures.append(
-                _failure(case, "disagreement", detail)
-            )
+    report = cross_check(
+        handle.execution_model,
+        max_states=case.max_states,
+        properties=[],
+    )
+    outcome.checks += 1
+    if report["mismatches"]:
+        detail = "state-space cross-check: " + "; ".join(report["mismatches"])
+        outcome.failures.append(_failure(case, "disagreement", detail))
 
 
 def _check_properties(case: FuzzCase, handle,

@@ -31,7 +31,7 @@ span name                      region (attributes)
 ``farm.group``                 one model group on a backend (model, runs)
 ``farm.worker``                a process worker's group (model, runs)
 ``serve.request``              one ``POST /run`` (runs)
-``symbolic.compile``           TransitionSystem build (mode, clusters,
+``symbolic.compile``           TransitionSystem build (clusters,
                                bdd_nodes)
 ``symbolic.closure``           one constraint's local-state closure
                                (constraint, states)

@@ -52,10 +52,6 @@ class RunSpec:
     include_empty: bool = False
     maximal_only: bool = False
     strategy: str = "explicit"
-    #: symbolic-backend relation layout: ``None`` keeps the engine
-    #: default (partitioned), ``"monolithic"`` forces the eager
-    #: conjunction — see :class:`repro.engine.symbolic.TransitionSystem`
-    relation_mode: str | None = None
     # -- check -------------------------------------------------------------
     prop: str | None = None
     # -- lint --------------------------------------------------------------
@@ -95,8 +91,6 @@ class RunSpec:
                 doc["maximal_only"] = True
             if self.strategy != "explicit":
                 doc["strategy"] = self.strategy
-            if self.relation_mode is not None:
-                doc["relation_mode"] = self.relation_mode
         elif self.kind == "check":
             if self.prop is None:
                 raise SerializationError(
@@ -110,8 +104,6 @@ class RunSpec:
                 doc["include_empty"] = True
             if self.strategy != "auto":  # the check default, cf. from_doc
                 doc["strategy"] = self.strategy
-            if self.relation_mode is not None:
-                doc["relation_mode"] = self.relation_mode
         elif self.kind == "lint":
             if self.rules is not None:
                 doc["rules"] = list(self.rules)
@@ -137,8 +129,8 @@ class RunSpec:
             raise SerializationError("a run spec document needs a 'model'")
         known = {"format", "kind", "model", "label", "policy", "steps",
                  "max_states", "max_depth", "include_empty", "maximal_only",
-                 "strategy", "relation_mode", "property", "rules", "watch",
-                 "policies", "options"}
+                 "strategy", "property", "rules", "watch", "policies",
+                 "options"}
         unknown = set(doc) - known
         if unknown:
             raise SerializationError(
@@ -155,7 +147,6 @@ class RunSpec:
             strategy=doc.get("strategy",
                              "auto" if doc["kind"] == "check"
                              else "explicit"),
-            relation_mode=doc.get("relation_mode"),
             prop=doc.get("property"),
             rules=(list(doc["rules"]) if doc.get("rules") is not None
                    else None),
@@ -180,26 +171,17 @@ def SimulateSpec(model: str, policy: object = "asap", steps: int = 20,
 def ExploreSpec(model: str, max_states: int = 10_000,
                 max_depth: int | None = None, include_empty: bool = False,
                 maximal_only: bool = False, strategy: str = "explicit",
-                relation_mode: str | None = None,
                 label: str | None = None, **options) -> RunSpec:
     """An exhaustive-exploration spec.
 
     *strategy* is ``"explicit"``, ``"symbolic"`` or ``"auto"`` — see
     :func:`repro.engine.explorer.explore`; the result is identical
-    either way. *relation_mode* tunes the symbolic backend's relation
-    layout (``"partitioned"``, the default, or ``"monolithic"``) and is
-    ignored by the explicit strategy; the state space is identical
-    under either layout, only the cost profile moves. A ``cluster_cap``
-    option (node-count cap per partitioned cluster) rides ``options``;
-    the reorder budget is a compile-level knob of
-    :meth:`SymbolicKernel.transition_system
-    <repro.engine.execution_model.SymbolicKernel.transition_system>`.
+    either way.
     """
     return RunSpec(kind="explore", model=model, max_states=max_states,
                    max_depth=max_depth, include_empty=include_empty,
                    maximal_only=maximal_only, strategy=strategy,
-                   relation_mode=relation_mode, label=label,
-                   options=options)
+                   label=label, options=options)
 
 
 def CampaignSpec(model: str, steps: int = 40,
@@ -235,7 +217,6 @@ def LintSpec(model: str, rules: list[str] | None = None,
 def CheckSpec(model: str, prop: str, strategy: str = "auto",
               max_states: int = 10_000, max_depth: int | None = None,
               include_empty: bool = False,
-              relation_mode: str | None = None,
               label: str | None = None, **options) -> RunSpec:
     """A temporal-property check spec.
 
@@ -244,19 +225,14 @@ def CheckSpec(model: str, prop: str, strategy: str = "auto",
     *strategy* picks the backend (``"explicit"``/``"symbolic"``/
     ``"auto"``); the explicit budget is ``max_states``/``max_depth`` and
     an exhausted budget yields the ``"unknown"`` verdict — never an
-    unsound definitive one. *relation_mode* tunes the symbolic
-    backend's relation layout (``"partitioned"``/``"monolithic"``;
-    verdict-neutral, cost-relevant), and a ``cluster_cap`` option
-    (node-count cap per partitioned cluster) rides ``options``. The
-    result payload carries the
+    unsound definitive one. The result payload carries the
     three-valued verdict, the backend that answered, and — when the
     top-level operator admits one — a witness/counterexample replayable
     via ``result.trace()``.
     """
     return RunSpec(kind="check", model=model, prop=prop, strategy=strategy,
                    max_states=max_states, max_depth=max_depth,
-                   include_empty=include_empty,
-                   relation_mode=relation_mode, label=label,
+                   include_empty=include_empty, label=label,
                    options=options)
 
 

@@ -145,9 +145,7 @@ def _execute_explore(spec: RunSpec, handle: ModelHandle) -> dict:
                          max_depth=spec.max_depth,
                          include_empty=spec.include_empty,
                          maximal_only=spec.maximal_only,
-                         strategy=spec.strategy,
-                         relation_mode=spec.relation_mode,
-                         cluster_cap=spec.options.get("cluster_cap"))
+                         strategy=spec.strategy)
     data = {
         "strategy": spec.strategy,
         "summary": space.summary(),
@@ -188,8 +186,6 @@ def _execute_check(spec: RunSpec, handle: ModelHandle) -> dict:
                     strategy=spec.strategy, max_states=spec.max_states,
                     max_depth=spec.max_depth,
                     include_empty=spec.include_empty,
-                    relation_mode=spec.relation_mode,
-                    cluster_cap=spec.options.get("cluster_cap"),
                     witness=spec.options.get("include_witness", True))
     return outcome.to_doc()
 

@@ -1,63 +1,105 @@
-"""Partitioned vs monolithic transition relation: mode equivalence.
+"""Cluster layouts of the one transition relation.
 
-The partitioned relation (clustered conjuncts, early quantification in
-``image``/``preimage``) and the eagerly-conjoined monolithic relation
-are two layouts of the *same* transition function — every observable
-artifact must be identical under either mode. These tests sweep the
-equivalence corpus with the mode forced both ways, compare serialized
-state spaces byte-for-byte across modes, and pin that verdicts survive
-a forced variable reorder mid-analysis.
+The symbolic backend never conjoins the global relation. It merges the
+per-constraint relation parts into clusters of at most
+``DEFAULT_CLUSTER_CAP`` nodes, and every image and preimage is a
+clustered product with early quantification. The clustering is a
+layout, not a semantics. These tests force the two extreme layouts
+through that one product — ``partitioned``, one cluster per
+constraint, and ``monolithic``, the whole conjunction in a single
+cluster — check each against the explicit engine on the equivalence
+corpus, compare what the relation computes byte-for-byte across the
+two, and pin that verdicts survive a forced variable reorder
+mid-analysis.
 """
+
+import json
+import sys
 
 import pytest
 
-from repro.engine import cross_check, explore
+from repro.engine import cross_check, symbolic
 from repro.engine.ctl import Verdict, check
+from repro.engine.equivalence import battery_texts
 from repro.engine.symbolic import symbolic_reachable
 
 from tests.engine.test_symbolic_equivalence import CORPUS
 
-MODES = ("partitioned", "monolithic")
+#: the cluster-size cap that forces each layout: no merge fits under
+#: 0 nodes, and every merge fits under ``sys.maxsize``
+MODES = {"partitioned": 0, "monolithic": sys.maxsize}
+
+
+def _force_layout(monkeypatch, mode):
+    monkeypatch.setattr(symbolic, "DEFAULT_CLUSTER_CAP", MODES[mode])
+
+
+def _compiled(model, mode):
+    """*model*'s compiled system, checked to carry the forced layout."""
+    system = model.kernel.transition_system(model)
+    clusters = system.telemetry()["clusters"]
+    assert clusters == (len(system.parts) if mode == "partitioned" else 1)
+    return system
+
+
+def _relation_artifacts(model):
+    """Everything the relation computes for *model*: the reachable
+    fixpoint layer by layer and the symbolic verdicts and witness
+    traces of the property battery."""
+    reachable = symbolic_reachable(model)
+    return {
+        "layers": reachable.layer_counts(),
+        "states": sorted(map(repr, reachable.states())),
+        "deadlocks": reachable.deadlock_count(),
+        "dead_events": sorted(reachable.dead_events()),
+        "checks": [check(model, text, strategy="symbolic").to_doc()
+                   for text in battery_texts(model)],
+    }
 
 
 class TestCorpusBothModes:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     @pytest.mark.parametrize("mode", MODES)
-    def test_mode_agrees_with_explicit(self, name, mode):
-        """Each mode independently matches the explicit engine on the
-        full corpus (graph keys, transitions, serialized space)."""
+    def test_mode_agrees_with_explicit(self, name, mode, monkeypatch):
+        """Each layout independently matches the explicit engine on the
+        full corpus (fixpoint, deadlocks, property verdicts)."""
+        _force_layout(monkeypatch, mode)
         model = CORPUS[name]()
-        report = cross_check(model, max_states=10_000, relation_mode=mode)
+        _compiled(model, mode)
+        report = cross_check(model, max_states=10_000)
         assert report["mismatches"] == [], (name, mode)
+        assert report["fixpoint"] is not None
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
-    def test_modes_serialize_identically(self, name):
-        """The two layouts produce byte-identical serialized spaces —
-        not just equal counts, the same graph in the same encoding."""
-        model = CORPUS[name]()
-        spaces = {}
+    def test_modes_serialize_identically(self, name, monkeypatch):
+        """The two layouts compute the same relation: byte-identical
+        fixpoints and property documents — not just equal counts, the
+        same states and the same witness traces."""
+        artifacts = {}
         for mode in MODES:
-            model.clear_caches()  # force a fresh kernel per mode
-            spaces[mode] = explore(
-                model, max_states=10_000, strategy="symbolic",
-                relation_mode=mode).to_json()
-        assert spaces["partitioned"] == spaces["monolithic"], name
+            _force_layout(monkeypatch, mode)
+            model = CORPUS[name]()
+            _compiled(model, mode)
+            artifacts[mode] = json.dumps(_relation_artifacts(model),
+                                         sort_keys=True)
+        assert artifacts["partitioned"] == artifacts["monolithic"], name
 
 
 class TestVerdictsSurviveReorder:
     @pytest.mark.parametrize("mode", MODES)
-    def test_forced_midstream_reorder_keeps_verdicts(self, mode):
+    def test_forced_midstream_reorder_keeps_verdicts(self, mode,
+                                                     monkeypatch):
         """Force a full sift between property checks: the analysis
         caches must come through the renumbering intact (or be
         correctly invalidated) — same verdicts either way."""
+        _force_layout(monkeypatch, mode)
         model = CORPUS["chain3-cap2"]()
         props = ("AG !deadlock", "EF deadlock", "AG EF occurs(a0.start)")
-        before = [check(model, text, strategy="symbolic",
-                        relation_mode=mode).verdict for text in props]
-        system = model.kernel.transition_system(model, relation_mode=mode)
-        system.bdd.reorder()
-        after = [check(model, text, strategy="symbolic",
-                       relation_mode=mode).verdict for text in props]
+        before = [check(model, text, strategy="symbolic").verdict
+                  for text in props]
+        _compiled(model, mode).bdd.reorder()
+        after = [check(model, text, strategy="symbolic").verdict
+                 for text in props]
         assert after == before
         assert before[0] is Verdict.HOLDS
 

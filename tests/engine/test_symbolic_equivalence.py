@@ -162,35 +162,36 @@ def _doc(verdict, truncated=False, trace=None, kind="witness"):
 RULE_TABLE = [
     ("unknown-on-truncated-is-sound",
      {"explicit": _doc("unknown", truncated=True),
-      "symbolic-partitioned": _doc("holds")},
+      "symbolic": _doc("holds")},
      []),
     ("unknown-on-complete-exploration",
-     {"explicit": _doc("unknown"), "symbolic-partitioned": _doc("holds")},
+     {"explicit": _doc("unknown"), "symbolic": _doc("holds")},
      ["disagreement"]),
     ("definitive-verdicts-differ",
-     {"explicit": _doc("holds"), "symbolic-partitioned": _doc("fails")},
-     ["disagreement"]),
-    ("relation-layouts-differ",
-     {"explicit": _doc("unknown", truncated=True),
-      "symbolic-partitioned": _doc("holds"),
-      "symbolic-monolithic": _doc("fails")},
+     {"explicit": _doc("holds"), "symbolic": _doc("fails")},
      ["disagreement"]),
     ("witness-kind-differs-on-complete-run",
      {"explicit": _doc("holds", trace=[["a"]], kind="witness"),
-      "symbolic-partitioned": _doc("holds", trace=[["a"]],
-                                   kind="counterexample")},
+      "symbolic": _doc("holds", trace=[["a"]], kind="counterexample")},
      ["witness"]),
+    ("witness-steps-differ-on-complete-run",
+     {"explicit": _doc("holds", trace=[["a"]]),
+      "symbolic": _doc("holds", trace=[["a"], ["b"]])},
+     ["witness"]),
+    ("explicit-alone-on-complete-run",
+     {"explicit": _doc("holds", trace=[["a"]])},
+     []),
     ("explicit-trace-differs-on-truncated-run",
      {"explicit": _doc("holds", truncated=True, trace=[["a"]]),
-      "symbolic-partitioned": _doc("holds", trace=[["a"], ["b"]])},
+      "symbolic": _doc("holds", trace=[["a"], ["b"]])},
      []),
     ("trace-names-an-unknown-event",
      {"explicit": _doc("unknown", truncated=True),
-      "symbolic-partitioned": _doc("holds", trace=[["no.such.event"]])},
+      "symbolic": _doc("holds", trace=[["no.such.event"]])},
      ["witness"]),
     ("trace-is-not-a-schedule-prefix",
      {"explicit": _doc("unknown", truncated=True),
-      "symbolic-partitioned": _doc("holds", trace=[["b"]])},
+      "symbolic": _doc("holds", trace=[["b"]])},
      ["witness"]),
 ]
 

@@ -36,12 +36,14 @@ def test_run_round_reports_per_frontend_counts():
 
 @pytest.mark.parametrize("cases", [1, 3, 4])
 def test_run_round_checks_exactly_the_cases_asked(cases):
-    # twelve properties per case, round-robin over the lanes: no case
-    # beyond the count is generated or checked
+    # eight checks per (encodable) case — the static check, the
+    # state-space cross-check and three properties on each of the two
+    # backends — round-robin over the lanes: no case beyond the count
+    # is generated or checked
     report = run_round(5, cases=cases, frontends=FAST_FRONTENDS)
     assert report["ok"]
     assert report["cases"] == cases
-    assert report["checks"] == 12 * cases
+    assert report["checks"] == 8 * cases
     assert list(report["per_frontend"].values()) == [
         1 if lane < cases else 0 for lane in range(len(FAST_FRONTENDS))]
 

@@ -97,10 +97,14 @@ class TestErrorPaths:
         with pytest.raises(ServeError, match="ghost"):
             submit(doc, server.url)
 
-    def test_invalid_spec_is_rejected(self, server):
-        doc = {"models": {"chain": model_doc(CHAIN)},
-               "runs": [{"kind": "nonsense", "model": "chain"}]}
-        with pytest.raises(ServeError, match="not a valid spec"):
+    @pytest.mark.parametrize("run", [
+        {"kind": "nonsense", "model": "chain"},
+        {"kind": "check", "model": "chain", "property": "AG !deadlock",
+         "relation_mode": "monolithic"},
+    ], ids=["unknown-kind", "unknown-field"])
+    def test_invalid_spec_is_rejected(self, server, run):
+        doc = {"models": {"chain": model_doc(CHAIN)}, "runs": [run]}
+        with pytest.raises(ServeError, match=r"\(400\).*not a valid spec"):
             submit(doc, server.url)
 
     def test_unloadable_model_is_a_400_not_a_crash(self, server):

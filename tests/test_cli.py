@@ -117,6 +117,15 @@ class TestCheck:
         assert main(["check", app_file, "AG (((("]) == 1
         assert "property syntax" in capsys.readouterr().err
 
+    def test_relation_mode_flag_is_gone(self, app_file, capsys):
+        # one symbolic relation layout: the old selector is an
+        # argparse error, not a silently accepted no-op
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", app_file, "AG !deadlock",
+                  "--relation-mode", "partitioned"])
+        assert excinfo.value.code == 2
+        assert "--relation-mode" in capsys.readouterr().err
+
     def test_batch_check_spec(self, app_file, tmp_path, capsys):
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps({

@@ -62,6 +62,12 @@ class TestRunSpec:
         with pytest.raises(SerializationError, match="unknown run-spec"):
             RunSpec.from_doc({"kind": "simulate", "model": "m",
                               "bogus": 1})
+        # the symbolic backend has one relation layout; the old
+        # layout selector is refused, not silently ignored
+        with pytest.raises(SerializationError, match="relation_mode"):
+            RunSpec.from_doc({"kind": "check", "model": "m",
+                              "property": "AG !deadlock",
+                              "relation_mode": "monolithic"})
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(SerializationError, match="invalid"):
