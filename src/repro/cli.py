@@ -74,6 +74,8 @@ import sys
 
 import repro
 from repro import obs
+from repro.engine.ctl import PROPERTY_STRATEGIES
+from repro.engine.explorer import STRATEGIES
 from repro.errors import ReproError
 from repro.viz import run_result_report, sdf_to_dot, statespace_report, \
     trace_report
@@ -84,7 +86,7 @@ from repro.workbench import (
     ExploreSpec,
     SimulateSpec,
     Workbench,
-    source_from_doc,
+    load_doc,
 )
 
 #: policies offerable without structured arguments (replay needs a
@@ -338,13 +340,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    from repro.serve import split_document
     with open(args.specs, encoding="utf-8") as handle:
-        document = json.load(handle)
-    if isinstance(document, list):
-        models, runs = {}, document
-    else:
-        models = document.get("models", {})
-        runs = document.get("runs", [])
+        models, runs = split_document(json.load(handle))
     if not runs:
         print("error: the batch file defines no runs", file=sys.stderr)
         return 2
@@ -356,8 +354,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         workers = (os.cpu_count() or 1) if args.backend == "process" else 1
     workbench = Workbench(store=args.store)
     for name, model_doc in models.items():
-        workbench.add(source_from_doc(model_doc), name=name,
-                      **model_doc.get("options", {}))
+        workbench.attach(name, load_doc(model_doc, name=name))
 
     def stream(index: int, result) -> None:
         if not args.json:
@@ -846,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser(
         "simulate", help="simulate a SigPML application")
     _add_common(simulate)
-    simulate.add_argument("--steps", type=int, default=20)
+    simulate.add_argument("--steps", type=int)
     simulate.add_argument("--policy", default="asap",
                           choices=_CLI_POLICIES)
     simulate.add_argument("--seed", type=int, default=0)
@@ -858,9 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     explorer = subparsers.add_parser(
         "explore", help="exhaustively explore the scheduling state space")
     _add_common(explorer)
-    explorer.add_argument("--max-states", type=int, default=10_000)
-    explorer.add_argument("--strategy", default="explicit",
-                          choices=("explicit", "symbolic", "auto"),
+    explorer.add_argument("--max-states", type=int)
+    explorer.add_argument("--strategy", choices=STRATEGIES,
                           help="exploration strategy (identical result; "
                                "symbolic compiles a BDD transition relation)")
     _add_trace(explorer)
@@ -874,12 +870,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="property text, e.g. 'AG !deadlock', "
                               "'AF occurs(sink.start)', "
                               "'occurs(a) leads_to occurs(b)'")
-    checker.add_argument("--strategy", default="auto",
-                         choices=("explicit", "symbolic", "auto"),
+    checker.add_argument("--strategy", choices=PROPERTY_STRATEGIES,
                          help="checking backend: explicit exploration "
                               "(three-valued on truncation), symbolic "
                               "fixpoints on the BDD relation, or auto")
-    checker.add_argument("--max-states", type=int, default=10_000,
+    checker.add_argument("--max-states", type=int,
                          help="explicit-strategy state budget; exceeding "
                               "it yields the UNKNOWN verdict")
     _add_trace(checker)
@@ -922,10 +917,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(deployer)
     deployer.add_argument("deployment",
                           help="path to a platform+allocation file")
-    deployer.add_argument("--steps", type=int, default=20)
+    deployer.add_argument("--steps", type=int)
     deployer.add_argument("--explore", action="store_true",
                           help="also explore the deployed state space")
-    deployer.add_argument("--max-states", type=int, default=10_000)
+    deployer.add_argument("--max-states", type=int)
     deployer.set_defaults(handler=cmd_deploy)
 
     pam = subparsers.add_parser(
@@ -940,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = subparsers.add_parser(
         "campaign", help="compare scheduling policies on an application")
     _add_common(campaign)
-    campaign.add_argument("--steps", type=int, default=40)
+    campaign.add_argument("--steps", type=int)
     campaign.add_argument("--watch", nargs="*",
                           help="events to report throughput for "
                                "(default: every agent's start)")
@@ -1124,10 +1119,7 @@ def main(argv: list[str] | None = None) -> int:
             obs.write_chrome_trace(tracer, trace_path)
             return code
         return args.handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ReproError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

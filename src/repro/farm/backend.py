@@ -215,7 +215,7 @@ def _worker_run_group(payload: str, trace: bool = False):
     import os
 
     from repro.workbench.artifacts import RunSpec
-    from repro.workbench.frontends import load, source_from_doc
+    from repro.workbench.frontends import load_doc
     from repro.workbench.session import execute
 
     worker_tracer = obs.enable_tracing() if trace else None
@@ -224,12 +224,9 @@ def _worker_run_group(payload: str, trace: bool = False):
     obs.detach_context()
     try:
         document = json.loads(payload)
-        source_doc = document["source"]
         with obs.span("farm.worker", model=document["name"],
                       runs=len(document["runs"])):
-            handle = load(source_from_doc(source_doc),
-                          name=document["name"],
-                          **source_doc.get("options", {}))
+            handle = load_doc(document["source"], name=document["name"])
             out: list[tuple[int, str]] = []
             for run in document["runs"]:
                 spec = RunSpec.from_doc(run["spec"])

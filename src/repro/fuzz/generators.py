@@ -392,11 +392,10 @@ def load_case_model(case: FuzzCase):
     :class:`~repro.workbench.frontends.ModelHandle` named
     ``case.name``. A load failure means the generators emitted an
     ill-formed structure — that is a bug, reported loudly."""
-    from repro.workbench import load, source_from_doc
+    from repro.workbench import load_doc
 
-    doc = case.model_doc()
     try:
-        return load(source_from_doc(doc), name=case.name)
+        return load_doc(case.model_doc(), name=case.name)
     except ReproError as exc:
         raise GenerationError(
             f"generated case (seed={case.seed}, index={case.index}, "

@@ -236,7 +236,7 @@ def replay_document(doc: dict) -> dict:
     properties: list[str] = []
     max_states = fuzz.get("max_states")
     for run in runs:
-        prop = run.get("prop")
+        prop = run.get("property")
         if prop and prop not in properties:
             properties.append(prop)
         if max_states is None and run.get("max_states"):

@@ -55,12 +55,12 @@ def _check_holds(model, text: str) -> tuple[bool, str]:
 def _confirm_model(handle, confirm: dict):
     """The execution model a claim replays on: the handle's own, or a
     freshly loaded component projection."""
-    from repro.workbench.frontends import load, source_from_doc
+    from repro.workbench.frontends import load_doc
 
     if not confirm.get("project"):
         return handle.execution_model.clone()
     doc = component_doc(handle, confirm["agents"])
-    projected = load(source_from_doc(doc), name=f"{handle.name}-component")
+    projected = load_doc(doc, name=f"{handle.name}-component")
     return projected.execution_model
 
 

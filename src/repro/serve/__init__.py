@@ -21,10 +21,11 @@ The protocol *is* the canonical artifact layer — no new schema.
     }
 
 Model source documents must be inline (the server never reads files on
-a client's behalf); each ``RunSpec.model`` must name a key of
-``models``. Names are request-local: the server caches by fingerprint
-(SHA-256 of the source doc's canonical JSON), so the same model under
-different names still shares one warm kernel.
+a client's behalf, so ``path``, ``application_path`` and
+``deployment_path`` are refused); each ``RunSpec.model`` must name a
+key of ``models``. Names are request-local: the server caches by
+fingerprint (SHA-256 of the source doc's canonical JSON), so the same
+model under different names still shares one warm kernel.
 
 **Response** — a stream of NDJSON envelopes, one per completed run, in
 completion order::
@@ -40,8 +41,11 @@ to what an offline :class:`~repro.workbench.Workbench` produces for the
 same (model, spec), regardless of worker count or cache temperature.
 ``cached`` and the envelope fields are transport metadata and never
 enter the canonical document. A request rejected before execution
-(malformed document, unknown model name, draining server) gets a JSON
-``{"error": ...}`` body with status 400 (or 503 while draining).
+(malformed document, unknown model name, a model description that does
+not load, a run document :data:`repro.workbench.artifacts.SCHEMA`
+refuses, draining server) gets a JSON ``{"error": ...}`` body naming
+the problem, with status 400 (or 503 while draining), and counts in
+``requests_failed``.
 
 ``GET /healthz`` answers liveness (status, version, in-flight count);
 ``GET /metrics`` answers the full observability document (counters,

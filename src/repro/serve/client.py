@@ -140,15 +140,13 @@ def run_local(document, store=None, workers: int = 1,
     reference implementation the server must stay byte-identical to."""
     from repro.serve.server import split_document
     from repro.workbench.artifacts import RunSpec
-    from repro.workbench.frontends import load, source_from_doc
+    from repro.workbench.frontends import load_doc
     from repro.workbench.session import Workbench
 
     models, runs = split_document(document)
     workbench = Workbench(store=store)
     for name, source_doc in models.items():
-        handle = load(source_from_doc(source_doc),
-                      **source_doc.get("options", {}))
-        workbench.attach(name, handle)
+        workbench.attach(name, load_doc(source_doc))
     specs = [RunSpec.from_doc(doc) for doc in runs]
     return workbench.run_many(specs, workers=workers, backend=backend,
                               on_result=on_result)

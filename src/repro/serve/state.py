@@ -117,9 +117,16 @@ class _Pending:
 
 
 def _default_loader(source_doc: dict):
-    from repro.workbench.frontends import load, source_from_doc
-    return load(source_from_doc(source_doc),
-                **source_doc.get("options", {}))
+    """Load an inline model description; one naming a file is refused,
+    since the server never reads its own disk for a request."""
+    from repro.workbench.frontends import PATH_FIELDS, load_doc
+    paths = [key for key in PATH_FIELDS
+             if isinstance(source_doc, dict) and key in source_doc]
+    if paths:
+        raise ServeError(
+            f"model description field(s) {paths} name a file; the "
+            f"server loads inline sources only (use the *text fields)")
+    return load_doc(source_doc)
 
 
 class ModelCache:

@@ -77,6 +77,7 @@ from repro.workbench.frontends import (
     PamConfiguration,
     frontend_names,
     load,
+    load_doc,
     register_frontend,
     source_from_doc,
 )
@@ -100,8 +101,8 @@ from repro.workbench.session import Workbench, execute
 
 __all__ = [
     "Workbench", "execute",
-    "ModelHandle", "load", "register_frontend", "frontend_names",
-    "source_from_doc", "FrontendError",
+    "ModelHandle", "load", "load_doc", "register_frontend",
+    "frontend_names", "source_from_doc", "FrontendError",
     "DeploymentSpec", "PamConfiguration", "CcslSpec", "MoccmlSpec",
     "make_policy", "register_policy", "policy_names", "PolicyError",
     "RunSpec", "RunResult",

@@ -8,6 +8,9 @@ and analysis reports the individual drivers used to return. Serialized
 results are the hand-off format for external tooling (dashboards,
 formal-verification back ends, diffing two runs).
 
+What a spec of each kind may say is declared once, in :data:`SCHEMA`;
+the spec's constructor, ``from_doc`` and ``to_doc`` are loops over it.
+
 Serialization is canonical — sorted keys, fixed separators — so two
 equal results have byte-identical ``to_json()`` output; the batch
 runner's determinism tests rely on this.
@@ -16,18 +19,134 @@ runner's determinism tests rely on this.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.engine.ctl import PROPERTY_STRATEGIES
+from repro.engine.explorer import STRATEGIES
+from repro.engine.policies import SchedulingPolicy
 from repro.engine.trace import Trace
 from repro.errors import SerializationError
 from repro.workbench.policies import policy_doc
 
-#: The spec kinds, in presentation order.
-KINDS = ("simulate", "explore", "campaign", "analyze", "check", "lint")
-
 #: doc format version for both artifacts
 _FORMAT = 1
+
+
+def _is_policy(value) -> bool:
+    # an instance passes here and is refused by to_doc (policy_doc)
+    return isinstance(value, (str, Mapping, SchedulingPolicy))
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, (list, tuple)) \
+        and all(test(item) for item in value)
+
+
+#: JSON type name -> (test, what the refusal says a value must be)
+_TYPES = {
+    # type(...) is int: a bool is not a count
+    "count": (lambda value: type(value) is int and value >= 0,
+              "an integer >= 0"),
+    "flag": (lambda value: isinstance(value, bool), "true or false"),
+    "string": (lambda value: isinstance(value, str), "a string"),
+    "text": (lambda value: isinstance(value, str) and value != "",
+             "a non-empty string"),
+    "strings": (_list_of(lambda item: isinstance(item, str)),
+                "a list of strings"),
+    "policy": (_is_policy, "a policy name or object"),
+    "policies": (_list_of(_is_policy),
+                 "a list of policy names or objects"),
+}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One row of :data:`SCHEMA`: a field's document *key*, its JSON
+    *type* (a key of ``_TYPES``), the *default* an absent or ``null``
+    field takes, the allowed *choices* (empty: any), whether it is
+    *written* even at its default (then, without a default, it is
+    required), whether it is an *option* (under the document's
+    ``options`` object) and its :class:`RunSpec` *attr* if not *key*."""
+
+    key: str
+    type: str
+    default: object = None
+    choices: tuple = ()
+    written: bool = False
+    option: bool = False
+    attr: str = ""
+
+    def __post_init__(self):
+        if not self.attr:
+            object.__setattr__(self, "attr", self.key)
+
+    def check(self, kind: str, value):
+        """*value* as the spec stores it, or a refusal naming the field."""
+        test, expected = _TYPES[self.type]
+        where = "option" if self.option else "field"
+        if not test(value):
+            raise SerializationError(
+                f"{kind} spec {where} {self.key!r} must be {expected}, "
+                f"not {value!r:.60}")
+        if self.choices and value not in self.choices:
+            raise SerializationError(
+                f"{kind} spec {where} {self.key!r} must be one of "
+                f"{', '.join(self.choices)}, not {value!r:.60}")
+        return list(value) if self.type in ("strings", "policies") \
+            else value
+
+    def encode(self, value):
+        """The JSON form of a stored *value*."""
+        if self.type == "policy":
+            return policy_doc(value)
+        if self.type == "policies":
+            return [policy_doc(item) for item in value]
+        return list(value) if self.type == "strings" else value
+
+
+_MAX_STATES = Field("max_states", "count", 10_000, written=True)
+_MAX_DEPTH = Field("max_depth", "count")
+_INCLUDE_EMPTY = Field("include_empty", "flag", False)
+
+#: kind -> the fields it reads. The one declaration of what a spec may
+#: say: its defaults, its JSON types, its strategies (the engine's own
+#: lists), its options and its document layout.
+SCHEMA: dict[str, tuple[Field, ...]] = {
+    kind: (Field("model", "string", written=True),
+           Field("label", "string")) + rows
+    for kind, rows in {
+        "simulate": (
+            Field("policy", "policy", "asap", written=True),
+            Field("steps", "count", 20, written=True),
+            Field("include_trace", "flag", True, option=True)),
+        "explore": (
+            _MAX_STATES, _MAX_DEPTH, _INCLUDE_EMPTY,
+            Field("maximal_only", "flag", False),
+            Field("strategy", "string", "explicit", STRATEGIES),
+            Field("include_graph", "flag", False, option=True)),
+        "campaign": (
+            Field("steps", "count", 40, written=True),
+            Field("watch", "strings"),
+            Field("policies", "policies")),
+        "analyze": (),
+        "check": (
+            Field("property", "text", written=True, attr="prop"),
+            _MAX_STATES, _MAX_DEPTH, _INCLUDE_EMPTY,
+            Field("strategy", "string", "auto", PROPERTY_STRATEGIES),
+            Field("include_witness", "flag", True, option=True)),
+        "lint": (Field("rules", "strings"),),
+    }.items()}
+
+#: The spec kinds, in presentation order.
+KINDS = tuple(SCHEMA)
+
+#: kind -> (RunSpec attribute, document key) of each field it does not read
+_KEYS = {row.attr: row.key for rows in SCHEMA.values() for row in rows}
+_UNREAD = {kind: [(attr, key) for attr, key in _KEYS.items()
+                  if attr not in {row.attr for row in rows}]
+           for kind, rows in SCHEMA.items()}
 
 
 @dataclass
@@ -35,23 +154,25 @@ class RunSpec:
     """A declarative description of one engine run.
 
     ``model`` names a workbench handle (or is a loadable source token,
-    e.g. a ``.sigpml`` path). Fields irrelevant to the ``kind`` are
-    ignored; ``options`` carries kind-specific extras
-    (``include_graph`` for explore, ``include_trace`` for simulate).
+    e.g. a ``.sigpml`` path). Which other fields a ``kind`` reads, and
+    their defaults, is :data:`SCHEMA`'s business: a field left ``None``
+    takes its kind's default, and a field the kind does not read must
+    stay ``None`` — anything else is refused with a
+    :class:`~repro.errors.SerializationError` naming it.
     """
 
     kind: str
     model: str
     label: str | None = None
-    # -- simulate ----------------------------------------------------------
-    policy: object = "asap"
-    steps: int = 20
+    # -- simulate / campaign -----------------------------------------------
+    policy: object = None
+    steps: int | None = None
     # -- explore / check ---------------------------------------------------
-    max_states: int = 10_000
+    max_states: int | None = None
     max_depth: int | None = None
-    include_empty: bool = False
-    maximal_only: bool = False
-    strategy: str = "explicit"
+    include_empty: bool | None = None
+    maximal_only: bool | None = None
+    strategy: str | None = None
     # -- check -------------------------------------------------------------
     prop: str | None = None
     # -- lint --------------------------------------------------------------
@@ -60,59 +181,39 @@ class RunSpec:
     # -- campaign ----------------------------------------------------------
     watch: list[str] | None = None
     policies: list | None = None
-    options: dict = field(default_factory=dict)
+    # -- options (the document's ``options`` object) -----------------------
+    include_trace: bool | None = None
+    include_graph: bool | None = None
+    include_witness: bool | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SerializationError(
-                f"unknown run kind {self.kind!r}; expected one of "
-                f"{', '.join(KINDS)}")
+        rows = _schema(self.kind)
+        for attr, key in _UNREAD[self.kind]:
+            if getattr(self, attr) is not None:
+                raise SerializationError(
+                    f"{self.kind} specs do not read {key!r}")
+        for row in rows:
+            value = getattr(self, row.attr)
+            if value is not None:
+                setattr(self, row.attr, row.check(self.kind, value))
+            elif row.written and row.default is None:
+                raise SerializationError(
+                    f"{self.kind} specs need a {row.key!r}")
+            else:
+                setattr(self, row.attr, row.default)
 
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:
         """The canonical JSON document of this spec."""
-        doc: dict = {"format": _FORMAT, "kind": self.kind,
-                     "model": self.model}
-        if self.label is not None:
-            doc["label"] = self.label
-        if self.options:
-            doc["options"] = dict(self.options)
-        if self.kind == "simulate":
-            doc["policy"] = policy_doc(self.policy)
-            doc["steps"] = self.steps
-        elif self.kind == "explore":
-            doc["max_states"] = self.max_states
-            if self.max_depth is not None:
-                doc["max_depth"] = self.max_depth
-            if self.include_empty:
-                doc["include_empty"] = True
-            if self.maximal_only:
-                doc["maximal_only"] = True
-            if self.strategy != "explicit":
-                doc["strategy"] = self.strategy
-        elif self.kind == "check":
-            if self.prop is None:
-                raise SerializationError(
-                    "a check spec needs a 'property' (the temporal "
-                    "property text, e.g. 'AG !deadlock')")
-            doc["property"] = self.prop
-            doc["max_states"] = self.max_states
-            if self.max_depth is not None:
-                doc["max_depth"] = self.max_depth
-            if self.include_empty:
-                doc["include_empty"] = True
-            if self.strategy != "auto":  # the check default, cf. from_doc
-                doc["strategy"] = self.strategy
-        elif self.kind == "lint":
-            if self.rules is not None:
-                doc["rules"] = list(self.rules)
-        elif self.kind == "campaign":
-            doc["steps"] = self.steps
-            if self.watch is not None:
-                doc["watch"] = list(self.watch)
-            if self.policies is not None:
-                doc["policies"] = [policy_doc(p) for p in self.policies]
+        doc: dict = {"format": _FORMAT, "kind": self.kind}
+        options: dict = {}
+        for row in SCHEMA[self.kind]:
+            value = getattr(self, row.attr)
+            if row.written or value != row.default:
+                (options if row.option else doc)[row.key] = row.encode(value)
+        if options:
+            doc["options"] = options
         return doc
 
     def to_json(self) -> str:
@@ -125,82 +226,91 @@ class RunSpec:
         if doc.get("format", _FORMAT) != _FORMAT:
             raise SerializationError(
                 f"unsupported run-spec format {doc.get('format')!r}")
-        if "model" not in doc:
-            raise SerializationError("a run spec document needs a 'model'")
-        known = {"format", "kind", "model", "label", "policy", "steps",
-                 "max_states", "max_depth", "include_empty", "maximal_only",
-                 "strategy", "property", "rules", "watch", "policies",
-                 "options"}
-        unknown = set(doc) - known
-        if unknown:
+        kind = doc["kind"]
+        rows = _schema(kind)
+        options = doc.get("options", {})
+        if not isinstance(options, dict):
             raise SerializationError(
-                f"unknown run-spec field(s): {sorted(unknown)}")
-        return cls(
-            kind=doc["kind"], model=doc["model"], label=doc.get("label"),
-            policy=doc.get("policy", "asap"), steps=doc.get("steps", 20),
-            max_states=doc.get("max_states", 10_000),
-            max_depth=doc.get("max_depth"),
-            include_empty=bool(doc.get("include_empty", False)),
-            maximal_only=bool(doc.get("maximal_only", False)),
-            # check defaults to auto (as CheckSpec/CLI do); explore keeps
-            # its historical explicit default
-            strategy=doc.get("strategy",
-                             "auto" if doc["kind"] == "check"
-                             else "explicit"),
-            prop=doc.get("property"),
-            rules=(list(doc["rules"]) if doc.get("rules") is not None
-                   else None),
-            watch=(list(doc["watch"]) if doc.get("watch") is not None
-                   else None),
-            policies=(list(doc["policies"])
-                      if doc.get("policies") is not None else None),
-            options=dict(doc.get("options", {})))
+                f"a run spec's 'options' must be an object, not "
+                f"{options!r:.60}")
+        fields = {row.key for row in rows if not row.option}
+        _refuse_unknown("run-spec field", kind,
+                        set(doc) - fields - {"format", "kind", "options"},
+                        fields)
+        _refuse_unknown("option", kind, set(options),
+                        {row.key for row in rows if row.option})
+        return cls(kind=kind, **{
+            row.attr: (options if row.option else doc).get(row.key)
+            for row in rows})
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":
         return cls.from_doc(_loads(text, "run spec"))
 
 
-def SimulateSpec(model: str, policy: object = "asap", steps: int = 20,
-                 label: str | None = None, **options) -> RunSpec:
-    """A simulation spec: one policy, a step budget."""
-    return RunSpec(kind="simulate", model=model, policy=policy,
-                   steps=steps, label=label, options=options)
+def _schema(kind) -> tuple[Field, ...]:
+    if kind not in KINDS:  # a tuple: unhashable kinds compare, not hash
+        raise SerializationError(
+            f"unknown run kind {kind!r}; expected one of "
+            f"{', '.join(KINDS)}")
+    return SCHEMA[kind]
 
 
-def ExploreSpec(model: str, max_states: int = 10_000,
-                max_depth: int | None = None, include_empty: bool = False,
-                maximal_only: bool = False, strategy: str = "explicit",
-                label: str | None = None, **options) -> RunSpec:
+def _refuse_unknown(what: str, kind: str, given: set, known: set) -> None:
+    unknown = given - known
+    if unknown:
+        raise SerializationError(
+            f"unknown {what}(s) {sorted(unknown)} for kind {kind!r}; it "
+            f"reads {', '.join(sorted(known)) or 'none'}")
+
+
+# The helpers below build one kind each; an argument left None takes
+# the default SCHEMA declares for that kind.
+
+def SimulateSpec(model: str, policy: object = None,
+                 steps: int | None = None, label: str | None = None,
+                 include_trace: bool | None = None) -> RunSpec:
+    """A simulation spec: one policy, a step budget (*include_trace*
+    False leaves the step list out of the payload)."""
+    return RunSpec("simulate", model, label=label, policy=policy,
+                   steps=steps, include_trace=include_trace)
+
+
+def ExploreSpec(model: str, max_states: int | None = None,
+                max_depth: int | None = None,
+                include_empty: bool | None = None,
+                maximal_only: bool | None = None,
+                strategy: str | None = None, label: str | None = None,
+                include_graph: bool | None = None) -> RunSpec:
     """An exhaustive-exploration spec.
 
     *strategy* is ``"explicit"``, ``"symbolic"`` or ``"auto"`` — see
     :func:`repro.engine.explorer.explore`; the result is identical
-    either way.
+    either way. *include_graph* puts the whole state space in the
+    payload.
     """
-    return RunSpec(kind="explore", model=model, max_states=max_states,
+    return RunSpec("explore", model, label=label, max_states=max_states,
                    max_depth=max_depth, include_empty=include_empty,
                    maximal_only=maximal_only, strategy=strategy,
-                   label=label, options=options)
+                   include_graph=include_graph)
 
 
-def CampaignSpec(model: str, steps: int = 40,
+def CampaignSpec(model: str, steps: int | None = None,
                  watch: list[str] | None = None,
                  policies: list | None = None,
-                 label: str | None = None, **options) -> RunSpec:
+                 label: str | None = None) -> RunSpec:
     """A policy-comparison campaign spec."""
-    return RunSpec(kind="campaign", model=model, steps=steps, watch=watch,
-                   policies=policies, label=label, options=options)
+    return RunSpec("campaign", model, label=label, steps=steps,
+                   watch=watch, policies=policies)
 
 
-def AnalyzeSpec(model: str, label: str | None = None, **options) -> RunSpec:
+def AnalyzeSpec(model: str, label: str | None = None) -> RunSpec:
     """A static-analysis spec (SDF theory: repetition vector, PASS)."""
-    return RunSpec(kind="analyze", model=model, label=label,
-                   options=options)
+    return RunSpec("analyze", model, label=label)
 
 
 def LintSpec(model: str, rules: list[str] | None = None,
-             label: str | None = None, **options) -> RunSpec:
+             label: str | None = None) -> RunSpec:
     """A static-analysis (lint) spec.
 
     Runs every applicable :mod:`repro.lint` rule on the loaded handle
@@ -209,31 +319,29 @@ def LintSpec(model: str, rules: list[str] | None = None,
     counts, diagnostics with stable rule IDs). *rules* restricts to
     specific rule IDs.
     """
-    return RunSpec(kind="lint", model=model,
-                   rules=list(rules) if rules is not None else None,
-                   label=label, options=options)
+    return RunSpec("lint", model, label=label, rules=rules)
 
 
-def CheckSpec(model: str, prop: str, strategy: str = "auto",
-              max_states: int = 10_000, max_depth: int | None = None,
-              include_empty: bool = False,
-              label: str | None = None, **options) -> RunSpec:
+def CheckSpec(model: str, prop: str, strategy: str | None = None,
+              max_states: int | None = None, max_depth: int | None = None,
+              include_empty: bool | None = None, label: str | None = None,
+              include_witness: bool | None = None) -> RunSpec:
     """A temporal-property check spec.
 
     *prop* is the property text of :func:`repro.engine.ctl.\
     parse_property` (e.g. ``"AG !deadlock"``, ``"AF occurs(sink.start)"``).
     *strategy* picks the backend (``"explicit"``/``"symbolic"``/
-    ``"auto"``); the explicit budget is ``max_states``/``max_depth`` and
-    an exhausted budget yields the ``"unknown"`` verdict — never an
-    unsound definitive one. The result payload carries the
-    three-valued verdict, the backend that answered, and — when the
-    top-level operator admits one — a witness/counterexample replayable
-    via ``result.trace()``.
+    ``"auto"``); the explicit budget is ``max_states``/``max_depth``
+    and an exhausted budget yields the ``"unknown"`` verdict — never an
+    unsound definitive one. The result payload
+    carries the three-valued verdict, the backend that answered, and —
+    when the top-level operator admits one and *include_witness* is not
+    False — a witness/counterexample replayable via ``result.trace()``.
     """
-    return RunSpec(kind="check", model=model, prop=prop, strategy=strategy,
-                   max_states=max_states, max_depth=max_depth,
-                   include_empty=include_empty, label=label,
-                   options=options)
+    return RunSpec("check", model, label=label, prop=prop,
+                   strategy=strategy, max_states=max_states,
+                   max_depth=max_depth, include_empty=include_empty,
+                   include_witness=include_witness)
 
 
 @dataclass

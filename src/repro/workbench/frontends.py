@@ -229,27 +229,60 @@ def load(source, frontend: str | None = None, name: str | None = None,
     return handle
 
 
+#: model-description fields naming a file on the loading machine
+PATH_FIELDS = ("path", "application_path", "deployment_path")
+
+
+def load_doc(doc: dict, name: str | None = None) -> ModelHandle:
+    """Load a JSON model description (see :func:`source_from_doc`); its
+    ``options`` object holds the loader keywords (``place_variant`` for
+    the SDF front-ends). *name* overrides the handle name."""
+    source = source_from_doc(doc)
+    options = doc.get("options") or {}
+    clash = sorted({"frontend", "name"} & set(options))
+    if clash:
+        raise FrontendError(
+            f"model description options {clash} are arguments of load(), "
+            f"not loader keywords")
+    return load(source, name=name, **options)
+
+
 def source_from_doc(doc: dict):
     """Rebuild a loadable source from a JSON model description.
 
     This is the inverse used by batch files and the CLI: a mapping with
     a ``frontend`` key plus front-end-specific fields (``path`` or
     ``text`` for sigpml/deployment, ``configuration`` for pam,
-    ``events``/``constraints`` for ccsl/moccml).
+    ``events``/``constraints`` for ccsl/moccml); a ``null`` field reads
+    as absent. A description that is not an object, lacks a field its
+    front-end needs or holds a field of the wrong JSON type raises
+    :class:`FrontendError` naming it. A ``*_text`` field holds inline
+    source, never a path: the loaders would read a text without a
+    ``{`` block as a file name.
     """
+    if not isinstance(doc, dict):
+        raise FrontendError(
+            f"a model description must be an object, not {doc!r:.60}")
+    doc = {key: value for key, value in doc.items() if value is not None}
+    _check_types(doc, {"frontend": str, "options": dict})
     kind = doc.get("frontend")
     if kind in (None, "sigpml", "sdf"):
+        _check_types(doc, {"path": str, "text": str})
         if "path" in doc:
             return doc["path"]
         if "text" in doc:
-            return doc["text"]
+            return _inline(doc, "text")
         raise FrontendError(
             f"model description for front-end {kind!r} needs a "
             f"'path' or 'text' field")
     if kind == "deployment":
+        _check_types(doc, dict.fromkeys(
+            ("application_path", "application_text", "deployment_path",
+             "deployment_text", "place_variant", "name"), str))
         application = (doc.get("application_path") or
-                       doc.get("application_text"))
-        deployment = doc.get("deployment_path") or doc.get("deployment_text")
+                       _inline(doc, "application_text"))
+        deployment = (doc.get("deployment_path") or
+                      _inline(doc, "deployment_text"))
         if application is None or deployment is None:
             raise FrontendError(
                 "a deployment description needs application_path/"
@@ -259,19 +292,76 @@ def source_from_doc(doc: dict):
                                                     "default"),
                               name=doc.get("name"))
     if kind == "pam":
+        _check_types(doc, {"configuration": str, "capacity": int,
+                           "cycles": dict})
+        if not all(type(count) is int
+                   for count in (doc.get("cycles") or {}).values()):
+            raise FrontendError(
+                "model description field 'cycles' must map agent names "
+                "to integers")
         return PamConfiguration(
             configuration=doc.get("configuration", "infinite"),
             capacity=doc.get("capacity", 1), cycles=doc.get("cycles"))
-    if kind == "ccsl":
-        return CcslSpec(name=doc.get("name", "ccsl-spec"),
-                        events=list(doc["events"]),
-                        constraints=list(doc.get("constraints", [])))
-    if kind == "moccml":
+    if kind in ("ccsl", "moccml"):
+        _check_types(doc, {"name": str, "events": list,
+                           "constraints": list, "library_text": str})
+        events = doc.get("events")
+        if events is None or not all(isinstance(e, str) for e in events):
+            raise FrontendError(
+                f"a {kind} description needs 'events', a list of event "
+                f"names")
+        for item in doc.get("constraints", []):
+            if not _is_constraint(item):
+                raise FrontendError(
+                    f"a {kind} constraint must be an object with a "
+                    f"'relation' name and an 'args' list, or a "
+                    f"[relation, args] list, not {item!r:.60}")
+        if kind == "ccsl":
+            return CcslSpec(name=doc.get("name", "ccsl-spec"),
+                            events=list(events),
+                            constraints=list(doc.get("constraints", [])))
         return MoccmlSpec(name=doc.get("name", "moccml-spec"),
-                          events=list(doc["events"]),
+                          events=list(events),
                           constraints=list(doc.get("constraints", [])),
                           library_text=doc.get("library_text"))
     raise FrontendError(f"unknown front-end {kind!r} in model description")
+
+
+def _check_types(doc: dict, types: dict) -> None:
+    """Refuse, naming it, a field of *doc* that is not of its JSON type
+    in *types*."""
+    for key, kind in types.items():
+        value = doc.get(key)
+        if value is not None and (not isinstance(value, kind) or
+                                  isinstance(value, bool) and kind is int):
+            raise FrontendError(
+                f"model description field {key!r} must be a JSON "
+                f"{_JSON_NAMES[kind]}, not {value!r:.60}")
+
+
+_JSON_NAMES = {str: "string", int: "integer", dict: "object",
+               list: "array"}
+
+
+def _is_constraint(item) -> bool:
+    """A constraint in JSON: ``{"relation", "args", "label"}`` or
+    ``[relation, args]`` (plus an optional label)."""
+    if isinstance(item, dict):
+        return isinstance(item.get("relation"), str) \
+            and isinstance(item.get("args", []), list)
+    return isinstance(item, list) and len(item) in (2, 3) \
+        and isinstance(item[0], str) and isinstance(item[1], list)
+
+
+def _inline(doc: dict, key: str) -> str | None:
+    """A ``*_text`` field: inline source holding a ``{`` block."""
+    text = doc.get(key)
+    if text is not None and "{" not in text:
+        raise FrontendError(
+            f"model description field {key!r} must hold inline source "
+            f"(no '{{' block in {text!r:.40}); a file goes in the "
+            f"matching *path field")
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def make_policy(spec: PolicySpec) -> SchedulingPolicy:
             f"cannot build a policy from {type(spec).__name__}")
     try:
         factory = _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise PolicyError(
             f"unknown policy {name!r}; registered: "
             f"{', '.join(policy_names())}") from None

@@ -127,7 +127,7 @@ def _execute_simulate(spec: RunSpec, handle: ModelHandle) -> dict:
         "max_parallelism": trace.max_parallelism(),
         "mean_parallelism": round(trace.mean_parallelism(), 6),
     }
-    if spec.options.get("include_trace", True):
+    if spec.include_trace:
         data["trace"] = [sorted(step) for step in trace]
     return data
 
@@ -154,7 +154,7 @@ def _execute_explore(spec: RunSpec, handle: ModelHandle) -> dict:
             for size, count in sorted(
                 space.parallelism_histogram().items())},
     }
-    if spec.options.get("include_graph", False):
+    if spec.include_graph:
         import json
         data["statespace"] = json.loads(space.to_json())
     return data
@@ -179,14 +179,11 @@ def _execute_campaign(spec: RunSpec, handle: ModelHandle) -> dict:
 
 def _execute_check(spec: RunSpec, handle: ModelHandle) -> dict:
     from repro.engine.ctl import check
-    if not spec.prop:
-        raise FrontendError(
-            "a check spec needs a 'property' (e.g. 'AG !deadlock')")
     outcome = check(handle.execution_model, spec.prop,
                     strategy=spec.strategy, max_states=spec.max_states,
                     max_depth=spec.max_depth,
                     include_empty=spec.include_empty,
-                    witness=spec.options.get("include_witness", True))
+                    witness=spec.include_witness)
     return outcome.to_doc()
 
 
@@ -317,31 +314,26 @@ class Workbench:
         _store_write(self.store, fingerprint, result)
         return result
 
-    def simulate(self, model: str, policy="asap", steps: int = 20,
-                 **options) -> RunResult:
-        return self.run(SimulateSpec(model, policy=policy, steps=steps,
-                                     **options))
+    # One wrapper per spec helper: the arguments pass through to it, so
+    # its signature checks them and SCHEMA gives the defaults.
 
-    def explore(self, model: str, **kwargs) -> RunResult:
-        return self.run(ExploreSpec(model, **kwargs))
+    def simulate(self, model: str, *args, **fields) -> RunResult:
+        return self.run(SimulateSpec(model, *args, **fields))
 
-    def campaign(self, model: str, steps: int = 40,
-                 watch: list[str] | None = None,
-                 policies: list | None = None, **options) -> RunResult:
-        return self.run(CampaignSpec(model, steps=steps, watch=watch,
-                                     policies=policies, **options))
+    def explore(self, model: str, *args, **fields) -> RunResult:
+        return self.run(ExploreSpec(model, *args, **fields))
 
-    def analyze(self, model: str, **options) -> RunResult:
-        return self.run(AnalyzeSpec(model, **options))
+    def campaign(self, model: str, *args, **fields) -> RunResult:
+        return self.run(CampaignSpec(model, *args, **fields))
 
-    def check(self, model: str, prop: str, strategy: str = "auto",
-              **options) -> RunResult:
-        return self.run(CheckSpec(model, prop, strategy=strategy,
-                                  **options))
+    def analyze(self, model: str, *args, **fields) -> RunResult:
+        return self.run(AnalyzeSpec(model, *args, **fields))
 
-    def lint(self, model: str, rules: list[str] | None = None,
-             **options) -> RunResult:
-        return self.run(LintSpec(model, rules=rules, **options))
+    def check(self, model: str, *args, **fields) -> RunResult:
+        return self.run(CheckSpec(model, *args, **fields))
+
+    def lint(self, model: str, *args, **fields) -> RunResult:
+        return self.run(LintSpec(model, *args, **fields))
 
     def run_many(self, specs: Iterable[RunSpec | dict | str],
                  workers: int = 1,

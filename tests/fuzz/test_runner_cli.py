@@ -118,6 +118,19 @@ def test_cli_fuzz_has_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_replay_reads_each_run_property():
+    # run documents spell the property "property": a repro document
+    # without the fuzz provenance block still checks it
+    text = ("application replay {\n  agent a\n  agent b\n"
+            "  place a -> b push 1 pop 1 capacity 2\n}\n")
+    doc = {"models": {"replay": {"frontend": "sigpml", "text": text}},
+           "runs": [{"kind": "check", "model": "replay",
+                     "property": "AG !deadlock", "max_states": 500}]}
+    provenance = dict(doc, fuzz={"property": "AG !deadlock"})
+    assert replay_document(doc)["checks"] \
+        == replay_document(provenance)["checks"]
+
+
 def test_replay_document_rejects_multi_model_docs():
     with pytest.raises(ValueError):
         replay_document({"models": {}, "runs": []})

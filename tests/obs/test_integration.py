@@ -145,7 +145,7 @@ def test_artifacts_identical_traced_or_not(backend, workers):
     specs = [SimulateSpec("wa", steps=5),
              ExploreSpec("wa", max_states=200),
              CheckSpec("wb", "AG !deadlock", max_states=300,
-                       witness=True)]
+                       include_witness=True)]
 
     def run_once():
         workbench = make_workbench(["wa", "wb"])

@@ -12,6 +12,7 @@ import pytest
 from repro.serve import (ServeError, fetch_metrics, ping, run_local,
                          serve, submit)
 from repro.serve.server import MAX_BODY_BYTES, _Handler
+from tests.workbench.test_artifacts import BAD_RUNS
 
 CHAIN = """
 application serve_chain {
@@ -34,8 +35,64 @@ application serve_fork {
 """
 
 
+BOARD = """
+platform board {
+  processor p1
+}
+allocation {
+  source, worker, sink -> p1
+}
+"""
+
+
 def model_doc(text):
     return {"frontend": "sigpml", "text": text}
+
+
+#: model descriptions the server refuses: (id, description, the field
+#: the refusal names). The ``*path`` ones, and a text holding a path,
+#: name files the test writes into the server's working directory.
+BAD_MODELS = [
+    ("unparsable-text", {"frontend": "sigpml", "text": "not a model"},
+     "text"),
+    ("not-an-object", 5, "object"),
+    ("description-options-not-an-object",
+     {"frontend": "sigpml", "text": CHAIN, "options": [1, 2]}, "options"),
+    ("options-clash-with-load",
+     {"frontend": "sigpml", "text": CHAIN, "options": {"name": "x"}},
+     "name"),
+    ("ccsl-without-events", {"frontend": "ccsl", "constraints": []},
+     "events"),
+    ("moccml-without-events", {"frontend": "moccml", "constraints": []},
+     "events"),
+    ("events-not-a-list", {"frontend": "ccsl", "events": "ab"}, "events"),
+    ("pam-capacity-not-an-integer",
+     {"frontend": "pam", "configuration": "dual", "capacity": "x"},
+     "capacity"),
+    ("ccsl-constraint-not-an-object",
+     {"frontend": "ccsl", "events": ["a", "b"], "constraints": [5]},
+     "constraint"),
+    ("ccsl-constraints-not-a-list",
+     {"frontend": "ccsl", "events": ["a", "b"], "constraints": 5},
+     "constraints"),
+    ("sigpml-path", {"frontend": "sigpml", "path": "chain.sigpml"},
+     "path"),
+    ("text-holding-a-path", {"frontend": "sigpml", "text": "chain.sigpml"},
+     "text"),
+    ("deployment-paths",
+     {"frontend": "deployment", "application_path": "chain.sigpml",
+      "deployment_path": "board.dep"}, "application_path"),
+    ("deployment-text-holding-a-path",
+     {"frontend": "deployment", "application_text": CHAIN,
+      "deployment_text": "board.dep"}, "deployment_text"),
+]
+
+
+def assert_refused_cleanly(server):
+    """The refusal was counted and the server still serves."""
+    counters = fetch_metrics(server.url)["counters"]
+    assert counters["requests_failed"] == 1
+    assert ping(server.url)["status"] == "ok"
 
 
 def document():
@@ -98,23 +155,32 @@ class TestErrorPaths:
             submit(doc, server.url)
 
     @pytest.mark.parametrize("run", [
-        {"kind": "nonsense", "model": "chain"},
-        {"kind": "check", "model": "chain", "property": "AG !deadlock",
-         "relation_mode": "monolithic"},
-    ], ids=["unknown-kind", "unknown-field"])
+        {"kind": "nonsense"},
+    ] + [doc for _id, doc, _field in BAD_RUNS],
+        ids=["unknown-kind"] + [case[0] for case in BAD_RUNS])
     def test_invalid_spec_is_rejected(self, server, run):
-        doc = {"models": {"chain": model_doc(CHAIN)}, "runs": [run]}
+        doc = {"models": {"chain": model_doc(CHAIN)},
+               "runs": [{"model": "chain", **run}]}
         with pytest.raises(ServeError, match=r"\(400\).*not a valid spec"):
             submit(doc, server.url)
+        assert_refused_cleanly(server)
 
-    def test_unloadable_model_is_a_400_not_a_crash(self, server):
-        doc = {"models": {"m": {"frontend": "sigpml",
-                                "text": "not a model"}},
+    @pytest.mark.parametrize("description, field",
+                             [case[1:] for case in BAD_MODELS],
+                             ids=[case[0] for case in BAD_MODELS])
+    def test_unloadable_model_is_a_400_not_a_crash(self, server, tmp_path,
+                                                   monkeypatch,
+                                                   description, field):
+        # the path descriptions name real files: the server must refuse
+        # them, not load them off its own disk
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "chain.sigpml").write_text(CHAIN)
+        (tmp_path / "board.dep").write_text(BOARD)
+        doc = {"models": {"m": description},
                "runs": [{"kind": "simulate", "model": "m"}]}
-        with pytest.raises(ServeError, match="400"):
+        with pytest.raises(ServeError, match=rf"\(400\).*{field}"):
             submit(doc, server.url)
-        # the handler answered cleanly and the server still serves
-        assert ping(server.url)["status"] == "ok"
+        assert_refused_cleanly(server)
 
     def test_empty_runs_rejected(self, server):
         with pytest.raises(ServeError):

@@ -5,6 +5,15 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.workbench.frontends import PATH_FIELDS
+from tests.serve.test_server import BAD_MODELS
+from tests.workbench.test_artifacts import BAD_RUNS
+
+#: the model descriptions the server refuses that a batch file refuses
+#: too: all but those naming a file, which batch loads
+BATCH_BAD_MODELS = [
+    case for case in BAD_MODELS
+    if not (isinstance(case[1], dict) and set(PATH_FIELDS) & set(case[1]))]
 
 APPLICATION = """
 application demo {
@@ -311,6 +320,37 @@ class TestBatch:
         path.write_text("[]")
         assert main(["batch", str(path)]) == 2
         assert "no runs" in capsys.readouterr().err
+
+
+class TestBatchRefusals:
+    @pytest.mark.parametrize("models, run, field", [
+        ({"demo": {"frontend": "sigpml", "path": "demo.sigpml"}},
+         {"model": "demo", **doc}, field) for _id, doc, field in BAD_RUNS
+    ] + [
+        ({"demo": description}, {"kind": "simulate", "model": "demo"},
+         field) for _id, description, field in BATCH_BAD_MODELS
+    ] + [
+        ([], {"kind": "simulate", "model": "demo"}, "'models'"),
+    ], ids=[case[0] for case in BAD_RUNS]
+        + [case[0] for case in BATCH_BAD_MODELS] + ["models-not-an-object"])
+    def test_bad_document_is_one_error_line(self, tmp_path, monkeypatch,
+                                            capsys, models, run, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo.sigpml").write_text(APPLICATION)
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"models": models, "runs": [run]}))
+        assert main(["batch", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and field in captured.err
+
+    def test_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "batch.json"
+        path.write_text("{nope")
+        assert main(["batch", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeploy:

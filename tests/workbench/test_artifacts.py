@@ -25,6 +25,47 @@ application demo {
 """
 
 
+#: one run document per refusal of the spec schema (the model name is
+#: added by each user): (id, document, the field the refusal names)
+BAD_RUNS = [
+    ("unknown-field",
+     {"kind": "check", "property": "AG !deadlock",
+      "relation_mode": "monolithic"}, "relation_mode"),
+    ("field-of-another-kind",
+     {"kind": "explore", "property": "AG !deadlock"}, "property"),
+    ("steps-on-explore", {"kind": "explore", "steps": 5}, "steps"),
+    ("unknown-option", {"kind": "simulate", "options": {"bogus": 1}},
+     "bogus"),
+    ("option-of-another-kind",
+     {"kind": "simulate", "options": {"include_graph": True}},
+     "include_graph"),
+    ("options-not-an-object", {"kind": "simulate", "options": [1, 2]},
+     "options"),
+    ("count-is-a-string", {"kind": "explore", "max_states": "lots"},
+     "max_states"),
+    ("negative-count", {"kind": "explore", "max_depth": -1}, "max_depth"),
+    ("bool-is-not-a-count", {"kind": "simulate", "steps": True}, "steps"),
+    ("flag-is-a-string", {"kind": "explore", "include_empty": "false"},
+     "include_empty"),
+    ("option-flag-is-a-number",
+     {"kind": "check", "property": "AG !deadlock",
+      "options": {"include_witness": 0}}, "include_witness"),
+    ("rules-not-a-list", {"kind": "lint", "rules": 5}, "rules"),
+    ("watch-not-strings", {"kind": "campaign", "watch": [1]}, "watch"),
+    ("policy-is-a-number", {"kind": "simulate", "policy": 5}, "policy"),
+    ("explore-strategy-typo", {"kind": "explore", "strategy": "symbolc"},
+     "strategy"),
+    ("check-strategy-typo",
+     {"kind": "check", "property": "AG !deadlock", "strategy": "symbolc"},
+     "strategy"),
+    ("check-without-property", {"kind": "check"}, "property"),
+    ("check-with-empty-property", {"kind": "check", "property": ""},
+     "property"),
+    ("model-not-a-string", {"kind": "simulate", "model": 5}, "model"),
+    ("label-not-a-string", {"kind": "analyze", "label": 1}, "label"),
+]
+
+
 @pytest.fixture()
 def workbench():
     wb = Workbench()
@@ -54,20 +95,61 @@ class TestRunSpec:
         with pytest.raises(SerializationError, match="unknown run kind"):
             RunSpec(kind="fuzz", model="m")
 
-    def test_from_doc_validates(self):
-        with pytest.raises(SerializationError, match="'kind'"):
-            RunSpec.from_doc({"model": "m"})
-        with pytest.raises(SerializationError, match="'model'"):
-            RunSpec.from_doc({"kind": "simulate"})
-        with pytest.raises(SerializationError, match="unknown run-spec"):
-            RunSpec.from_doc({"kind": "simulate", "model": "m",
-                              "bogus": 1})
-        # the symbolic backend has one relation layout; the old
-        # layout selector is refused, not silently ignored
-        with pytest.raises(SerializationError, match="relation_mode"):
-            RunSpec.from_doc({"kind": "check", "model": "m",
-                              "property": "AG !deadlock",
-                              "relation_mode": "monolithic"})
+    @pytest.mark.parametrize("doc, match", [
+        ({"model": "m"}, "'kind'"),
+        ({"kind": "simulate"}, "'model'"),
+        ({"kind": "simulate", "model": "m", "bogus": 1}, "unknown run-spec"),
+    ] + [({"model": "m", **doc}, field) for _id, doc, field in BAD_RUNS],
+        ids=["no-kind", "no-model", "bogus-field"]
+        + [case[0] for case in BAD_RUNS])
+    def test_from_doc_validates(self, doc, match):
+        with pytest.raises(SerializationError, match=match):
+            RunSpec.from_doc(doc)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: RunSpec(kind="explore", model="m", prop="AG !deadlock"),
+         "'property'"),
+        (lambda: RunSpec(kind="lint", model="m", steps=3), "'steps'"),
+        (lambda: RunSpec(kind="simulate", model="m", include_graph=True),
+         "'include_graph'"),
+        (lambda: ExploreSpec("m", max_states=-1), "'max_states'"),
+        (lambda: ExploreSpec("m", strategy="symbolc"), "'strategy'"),
+        (lambda: CheckSpec("m", ""), "'property'"),
+        (lambda: SimulateSpec("m", include_trace="no"), "'include_trace'"),
+    ], ids=["prop-on-explore", "steps-on-lint", "graph-on-simulate",
+            "negative-max-states", "strategy-typo", "empty-property",
+            "include-trace-not-a-flag"])
+    def test_constructor_validates(self, build, field):
+        with pytest.raises(SerializationError, match=field):
+            build()
+
+    def test_helpers_take_no_option_bag(self):
+        # a mistyped keyword is a TypeError, never a stored option
+        with pytest.raises(TypeError):
+            CheckSpec("m", "AG !deadlock", max_state=3)
+        with pytest.raises(TypeError):
+            ExploreSpec("m", relation_mode="monolithic")
+        assert not hasattr(CheckSpec("m", "AG !deadlock"), "options")
+
+    def test_one_campaign_steps_default(self):
+        # a hand-written campaign document runs what the helper, the
+        # Workbench wrapper and the CLI run by default
+        assert RunSpec.from_doc({"kind": "campaign", "model": "m"}).steps \
+            == CampaignSpec("m").steps == 40
+
+    def test_null_takes_the_default(self):
+        spec = RunSpec.from_doc({"kind": "explore", "model": "m",
+                                 "max_states": None,
+                                 "options": {"include_graph": None}})
+        assert spec.max_states == 10_000 and spec.include_graph is False
+        assert spec.to_doc() == ExploreSpec("m").to_doc()
+
+    def test_option_at_its_default_is_dropped(self):
+        # like every top-level default: one document per meaning
+        assert "options" not in ExploreSpec("m", include_graph=False).to_doc()
+        assert "options" not in RunSpec.from_doc(
+            {"kind": "simulate", "model": "m",
+             "options": {"include_trace": True}}).to_doc()
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(SerializationError, match="invalid"):

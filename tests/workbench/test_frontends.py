@@ -14,6 +14,7 @@ from repro.workbench import (
     PamConfiguration,
     frontend_names,
     load,
+    load_doc,
     register_frontend,
     source_from_doc,
 )
@@ -242,3 +243,31 @@ class TestSourceFromDoc:
             source_from_doc({"frontend": "deployment"})
         with pytest.raises(FrontendError):
             source_from_doc({"frontend": "nope", "text": "x"})
+
+    def test_load_doc_applies_options_and_name(self):
+        handle = load_doc({"frontend": "sigpml", "text": APPLICATION,
+                           "options": {"place_variant": "strict"}},
+                          name="renamed")
+        assert handle.name == "renamed"
+        assert handle.metadata["place_variant"] == "strict"
+        # the description a handle ships to workers loads back
+        assert load_doc(handle.source_doc).metadata["place_variant"] \
+            == "strict"
+
+    def test_null_reads_as_absent(self):
+        pam = source_from_doc({"frontend": "pam", "configuration": "dual",
+                               "capacity": None})
+        assert pam.capacity == 1
+        ccsl = source_from_doc({"frontend": "ccsl", "events": ["a"],
+                                "constraints": None})
+        assert ccsl.constraints == []
+
+    @pytest.mark.parametrize("field, bad", [
+        ("text", 5),
+        ("path", ["a.sigpml"]),
+        ("frontend", 1),
+    ])
+    def test_wrong_json_type_names_the_field(self, field, bad):
+        doc = {"frontend": "sigpml", "text": APPLICATION, field: bad}
+        with pytest.raises(FrontendError, match=repr(field)):
+            source_from_doc(doc)
