@@ -7,7 +7,8 @@ exploration truncates at a 2,000-state budget after seconds of work,
 while the fixpoint computes the *exact* reachable set, verifies
 deadlock freedom and the buffer bounds, in well under a second. The
 benchmark groups pin the scaling data (chain and mesh topologies) and
-the strategy comparison on a graph both strategies can materialize.
+the comparison of exploration with the compiled system's
+concretization on a graph both can materialize.
 """
 
 import gc
@@ -117,13 +118,16 @@ def bench_fixpoint_mesh(benchmark):
 @pytest.mark.benchmark(group="e12-strategies")
 @pytest.mark.parametrize("strategy", ["explicit", "symbolic"])
 def bench_explore_strategy(benchmark, strategy):
-    """Same graph, both strategies — the symbolic compile pays off on
-    models of this size and beyond."""
+    """Same graph, built by exploration (``explicit``) or by compiling
+    the symbolic system and concretizing it (``symbolic``)."""
     model = chain(6, capacity=2)
 
     def explore_once():
         model.clear_caches()
-        return explore(model, max_states=100_000, strategy=strategy)
+        if strategy == "explicit":
+            return explore(model, max_states=100_000)
+        system = model.kernel.transition_system(model)
+        return system.to_statespace(max_states=100_000)
 
     def collect_garbage():
         # the single timed round must not absorb a full collection of

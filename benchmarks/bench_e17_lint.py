@@ -108,8 +108,7 @@ def lint_pass(handles) -> float:
 def explore_pass(handles) -> float:
     started = time.perf_counter()
     for handle in handles:
-        space = explore(handle.execution_model, strategy="auto",
-                        max_states=EXPLORE_BUDGET)
+        space = explore(handle.execution_model, max_states=EXPLORE_BUDGET)
         assert space.n_states > 0
     return time.perf_counter() - started
 
@@ -166,8 +165,8 @@ def bench_explore_corpus(benchmark):
     handles = build_corpus()
 
     def run():
-        return [explore(handle.execution_model, strategy="auto",
-                        max_states=EXPLORE_BUDGET) for handle in handles]
+        return [explore(handle.execution_model, max_states=EXPLORE_BUDGET)
+                for handle in handles]
 
     spaces = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(spaces) == MODEL_COUNT

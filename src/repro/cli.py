@@ -52,8 +52,8 @@ the workbench facilities of the paper's tooling:
   directly on ``explore``/``check``/``batch``/``fuzz``. Telemetry is
   out-of-band: result documents are byte-identical with tracing on or
   off (see :mod:`repro.obs`);
-* ``selftest`` — cross-check the symbolic and explicit exploration
-  strategies on three bundled models, then prove the artifact store
+* ``selftest`` — cross-check explicit exploration against the compiled
+  symbolic system on three bundled models, then prove the artifact store
   round-trip (cold run == warm run, byte for byte), the serve
   round-trip (served == direct, byte for byte) and the static-analysis
   contract (bundled models lint clean, every lint claim replays on the
@@ -75,7 +75,6 @@ import sys
 import repro
 from repro import obs
 from repro.engine.ctl import PROPERTY_STRATEGIES
-from repro.engine.explorer import STRATEGIES
 from repro.errors import ReproError
 from repro.viz import run_result_report, sdf_to_dot, statespace_report, \
     trace_report
@@ -172,10 +171,9 @@ def _json_with_engine(result, workbench: Workbench) -> str:
 def cmd_explore(args: argparse.Namespace) -> int:
     workbench = _workbench_for(args)
     result = workbench.run(ExploreSpec(
-        "app", max_states=args.max_states, strategy=args.strategy,
-        include_graph=True))
-    if args.json:
-        print(_json_with_engine(result, workbench))
+        "app", max_states=args.max_states, include_graph=True))
+    if args.json:  # exploration compiles nothing: no engine telemetry
+        print(result.to_json())
         return 0 if result.ok else 1
     if not result.ok:
         raise ReproError(result.error)
@@ -856,9 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="exhaustively explore the scheduling state space")
     _add_common(explorer)
     explorer.add_argument("--max-states", type=int)
-    explorer.add_argument("--strategy", choices=STRATEGIES,
-                          help="exploration strategy (identical result; "
-                               "symbolic compiles a BDD transition relation)")
     _add_trace(explorer)
     explorer.set_defaults(handler=cmd_explore)
 
@@ -1094,8 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = subparsers.add_parser(
         "selftest",
-        help="cross-check the symbolic and explicit exploration "
-             "strategies on three bundled models")
+        help="cross-check explicit exploration against the compiled "
+             "symbolic system on three bundled models")
     selftest.add_argument("--max-states", type=int, default=20_000)
     selftest.add_argument("--json", action="store_true",
                           help="emit the selftest report as JSON")

@@ -82,42 +82,45 @@ from.
 Choosing a strategy — exploration and property checking
 =======================================================
 
-:func:`~repro.engine.explorer.explore` and the temporal-property
-checker :func:`~repro.engine.ctl.check` both take
-``strategy="explicit" | "symbolic" | "auto"``. Exploration produces
-byte-identical state spaces either way, and property checks return
-identical verdicts *and* identical witness traces (the
-:mod:`repro.engine.equivalence` harness asserts both corpus-wide, and
+Exploration has one path. :func:`~repro.engine.explorer.explore` is a
+breadth-first search over the kernel's lazily filled local tables:
+each constraint runtime runs once per (local state, projected step)
+pair, then the memoized successor is read back. It needs no compile
+step and no encodability, so it also explores models with (locally)
+unbounded counters, such as an unbounded CCSL precedence or a
+cross-processor communication delay, whose tables simply grow with the
+explored space. The explored space is cached on the kernel per
+(configuration, budgets), so an explore and the explicit checks of the
+same model explore once. A compiled symbolic system concretizes to the
+byte-identical space through the same BFS
+(:meth:`~repro.engine.symbolic.TransitionSystem.to_statespace`), which
+is what the :mod:`repro.engine.equivalence` harness compares.
+
+Strategy is a property-check choice: :func:`~repro.engine.ctl.check`
+takes ``strategy="explicit" | "symbolic" | "auto"`` and returns
+identical verdicts *and* identical witness traces on a complete
+exploration (the equivalence harness asserts both corpus-wide, and
 ``repro selftest`` re-checks them on demand) — so the choice is about
 cost, and about what a bounded budget can soundly conclude:
 
 ``"explicit"``
-    Breadth-first search over the kernel's lazily filled local tables:
-    each constraint runtime runs once per (local state, projected step)
-    pair, then the memoized successor is read back. No compile step and
-    no encodability requirement — the right choice for small models,
-    one-shot explorations, and models with (locally) unbounded counters
-    such as an unbounded CCSL precedence or a cross-processor
-    communication delay, which cannot be finitely encoded (their tables
-    simply grow with the explored space). The explored space is cached
-    on the kernel per (configuration, budgets), so an explicit explore
-    and the explicit checks of the same model explore once. Property
-    checks on an explicit space are *three-valued*
+    Checks the explored space. Verdicts are *three-valued*
     (:class:`~repro.engine.ctl.Verdict`): when the
     ``max_states``/``max_depth`` budget truncates the exploration, a
     check returns ``HOLDS``/``FAILS`` only if the explored region alone
     proves it (e.g. a safety violation was found) and ``UNKNOWN``
-    otherwise — never "verified" from a partial search.
+    otherwise — never "verified" from a partial search. The right
+    choice for small models and for models that cannot be finitely
+    encoded.
 
 ``"symbolic"``
     The model is first compiled to a BDD transition relation over event
     variables plus per-constraint state bits
     (:mod:`repro.engine.symbolic`), built from eagerly closed local
-    tables; graph construction then runs the explicit strategy's BFS
-    over those closed tables, and the compiled system is cached on the
-    model's kernel for reuse by clones. The *fixpoint* APIs never build
-    a graph at all: :func:`~repro.engine.symbolic.symbolic_reachable`
-    computes the reachable set by forward image iteration, and
+    tables and cached on the model's kernel for reuse by clones. The
+    fixpoint APIs never build a graph at all:
+    :func:`~repro.engine.symbolic.symbolic_reachable` computes the
+    reachable set by forward image iteration, and
     :func:`~repro.engine.ctl.check` evaluates full CTL (EX/EF/EG/EU and
     the A-duals, plus ``leads_to``) by backward
     :meth:`~repro.engine.symbolic.TransitionSystem.preimage` fixpoints
@@ -128,12 +131,12 @@ cost, and about what a bounded budget can soundly conclude:
 
 ``"auto"``
     Symbolic for models with at least
-    :data:`~repro.engine.explorer.AUTO_EVENT_THRESHOLD` events, with a
+    :data:`~repro.engine.ctl.AUTO_EVENT_THRESHOLD` events, with a
     transparent fallback to explicit when the model is not finitely
-    encodable; for property checks on small models it additionally
-    escalates to symbolic whenever the explicit verdict comes back
-    ``UNKNOWN``. Use this when batching heterogeneous models — it is
-    the default of ``repro check`` and ``CheckSpec``.
+    encodable; on smaller models it escalates to symbolic whenever the
+    explicit verdict comes back ``UNKNOWN``. Use this when batching
+    heterogeneous models — it is the default of ``repro check`` and
+    ``CheckSpec``.
 
 Tuning the symbolic backend — the clustered relation and reordering
 ===================================================================

@@ -73,6 +73,10 @@ __all__ = [
 #: strategies accepted by :func:`check`
 PROPERTY_STRATEGIES = ("explicit", "symbolic", "auto")
 
+#: ``auto`` checks a model with at least this many events symbolically
+#: — below it, explicit search wins on setup cost.
+AUTO_EVENT_THRESHOLD = 10
+
 
 class Verdict(enum.Enum):
     """Three-valued outcome of a property check.
@@ -1390,7 +1394,6 @@ def _check_dispatch(model, prop: Prop, strategy: str,
     # SymbolicEncodingError handlers stay as the safety net for
     # predictor misses (counted in the predictor telemetry)
     from repro.engine.encodability import is_encodable, record_safety_net
-    from repro.engine.explorer import AUTO_EVENT_THRESHOLD
     if len(model.events) >= AUTO_EVENT_THRESHOLD:
         if not is_encodable(model):
             return explicit()

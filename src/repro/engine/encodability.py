@@ -6,8 +6,8 @@ finite table: the alphabet is wider than
 :data:`~repro.engine.symbolic.MAX_ALPHABET`, or the per-constraint
 closure exceeds the local-state bound (a locally unbounded counter,
 e.g. an unbounded ``Precedes``). Historically that was only discovered
-*inside* compilation — ``strategy="auto"``, ``repro serve`` admission
-and the fuzzing farm all wrapped the attempt in try/except. This
+*inside* compilation — ``check(strategy="auto")``, ``repro serve``
+admission and the fuzzing farm all wrapped the attempt in try/except. This
 module decides the same question up front, without building a single
 BDD node or stepping the engine:
 
@@ -30,11 +30,12 @@ BDD node or stepping the engine:
    static: local and capped, never the global product), which makes
    the prediction *exact by construction*.
 
-The predictor is consulted by ``strategy="auto"`` routing
-(:mod:`repro.engine.explorer`, :mod:`repro.engine.ctl`), ``repro
-serve`` model admission and the lint rule ``ENC001``; the original
-try/except paths remain as a safety net whose firings are counted in
-the telemetry below (a firing means the predictor was wrong — a bug).
+The predictor is consulted by the ``auto`` check routing
+(:func:`repro.engine.ctl.check`), ``repro serve`` model admission and
+the lint rule ``ENC001``; the original try/except paths remain as a
+safety net whose firings are counted in the telemetry below (a firing
+means the predictor was wrong — a bug). Exploration needs no encoding
+and never consults it.
 """
 
 from __future__ import annotations
@@ -475,5 +476,5 @@ def predict(model, max_local_states: int | None = None,
 
 
 def is_encodable(model) -> bool:
-    """Boolean shorthand for the auto-strategy and admission routers."""
+    """Boolean shorthand for the auto check and admission routers."""
     return predict(model).encodable

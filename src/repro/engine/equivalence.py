@@ -8,10 +8,12 @@ rule that makes them agree. ``repro selftest``, the fuzz oracle
 (:mod:`repro.lint.crosscheck`) all apply the rules below; none keeps
 its own copy.
 
-State spaces — :func:`cross_check` explores one model explicitly and
-symbolically: states, transitions, truncation and serialized bytes
-must be identical, and on an untruncated full-branching exploration
-the symbolic fixpoint must match the state count, deadlocks and dead
+State spaces — :func:`cross_check` explores one model and concretizes
+its compiled symbolic system
+(:meth:`~repro.engine.symbolic.TransitionSystem.to_statespace`):
+states, transitions, truncation and serialized bytes must be
+identical, and on an untruncated full-branching exploration the
+symbolic fixpoint must match the state count, deadlocks and dead
 events. :func:`assert_equivalent` raises
 :class:`~repro.errors.EquivalenceError` on any mismatch.
 
@@ -86,34 +88,27 @@ def cross_check(
     maximal_only: bool = False,
     properties: list | None = None,
 ) -> dict:
-    """Explore *model* with both strategies and diff the results.
+    """Explore *model*, concretize its compiled system with the same
+    budgets and diff the two spaces.
 
     Returns a report dictionary with the compared metrics and a
-    ``mismatches`` list (empty means the strategies agree). Alongside
-    the two graph explorations, the symbolic fixpoint is checked
-    against the explicit state count and deadlock verdict whenever the
-    comparison is meaningful (untruncated, full branching).
+    ``mismatches`` list (empty means the backends agree). Alongside
+    the two graphs, the symbolic fixpoint is checked against the
+    explicit state count and deadlock verdict whenever the comparison
+    is meaningful (untruncated, full branching).
     *properties* overrides the checked property texts: ``None`` runs
     the instantiated :data:`PROPERTY_BATTERY`, an explicit list (the
     fuzz harness passes generated formulas) runs exactly those, and an
     empty list skips the property phase.
     """
-    explicit = explore(
-        model,
+    budgets = dict(
         max_states=max_states,
         max_depth=max_depth,
         include_empty=include_empty,
         maximal_only=maximal_only,
-        strategy="explicit",
     )
-    symbolic = explore(
-        model,
-        max_states=max_states,
-        max_depth=max_depth,
-        include_empty=include_empty,
-        maximal_only=maximal_only,
-        strategy="symbolic",
-    )
+    explicit = explore(model, **budgets)
+    symbolic = model.kernel.transition_system(model).to_statespace(**budgets)
     mismatches: list[str] = []
 
     def check(what: str, left, right) -> None:

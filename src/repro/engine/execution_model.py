@@ -153,8 +153,7 @@ class SymbolicKernel(TableStepper):
         if space is _MISSING:
             space = explore(model, max_states=max_states,
                             max_depth=max_depth,
-                            include_empty=include_empty,
-                            strategy="explicit")
+                            include_empty=include_empty)
             self._space_cache.put(key, space)
         return space
 

@@ -9,28 +9,24 @@ are grouped by target in first-seen order, step order within a target
 — the order artifacts are written in. This implements the paper's
 "exhaustive exploration" usage of the generic engine.
 
-Both strategies drive the same breadth-first skeleton over a
-:class:`~repro.engine.tables.CompiledStateView`: a state is a tuple of
-per-constraint local ids, a successor is one table lookup per
-constraint, and no constraint runtime of the caller is touched.
+Exploration has one path: a breadth-first search over a
+:class:`~repro.engine.tables.CompiledStateView` of the model kernel's
+lazily filled local tables
+(:meth:`~repro.engine.execution_model.SymbolicKernel.table_view`). A
+state is a tuple of per-constraint local ids, a successor is one table
+lookup per constraint, and a table runs its constraint's runtime only
+the first time a (local state, projected step) pair comes up; every
+clone and every later exploration of the model family reads the
+memoized successor. No encodability requirement: a locally unbounded
+constraint's table just grows with the explored space.
 
-* ``"explicit"`` — the view reads the model kernel's lazily filled
-  local tables (:meth:`~repro.engine.execution_model.SymbolicKernel.\
-  table_view`): a table runs its constraint's runtime only the first
-  time a (local state, projected step) pair comes up, then every clone
-  and every later exploration of the model family reads the memoized
-  successor. No encodability requirement: a locally unbounded
-  constraint's table just grows with the explored space;
-* ``"symbolic"`` — the model is first compiled to a BDD transition
-  system (:mod:`repro.engine.symbolic`), whose eagerly closed tables the
-  view reads; the full reachable set is also available by fixpoint
-  iteration without building any graph at all.
-
-``"auto"`` picks symbolic for models past a size threshold and falls
-back to explicit when the model cannot be finitely encoded. Both
-strategies produce byte-identical state spaces (asserted corpus-wide by
-:mod:`repro.engine.equivalence`), including ``max_states`` truncation
-and frontier marking — the skeleton below is literally shared.
+A compiled symbolic system concretizes through the same skeleton
+(:meth:`~repro.engine.symbolic.TransitionSystem.to_statespace`, over
+its eagerly closed tables), so the two spaces are byte-identical,
+including ``max_states`` truncation and frontier marking — asserted
+corpus-wide by :mod:`repro.engine.equivalence`. Strategy is a
+property-check choice (:func:`repro.engine.ctl.check`), not an
+exploration one.
 """
 
 from __future__ import annotations
@@ -41,21 +37,11 @@ from repro import obs
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.statespace import StateSpace, grouped_by_target
 from repro.engine.tables import CompiledStateView
-from repro.errors import EngineError, ExplorationLimitError, \
-    SymbolicEncodingError
-
-#: strategies accepted by :func:`explore`
-STRATEGIES = ("explicit", "symbolic", "auto")
-
-#: ``auto`` compiles a symbolic system once a model has at least this
-#: many events — below it, explicit search wins on setup cost.
-AUTO_EVENT_THRESHOLD = 10
 
 
 def explore(model: ExecutionModel, max_states: int = 10_000,
             max_depth: int | None = None, include_empty: bool = False,
-            strict: bool = False, maximal_only: bool = False,
-            strategy: str = "explicit") -> StateSpace:
+            maximal_only: bool = False) -> StateSpace:
     """Breadth-first exploration from the model's current configuration.
 
     Parameters
@@ -63,18 +49,16 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
     model:
         The execution model to explore; it is cloned, never mutated.
     max_states:
-        State budget; hitting it marks the result as truncated (or
-        raises with *strict*). Systems with unbounded counters —
-        e.g. an unbounded CCSL precedence — have infinite configuration
-        spaces, which this bound turns into a finite, truncated view.
+        State budget; hitting it marks the result as truncated.
+        Systems with unbounded counters — e.g. an unbounded CCSL
+        precedence — have infinite configuration spaces, which this
+        bound turns into a finite, truncated view.
     max_depth:
         Optional BFS depth bound.
     include_empty:
         Also follow the empty step when it changes the configuration
         (an automaton transition with only falseTriggers can fire on an
         empty step). Self-loop empty steps are always skipped.
-    strict:
-        Raise :class:`ExplorationLimitError` instead of truncating.
     maximal_only:
         Follow only ⊆-maximal steps — the ASAP sub-space. A reduction
         of the full branching that preserves peak-parallelism and
@@ -82,57 +66,25 @@ def explore(model: ExecutionModel, max_states: int = 10_000,
         count dramatically (every non-maximal step is a subset of a
         maximal one); deadlock freedom is NOT necessarily preserved in
         either direction, so safety verdicts must use the full space.
-    strategy:
-        ``"explicit"``, ``"symbolic"`` or ``"auto"`` (see module doc).
-        The produced state space is identical either way.
     """
-    work = _working_view(model, strategy)
-    return _bfs(work, model.name, list(model.events), max_states=max_states,
+    return _bfs(model.kernel.table_view(model), model.name,
+                list(model.events), max_states=max_states,
                 max_depth=max_depth, include_empty=include_empty,
-                strict=strict, maximal_only=maximal_only)
-
-
-def _working_view(model: ExecutionModel,
-                  strategy: str) -> CompiledStateView:
-    """The BFS driver for *strategy*: a view over the kernel's lazily
-    filled local tables (explicit) or over a compiled system's closed
-    ones (symbolic)."""
-    if strategy not in STRATEGIES:
-        raise EngineError(
-            f"unknown exploration strategy {strategy!r}; expected one of "
-            f"{', '.join(STRATEGIES)}")
-    if strategy == "explicit":
-        return model.kernel.table_view(model)
-    if strategy == "auto" and len(model.events) < AUTO_EVENT_THRESHOLD:
-        return model.kernel.table_view(model)
-    if strategy == "auto":
-        # route through the static predictor instead of compiling just
-        # to catch SymbolicEncodingError (the except below stays as the
-        # safety net for predictor misses)
-        from repro.engine.encodability import is_encodable
-        if not is_encodable(model):
-            return model.kernel.table_view(model)
-    try:
-        return CompiledStateView(model.kernel.transition_system(model))
-    except SymbolicEncodingError:
-        if strategy == "symbolic":
-            raise
-        from repro.engine.encodability import record_safety_net
-        record_safety_net()
-        return model.kernel.table_view(model)  # predictor miss
+                maximal_only=maximal_only)
 
 
 def _bfs(work, name: str, events: list[str], max_states: int,
-         max_depth: int | None, include_empty: bool, strict: bool,
+         max_depth: int | None, include_empty: bool,
          maximal_only: bool) -> StateSpace:
-    """The strategy-independent BFS skeleton.
+    """The BFS skeleton.
 
     *work* is anything implementing the working-model protocol:
     ``configuration``/``snapshot``/``restore``/``acceptable_steps``/
-    ``advance``/``is_accepting``. The strategies pass a
-    :class:`~repro.engine.tables.CompiledStateView` (over the kernel's
-    tables or a compiled system's), so admission order, truncation and
-    frontier marking are identical across strategies by construction.
+    ``advance``/``is_accepting``. :func:`explore` and
+    :meth:`~repro.engine.symbolic.TransitionSystem.to_statespace` pass
+    a :class:`~repro.engine.tables.CompiledStateView` (over the
+    kernel's tables or a compiled system's), so admission order,
+    truncation and frontier marking are identical by construction.
     A view's states are matched on their id tuples, and a configuration
     key is decoded only when a state is admitted. An
     :class:`ExecutionModel` clone implements the protocol too, by
@@ -151,18 +103,17 @@ def _bfs(work, name: str, events: list[str], max_states: int,
     #: BFS queue of (snapshot token, state identity, state id, depth)
     queue: deque = deque([(work.snapshot(), root, 0, 0)])
     with obs.span("explore.bfs", model=name) as trace:
-        _bfs_loop(work, identify, space, key_to_id, queue, name,
+        _bfs_loop(work, identify, space, key_to_id, queue,
                   max_states=max_states, max_depth=max_depth,
-                  include_empty=include_empty, strict=strict,
-                  maximal_only=maximal_only)
+                  include_empty=include_empty, maximal_only=maximal_only)
         trace.set(states=space.n_states, transitions=space.n_transitions,
                   truncated=space.truncated)
     return space
 
 
 def _bfs_loop(work, identify, space: StateSpace, key_to_id: dict,
-              queue: deque, name: str, max_states: int,
-              max_depth: int | None, include_empty: bool, strict: bool,
+              queue: deque, max_states: int,
+              max_depth: int | None, include_empty: bool,
               maximal_only: bool) -> None:
     """The admission loop of :func:`_bfs`, factored out so the whole
     walk sits under one ``explore.bfs`` span; *identify* names the state
@@ -189,10 +140,6 @@ def _bfs_loop(work, identify, space: StateSpace, key_to_id: dict,
             target = key_to_id.get(reached)
             if target is None:
                 if len(key_to_id) >= max_states:
-                    if strict:
-                        raise ExplorationLimitError(
-                            f"exploration of {name!r} exceeded "
-                            f"{max_states} states")
                     space.truncated = True
                     space.frontier.add(state)
                     work.restore(snapshot)

@@ -20,9 +20,9 @@ The pipeline:
    over-approximates the globally reachable local states — which is
    exactly what an encoding needs — and fails fast
    (:class:`~repro.errors.SymbolicEncodingError`) on locally unbounded
-   constraints, letting the ``auto`` strategy fall back to explicit
-   search. It is the same table class explicit exploration fills
-   lazily; only the fill order differs.
+   constraints, letting the ``auto`` check strategy fall back to
+   explicit search. It is the same table class explicit exploration
+   fills lazily; only the fill order differs.
 2. **Topology-derived variable order.** Constraints are ordered by a
    greedy BFS over the connection graph (constraints sharing events are
    adjacent — for a pipeline this recovers the pipeline order), each
@@ -46,14 +46,14 @@ variable/buffer bounds) are answered *directly on the reachable-set
 BDD* without concretizing, and :meth:`TransitionSystem.preimage` — the
 backward relational product paired with :meth:`~TransitionSystem.image`
 — gives the CTL checker of :mod:`repro.engine.ctl` its EX/EF/EG/EU
-fixpoints on the same relation. On-demand concretization back to an explicit
-:class:`~repro.engine.statespace.StateSpace` — so ``to_json``, viz and
-the graph analyses keep working unchanged — runs the very same BFS loop
-as the explicit strategy, over a
+fixpoints on the same relation. On-demand concretization back to an
+explicit :class:`~repro.engine.statespace.StateSpace`
+(:meth:`TransitionSystem.to_statespace`) runs the very same BFS loop as
+:func:`~repro.engine.explorer.explore`, over a
 :class:`~repro.engine.tables.CompiledStateView` of the closed tables;
-the two strategies therefore produce byte-identical state spaces,
-including truncation frontiers, which the
-:mod:`repro.engine.equivalence` harness asserts.
+the two therefore produce byte-identical state spaces, including
+truncation frontiers, which the :mod:`repro.engine.equivalence`
+harness asserts.
 """
 
 from __future__ import annotations
@@ -540,6 +540,18 @@ class TransitionSystem(TableStepper):
 
     # -- decoding ----------------------------------------------------------
 
+    def to_statespace(self, max_states: int = 10_000,
+                      max_depth: int | None = None,
+                      include_empty: bool = False,
+                      maximal_only: bool = False):
+        """Concretize to an explicit :class:`StateSpace` (no fixpoint):
+        the explorer's BFS over the closed tables, so byte-identical to
+        ``explore(model, ...)`` with the same budgets."""
+        from repro.engine.explorer import _bfs
+        return _bfs(CompiledStateView(self), self.name, self.events,
+                    max_states=max_states, max_depth=max_depth,
+                    include_empty=include_empty, maximal_only=maximal_only)
+
     def encode_assignment(self, ids: Sequence[int]) -> dict[str, bool]:
         """A current-bit assignment selecting exactly the state *ids*."""
         assignment: dict[str, bool] = {}
@@ -581,8 +593,9 @@ class ReachableSet:
     """The reachable configuration set as a BDD, plus layer structure.
 
     All queries answer on the symbolic set without concretizing; use
-    :meth:`to_statespace` (or ``explore(strategy='symbolic')``) when the
-    explicit graph is needed.
+    :meth:`TransitionSystem.to_statespace` or
+    :func:`~repro.engine.explorer.explore` when the explicit graph is
+    needed.
     """
 
     def __init__(self, system: TransitionSystem, node: int,
@@ -690,17 +703,6 @@ class ReachableSet:
                     if model[name]))
             yield system.decode_key(ids)
 
-    def to_statespace(self, max_states: int = 10_000,
-                      max_depth: int | None = None, strict: bool = False,
-                      maximal_only: bool = False):
-        """Concretize to an explicit :class:`StateSpace` — identical to
-        ``explore(model, strategy='symbolic')`` with the same budgets."""
-        from repro.engine.explorer import _bfs
-        return _bfs(CompiledStateView(self.system), self.system.name,
-                    self.system.events, max_states=max_states,
-                    max_depth=max_depth, include_empty=self.include_empty,
-                    strict=strict, maximal_only=maximal_only)
-
     def summary(self) -> dict[str, object]:
         data: dict[str, object] = {
             "states": self.count(),
@@ -728,8 +730,8 @@ def symbolic_reachable(model, include_empty: bool = False,
     The compiled system is cached on the model's symbolic kernel; the
     fixpoint itself is recomputed per call (budgets differ). Raises
     :class:`~repro.errors.SymbolicEncodingError` when the model cannot
-    be finitely encoded (use ``explore(strategy='auto')`` to fall back
-    to explicit search automatically).
+    be finitely encoded (:func:`~repro.engine.explorer.explore` needs no
+    encoding, and ``check(strategy="auto")`` falls back to it).
     """
     system = model.kernel.transition_system(model)
     if max_depth is None and max_states is None:

@@ -193,8 +193,8 @@ class LocalTable:
                     raise SymbolicEncodingError(
                         f"constraint {self.label!r} exceeded the "
                         f"local-state closure bound ({max_states}); it is "
-                        f"likely unbounded — use the explicit exploration "
-                        f"strategy")
+                        f"likely unbounded — explore it, or check it with "
+                        f"strategy='explicit'")
             cursor += 1
         self.bits = max(1, (len(self.keys) - 1).bit_length())
         self.closed = True
@@ -419,8 +419,8 @@ class CompiledStateView:
     Implements the working-model protocol — ``events``,
     ``configuration``/``snapshot``/``restore``, ``acceptable_steps``,
     ``max_step``, ``is_acceptable``, ``advance`` and ``is_accepting`` —
-    on a :class:`TableStepper`: a model kernel (explicit exploration,
-    simulation) or a compiled transition system (symbolic strategy).
+    on a :class:`TableStepper`: a model kernel (exploration, simulation)
+    or a compiled transition system (its concretization and witnesses).
     The explorer's breadth-first search and the simulator's policies
     both run on it. Snapshots are tuples of local ids and no caller's
     runtime is ever touched; :meth:`model_snapshot` gives the token that

@@ -102,17 +102,13 @@ class DeadlockError(EngineError):
     """A simulation required progress but no acceptable step exists."""
 
 
-class ExplorationLimitError(EngineError):
-    """Exhaustive exploration hit the configured state or depth bound."""
-
-
 class SymbolicEncodingError(EngineError):
     """A model could not be finitely encoded for symbolic reachability
     (e.g. a constraint's local state space exceeded the closure bound)."""
 
 
 class EquivalenceError(EngineError):
-    """The symbolic and explicit exploration strategies disagreed —
+    """Explicit exploration and a compiled symbolic system disagreed —
     raised by the cross-checking harness; always a bug, never user error."""
 
 

@@ -42,12 +42,11 @@ def case_key(case: FuzzCase, handle) -> str | None:
     prefix = try_model_prefix(handle)
     if prefix is None:
         return None
-    rows = [backend_specs(case)]
-    rows += [backend_specs(case, prop) for prop in case.properties]
+    rows = [backend_specs(case, prop) for prop in case.properties]
+    # the exploration, then per backend its checks
+    specs = backend_specs(case) + [spec for column in zip(*rows) for spec in column]
     try:
-        # per backend: its exploration, then its checks
-        prints = [spec_fingerprint(prefix, spec)
-                  for column in zip(*rows) for spec in column]
+        prints = [spec_fingerprint(prefix, spec) for spec in specs]
     except ReproError:
         return None
     digest = hashlib.sha256(canonical_json(prints).encode("utf-8"))

@@ -52,10 +52,12 @@ class CaseOutcome:
 
 
 def backend_specs(case: FuzzCase, prop: str | None = None) -> list:
-    """One run spec per :data:`ORACLE_CONFIGS` backend: the check of
-    *prop*, or the exploration when *prop* is ``None``."""
+    """The check of *prop* once per :data:`ORACLE_CONFIGS` backend, or,
+    when *prop* is ``None``, the one exploration (the space cross-check
+    concretizes the compiled system itself)."""
     from repro.workbench import RunSpec
 
+    configs = ORACLE_CONFIGS if prop is not None else [("explicit", None)]
     return [
         RunSpec(
             kind="explore" if prop is None else "check",
@@ -65,7 +67,7 @@ def backend_specs(case: FuzzCase, prop: str | None = None) -> list:
             strategy=strategy,
             label=label,
         )
-        for label, strategy in ORACLE_CONFIGS
+        for label, strategy in configs
     ]
 
 
@@ -76,11 +78,11 @@ def repro_doc(case: FuzzCase, failure_kind: str, detail: str,
     ``models``/``runs`` follow the canonical batch shape (``repro
     batch``/``repro submit`` run it as-is); the extra ``fuzz`` key is
     provenance both tools ignore."""
-    if failure_kind == "static":  # replay the lint plus the explorations
+    if failure_kind == "static":  # replay the lint plus the exploration
         from repro.workbench import LintSpec
 
         runs = [LintSpec(case.name, label="lint")] + backend_specs(case)
-    else:  # the property's checks, or the explorations of a space failure
+    else:  # the property's checks, or the exploration of a space failure
         runs = backend_specs(case, prop)
     return {
         "models": {case.name: case.model_doc()},

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.engine.ctl import PROPERTY_STRATEGIES
-from repro.engine.explorer import STRATEGIES
 from repro.engine.policies import SchedulingPolicy
 from repro.engine.trace import Trace
 from repro.errors import SerializationError
-from repro.workbench.policies import policy_doc
+from repro.workbench.policies import PolicyError, policy_doc, \
+    policy_keywords
 
 #: doc format version for both artifacts
 _FORMAT = 1
@@ -94,6 +94,14 @@ class Field:
             raise SerializationError(
                 f"{kind} spec {where} {self.key!r} must be one of "
                 f"{', '.join(self.choices)}, not {value!r:.60}")
+        policies = {"policy": [value], "policies": value}.get(self.type, [])
+        for item in policies:
+            try:  # an instance passes here and is refused by to_doc
+                if not isinstance(item, SchedulingPolicy):
+                    policy_keywords(item)
+            except PolicyError as exc:
+                raise SerializationError(
+                    f"{kind} spec {where} {self.key!r}: {exc}") from None
         return list(value) if self.type in ("strings", "policies") \
             else value
 
@@ -111,8 +119,8 @@ _MAX_DEPTH = Field("max_depth", "count")
 _INCLUDE_EMPTY = Field("include_empty", "flag", False)
 
 #: kind -> the fields it reads. The one declaration of what a spec may
-#: say: its defaults, its JSON types, its strategies (the engine's own
-#: lists), its options and its document layout.
+#: say: its defaults, its JSON types, its check strategies (the
+#: engine's own list), its options and its document layout.
 SCHEMA: dict[str, tuple[Field, ...]] = {
     kind: (Field("model", "string", written=True),
            Field("label", "string")) + rows
@@ -124,7 +132,6 @@ SCHEMA: dict[str, tuple[Field, ...]] = {
         "explore": (
             _MAX_STATES, _MAX_DEPTH, _INCLUDE_EMPTY,
             Field("maximal_only", "flag", False),
-            Field("strategy", "string", "explicit", STRATEGIES),
             Field("include_graph", "flag", False, option=True)),
         "campaign": (
             Field("steps", "count", 40, written=True),
@@ -172,9 +179,9 @@ class RunSpec:
     max_depth: int | None = None
     include_empty: bool | None = None
     maximal_only: bool | None = None
-    strategy: str | None = None
     # -- check -------------------------------------------------------------
     prop: str | None = None
+    strategy: str | None = None
     # -- lint --------------------------------------------------------------
     #: restrict to specific rule IDs (``None`` runs every applicable rule)
     rules: list[str] | None = None
@@ -279,20 +286,15 @@ def SimulateSpec(model: str, policy: object = None,
 def ExploreSpec(model: str, max_states: int | None = None,
                 max_depth: int | None = None,
                 include_empty: bool | None = None,
-                maximal_only: bool | None = None,
-                strategy: str | None = None, label: str | None = None,
+                maximal_only: bool | None = None, label: str | None = None,
                 include_graph: bool | None = None) -> RunSpec:
-    """An exhaustive-exploration spec.
-
-    *strategy* is ``"explicit"``, ``"symbolic"`` or ``"auto"`` — see
-    :func:`repro.engine.explorer.explore`; the result is identical
-    either way. *include_graph* puts the whole state space in the
-    payload.
+    """An exhaustive-exploration spec (see
+    :func:`repro.engine.explorer.explore`). *include_graph* puts the
+    whole state space in the payload.
     """
     return RunSpec("explore", model, label=label, max_states=max_states,
                    max_depth=max_depth, include_empty=include_empty,
-                   maximal_only=maximal_only, strategy=strategy,
-                   include_graph=include_graph)
+                   maximal_only=maximal_only, include_graph=include_graph)
 
 
 def CampaignSpec(model: str, steps: int | None = None,

@@ -167,11 +167,12 @@ def register_frontend(name: str,
                       priority: int = 0):
     """Register a front-end loader (decorator).
 
-    The loader takes ``(source, **options)`` and returns a
-    :class:`ModelHandle`. *matches* is a predicate deciding whether an
-    arbitrary source belongs to this front-end; front-ends with a
-    higher *priority* are probed first. Without a matcher the front-end
-    is reachable only by explicit name (``load(src, frontend=name)``).
+    The loader takes the source plus the keyword options it reads and
+    returns a :class:`ModelHandle`. *matches* is a predicate deciding
+    whether an arbitrary source belongs to this front-end; front-ends
+    with a higher *priority* are probed first. Without a matcher the
+    front-end is reachable only by explicit name
+    (``load(src, frontend=name)``).
     """
     def decorate(loader):
         _FRONTENDS[name] = _Frontend(
@@ -232,18 +233,26 @@ def load(source, frontend: str | None = None, name: str | None = None,
 #: model-description fields naming a file on the loading machine
 PATH_FIELDS = ("path", "application_path", "deployment_path")
 
+#: the loader options of a SigPML description (no other reads one)
+_SIGPML_OPTIONS = {"place_variant": str, "mapping_text": str}
+
 
 def load_doc(doc: dict, name: str | None = None) -> ModelHandle:
     """Load a JSON model description (see :func:`source_from_doc`); its
-    ``options`` object holds the loader keywords (``place_variant`` for
-    the SDF front-ends). *name* overrides the handle name."""
+    ``options`` object holds the loader keywords its front-end reads,
+    refused by name when it reads none such or a type is wrong. *name*
+    overrides the handle name."""
     source = source_from_doc(doc)
+    kind = doc.get("frontend")
+    reads = _SIGPML_OPTIONS if kind in (None, "sigpml", "sdf") else {}
     options = doc.get("options") or {}
-    clash = sorted({"frontend", "name"} & set(options))
-    if clash:
+    unknown = sorted(set(options) - set(reads))
+    if unknown:
         raise FrontendError(
-            f"model description options {clash} are arguments of load(), "
-            f"not loader keywords")
+            f"model description option(s) {unknown} are not read by "
+            f"front-end {kind or 'sigpml'!r}; it reads "
+            f"{', '.join(sorted(reads)) or 'none'}")
+    _check_types(options, reads, "option")
     return load(source, name=name, **options)
 
 
@@ -327,15 +336,15 @@ def source_from_doc(doc: dict):
     raise FrontendError(f"unknown front-end {kind!r} in model description")
 
 
-def _check_types(doc: dict, types: dict) -> None:
-    """Refuse, naming it, a field of *doc* that is not of its JSON type
-    in *types*."""
+def _check_types(doc: dict, types: dict, what: str = "field") -> None:
+    """Refuse, naming it, a field (or option) of *doc* that is not of
+    its JSON type in *types*."""
     for key, kind in types.items():
         value = doc.get(key)
         if value is not None and (not isinstance(value, kind) or
                                   isinstance(value, bool) and kind is int):
             raise FrontendError(
-                f"model description field {key!r} must be a JSON "
+                f"model description {what} {key!r} must be a JSON "
                 f"{_JSON_NAMES[kind]}, not {value!r:.60}")
 
 
@@ -384,7 +393,7 @@ def _is_sigpml_path(source) -> bool:
     "execution-model",
     matches=lambda source: isinstance(source, ExecutionModel),
     priority=100)
-def _load_execution_model(source: ExecutionModel, **options) -> ModelHandle:
+def _load_execution_model(source: ExecutionModel) -> ModelHandle:
     """A bare execution model — the engine-level escape hatch."""
     return ModelHandle(name=source.name, frontend="execution-model",
                        execution_model=source)
@@ -395,7 +404,7 @@ def _load_execution_model(source: ExecutionModel, **options) -> ModelHandle:
     matches=lambda source: _is_sigpml_text(source) or _is_sigpml_path(source),
     priority=50)
 def _load_sigpml(source, place_variant: str = "default",
-                 mapping_text: str | None = None, **options) -> ModelHandle:
+                 mapping_text: str | None = None) -> ModelHandle:
     """SigPML concrete syntax: inline text, a path, or a Path object."""
     from repro.sdf.mapping import weave_sdf
     from repro.sdf.parser import parse_sigpml
@@ -436,7 +445,7 @@ def _is_sdf_pair(source) -> bool:
     or _is_sdf_pair(source),
     priority=60)
 def _load_sdf(source, place_variant: str = "default",
-              mapping_text: str | None = None, **options) -> ModelHandle:
+              mapping_text: str | None = None) -> ModelHandle:
     """Programmatic SDF: an :class:`SdfBuilder` or its ``build()`` pair."""
     from repro.sdf.mapping import weave_sdf
 
@@ -458,7 +467,7 @@ def _load_sdf(source, place_variant: str = "default",
     matches=lambda source: isinstance(source, DeploymentSpec)
     or type(source).__name__ == "DeploymentResult",
     priority=70)
-def _load_deployment(source, **options) -> ModelHandle:
+def _load_deployment(source) -> ModelHandle:
     """A deployed application: :class:`DeploymentSpec` or a ready
     :class:`~repro.deployment.weaver.DeploymentResult`."""
     from repro.deployment.weaver import DeploymentResult, deploy
@@ -532,7 +541,7 @@ def _resolve_deployment(deployment):
     matches=lambda source: isinstance(source, PamConfiguration)
     or (isinstance(source, str) and source.startswith("pam:")),
     priority=80)
-def _load_pam(source, **options) -> ModelHandle:
+def _load_pam(source) -> ModelHandle:
     """A PAM study configuration: ``PamConfiguration`` or ``"pam:dual"``."""
     from repro.pam.application import build_pam_application
     from repro.pam.experiments import CONFIGURATIONS, build_configuration
@@ -600,7 +609,7 @@ def _instantiate_constraints(registry, events, constraints):
     "ccsl",
     matches=lambda source: isinstance(source, CcslSpec),
     priority=70)
-def _load_ccsl(source: CcslSpec, **options) -> ModelHandle:
+def _load_ccsl(source: CcslSpec) -> ModelHandle:
     """A CCSL specification over the kernel relation library."""
     from repro.ccsl.library import kernel_library
     from repro.moccml.library import LibraryRegistry
@@ -624,7 +633,7 @@ def _load_ccsl(source: CcslSpec, **options) -> ModelHandle:
     "moccml",
     matches=lambda source: isinstance(source, MoccmlSpec),
     priority=70)
-def _load_moccml(source: MoccmlSpec, **options) -> ModelHandle:
+def _load_moccml(source: MoccmlSpec) -> ModelHandle:
     """Raw MoCCML: user-defined libraries plus instantiations."""
     from repro.ccsl.library import kernel_library
     from repro.moccml.library import LibraryRegistry

@@ -134,20 +134,18 @@ def _execute_simulate(spec: RunSpec, handle: ModelHandle) -> dict:
 
 def _execute_explore(spec: RunSpec, handle: ModelHandle) -> dict:
     model = handle.execution_model
-    if spec.strategy == "explicit" and not spec.maximal_only:
+    if spec.maximal_only:
+        space = _explore(model, max_states=spec.max_states,
+                         max_depth=spec.max_depth,
+                         include_empty=spec.include_empty, maximal_only=True)
+    else:
         # the explicit CTL backend's cache: a check of this model with
         # the same budgets reuses this exploration, and vice versa
         space = model.kernel.explored_space(
             model, max_states=spec.max_states, max_depth=spec.max_depth,
             include_empty=spec.include_empty)
-    else:
-        space = _explore(model, max_states=spec.max_states,
-                         max_depth=spec.max_depth,
-                         include_empty=spec.include_empty,
-                         maximal_only=spec.maximal_only,
-                         strategy=spec.strategy)
     data = {
-        "strategy": spec.strategy,
+        "strategy": "explicit",  # constant: keeps artifacts byte-identical
         "summary": space.summary(),
         "parallelism_histogram": {
             str(size): count

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.engine import explore
 from repro.engine.ctl import check
 from repro.engine.encodability import COUNTERS, is_encodable, predict
 from repro.errors import SymbolicEncodingError
@@ -141,13 +140,16 @@ class TestCounters:
 
 
 class TestAutoRouting:
-    """strategy='auto' consults the predictor instead of compiling
-    blind; the SymbolicEncodingError handler stays as a safety net."""
+    """check(strategy='auto') consults the predictor instead of
+    compiling blind; the SymbolicEncodingError handler stays as a
+    safety net."""
 
-    def test_explore_auto_skips_doomed_compile(self, unbounded):
+    def test_auto_skips_doomed_compile(self, unbounded):
         before = counters()
-        space = explore(unbounded, strategy="auto", max_states=50)
-        assert space.truncated
+        result = check(unbounded, "AG !deadlock", strategy="auto",
+                       max_states=50)
+        assert result.strategy == "explicit"
+        assert result.truncated
         moved = delta(before)
         assert moved["predicted_unencodable"] == 1
         assert moved["safety_net_raises"] == 0
@@ -161,7 +163,7 @@ class TestAutoRouting:
 
     def test_symbolic_strategy_still_raises(self, unbounded):
         with pytest.raises(SymbolicEncodingError):
-            explore(unbounded, strategy="symbolic")
+            check(unbounded, "AG !deadlock", strategy="symbolic")
 
     def test_safety_net_counts_predictor_misses(self, unbounded,
                                                 monkeypatch):
@@ -170,8 +172,9 @@ class TestAutoRouting:
         before = counters()
         monkeypatch.setattr(encodability, "is_encodable",
                             lambda model: True)  # predictor lies
-        space = explore(unbounded, strategy="auto", max_states=50)
-        assert space.truncated  # explicit fallback still explored
+        result = check(unbounded, "AG !deadlock", strategy="auto",
+                       max_states=50)
+        assert result.truncated  # explicit fallback still explored
         assert delta(before)["safety_net_raises"] == 1
 
 

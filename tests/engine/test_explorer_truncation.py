@@ -1,13 +1,13 @@
-"""Truncation semantics must be identical across exploration strategies:
-``max_states``/``max_depth`` budgets, the ``truncated`` flag, strict
-mode, and the frontier nodes recorded in ``to_json``."""
+"""Truncation semantics must be identical between exploration and the
+concretization of a compiled symbolic system: ``max_states``/
+``max_depth`` budgets, the ``truncated`` flag, and the frontier nodes
+recorded in ``to_json``."""
 
 import json
 
 import pytest
 
 from repro.engine import explore
-from repro.errors import EngineError, ExplorationLimitError
 from repro.sdf import SdfBuilder, weave_sdf
 
 
@@ -25,13 +25,17 @@ def frontier_ids(space):
     return sorted(space.frontier)
 
 
+def compiled(model, **budgets):
+    """The compiled system's space under the same budgets."""
+    return model.kernel.transition_system(model).to_statespace(**budgets)
+
+
 class TestTruncationParity:
     @pytest.mark.parametrize("max_states", [1, 3, 5, 10, 27, 100])
     def test_max_states_identical(self, max_states):
         model = chain_model()
         explicit = explore(model, max_states=max_states)
-        symbolic = explore(model, max_states=max_states,
-                           strategy="symbolic")
+        symbolic = compiled(model, max_states=max_states)
         assert explicit.to_json() == symbolic.to_json()
         assert explicit.truncated == symbolic.truncated == \
             (max_states < 27)
@@ -41,8 +45,7 @@ class TestTruncationParity:
     def test_max_depth_identical(self, max_depth):
         model = chain_model()
         explicit = explore(model, max_depth=max_depth)
-        symbolic = explore(model, max_depth=max_depth,
-                           strategy="symbolic")
+        symbolic = compiled(model, max_depth=max_depth)
         assert explicit.to_json() == symbolic.to_json()
         assert frontier_ids(explicit) == frontier_ids(symbolic)
 
@@ -54,28 +57,20 @@ class TestTruncationParity:
     def test_option_combinations(self, options):
         model = chain_model()
         explicit = explore(model, **options)
-        symbolic = explore(model, strategy="symbolic", **options)
+        symbolic = compiled(model, **options)
         assert explicit.to_json() == symbolic.to_json()
-
-    @pytest.mark.parametrize("strategy", ["explicit", "symbolic"])
-    def test_strict_raises(self, strategy):
-        with pytest.raises(ExplorationLimitError, match="exceeded"):
-            explore(chain_model(), max_states=3, strict=True,
-                    strategy=strategy)
 
     def test_frontier_survives_serialization(self):
         model = chain_model()
-        for strategy in ("explicit", "symbolic"):
-            space = explore(model, max_states=5, strategy=strategy)
+        for space in (explore(model, max_states=5),
+                      compiled(model, max_states=5)):
             doc = json.loads(space.to_json())
             assert doc["truncated"]
             assert any(node["frontier"] for node in doc["nodes"])
 
     def test_auto_strategy_matches(self):
+        # the space the retired explore(strategy="auto") built for this
+        # encodable model past the event threshold: the compiled one
         model = chain_model()
-        assert explore(model, max_states=6, strategy="auto").to_json() \
+        assert compiled(model, max_states=6).to_json() \
             == explore(model, max_states=6).to_json()
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(EngineError, match="unknown exploration"):
-            explore(chain_model(2), strategy="quantum")

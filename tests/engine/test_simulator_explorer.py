@@ -154,12 +154,6 @@ class TestExplorer:
         assert space.truncated
         assert space.n_states == 10
 
-    def test_strict_raises_on_truncation(self):
-        from repro.errors import ExplorationLimitError
-        model = ExecutionModel(["a", "b"], [PrecedesRuntime("a", "b")])
-        with pytest.raises(ExplorationLimitError):
-            explore(model, max_states=5, strict=True)
-
     def test_max_depth(self):
         model = ExecutionModel(["a", "b"], [PrecedesRuntime("a", "b")])
         space = explore(model, max_depth=3)

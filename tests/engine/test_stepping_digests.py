@@ -1,14 +1,15 @@
 """Byte-identity of every way to step a model, pinned by digest.
 
-Explicit exploration, simulation and campaigns all step a model through
-the local transition tables of :mod:`repro.engine.tables`, and the
-``auto`` strategy may compile a symbolic system instead. Whatever the
+Exploration, simulation and campaigns all step a model through the
+local transition tables of :mod:`repro.engine.tables`, and a compiled
+symbolic system concretizes through its own closed tables. Whatever the
 stepping layer does inside, the artifacts they produce are fixed: store
 keys and served results depend on them. Each model's digest covers
 
-* ``StateSpace.to_json()`` of ``explore`` under several state budgets
-  and options (empty steps, a depth bound, maximal steps only), for the
-  explicit and the ``auto`` strategy;
+* ``StateSpace.to_json()`` under several state budgets and options
+  (empty steps, a depth bound, maximal steps only), built by
+  ``explore`` and, for the ``auto`` leg, the way the retired
+  ``explore(strategy="auto")`` built it (:func:`auto_space`);
 * the trace of a simulation under each policy, plus the final
   ``configuration()`` of the simulated model;
 * the rows of a campaign.
@@ -32,6 +33,7 @@ from repro.engine import (
     simulate_model,
 )
 from repro.engine.campaign import campaign
+from repro.engine.equivalence import compiles
 from repro.pam.experiments import build_configuration
 from repro.sdf import SdfBuilder, weave_sdf
 from tests.engine.test_local_tables import (
@@ -68,8 +70,8 @@ BUDGETS = (1, 7, 50, 10_000)
 MODELS = {name: (make, BOTH, BUDGETS) for name, make in CORPUS.items()}
 MODELS.update({
     "deployed-chain": (deployed_chain, BOTH, BUDGETS),
-    # auto compiles a symbolic system past 10 events; on PAM that
-    # compile alone takes seconds, and on torus(4,4) most of a second
+    # explicit leg only: the compile alone takes seconds on PAM, and
+    # most of a second on torus(4,4)
     "pam-mono": (lambda: build_configuration("mono"), ("explicit",),
                  BUDGETS),
     "pam-dual": (lambda: build_configuration("dual"), ("explicit",),
@@ -81,7 +83,7 @@ MODELS.update({
     "watchdog": (watchdog, BOTH, (1, 7, 50)),
 })
 
-#: exploration options crossed with every strategy and budget
+#: exploration options crossed with every leg and budget
 OPTIONS = ({}, {"include_empty": True}, {"max_depth": 3},
            {"maximal_only": True})
 
@@ -92,15 +94,26 @@ def policies(model):
             RandomPolicy(seed=5), PriorityPolicy(weights)]
 
 
+def auto_space(model):
+    """How the retired ``explore(strategy="auto")`` leg builds a space:
+    from the compiled system where *model* compiles, by ``explore``
+    where it does not."""
+    if not compiles(model):
+        return explore
+    system = model.kernel.transition_system(model)
+    return lambda _model, **budgets: system.to_statespace(**budgets)
+
+
 def artifacts(name):
     """Every pinned artifact of model *name*, as text, in a fixed order."""
     make, strategies, budgets = MODELS[name]
     model = make()
     for strategy in strategies:
+        build = explore if strategy == "explicit" else auto_space(model)
         for max_states in budgets:
             for options in OPTIONS:
-                yield explore(model, max_states=max_states,
-                              strategy=strategy, **options).to_json()
+                yield build(model, max_states=max_states,
+                            **options).to_json()
     for policy in policies(model):
         work = model.clone()
         result = simulate_model(work, policy, 25)

@@ -153,8 +153,8 @@ class TestFixpoint:
 
     def test_to_statespace_roundtrip(self):
         model = chain_model(3)
-        reachable = symbolic_reachable(model)
-        assert reachable.to_statespace().to_json() == \
+        system = model.kernel.transition_system(model)
+        assert system.to_statespace().to_json() == \
             explore(model).to_json()
 
     def test_summary_fields(self):

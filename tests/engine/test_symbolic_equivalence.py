@@ -251,16 +251,16 @@ class TestNonEncodableModels:
                               name="unbounded")
 
     def test_symbolic_strategy_raises(self):
-        from repro.engine import explore
+        model = self.make_unbounded()
         with pytest.raises(SymbolicEncodingError, match="closure bound"):
-            explore(self.make_unbounded(), max_states=50,
-                    strategy="symbolic")
+            model.kernel.transition_system(model)
 
     def test_auto_falls_back_to_explicit(self):
-        from repro.engine import explore
         model = self.make_unbounded()
         # force auto past the event threshold by padding free events
         for index in range(12):
             model.add_event(f"pad{index}")
-        space = explore(model, max_states=50, strategy="auto")
-        assert space.truncated  # unbounded counter, budget-truncated
+        result = ctl.check(model, "AG !deadlock", strategy="auto",
+                           max_states=50)
+        assert result.strategy == "explicit"
+        assert result.truncated  # unbounded counter, budget-truncated

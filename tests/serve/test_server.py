@@ -61,6 +61,22 @@ BAD_MODELS = [
     ("options-clash-with-load",
      {"frontend": "sigpml", "text": CHAIN, "options": {"name": "x"}},
      "name"),
+    # a description's options hold only what its front-end reads
+    ("description-unknown-option",
+     {"frontend": "sigpml", "text": CHAIN, "options": {"bogus": 1}},
+     "bogus"),
+    ("mapping-text-not-a-string",
+     {"frontend": "sigpml", "text": CHAIN, "options": {"mapping_text": 5}},
+     "mapping_text"),
+    ("place-variant-not-a-string",
+     {"frontend": "sigpml", "text": CHAIN,
+      "options": {"place_variant": True}}, "place_variant"),
+    ("ccsl-reads-no-option",
+     {"frontend": "ccsl", "events": ["a", "b"], "options": {"bogus": 1}},
+     "bogus"),
+    ("pam-reads-no-option",
+     {"frontend": "pam", "configuration": "dual",
+      "options": {"place_variant": "strict"}}, "place_variant"),
     ("ccsl-without-events", {"frontend": "ccsl", "constraints": []},
      "events"),
     ("moccml-without-events", {"frontend": "moccml", "constraints": []},

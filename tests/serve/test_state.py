@@ -333,8 +333,7 @@ class TestKernelRelease:
         entry = cache.acquire(source_doc)
         model = entry.handle.execution_model
         # materialize the kernel the way a symbolic run would
-        from repro.engine import explore
-        explore(model, max_states=500, strategy="symbolic")
+        model.kernel.transition_system(model).to_statespace(max_states=500)
         kernel = model._kernel
         assert kernel is not None
         assert resident_nodes(entry.handle) > 0

@@ -411,20 +411,30 @@ class TestVersion:
 
 
 class TestExploreStrategy:
+    """Exploration has one path; strategy is a ``check`` choice."""
+
     def test_symbolic_matches_explicit(self, app_file, capsys):
-        outputs = {}
-        for strategy in ("explicit", "symbolic", "auto"):
-            assert main(["explore", app_file, "--strategy", strategy]) == 0
-            outputs[strategy] = capsys.readouterr().out
-        assert outputs["explicit"] == outputs["symbolic"]
-        assert outputs["explicit"] == outputs["auto"]
+        from repro.workbench import load
+
+        assert main(["explore", app_file, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        model = load(app_file).execution_model
+        compiled = model.kernel.transition_system(model).to_statespace()
+        assert doc["data"]["statespace"] == json.loads(compiled.to_json())
 
     def test_strategy_recorded_in_json(self, app_file, capsys):
-        assert main(["explore", app_file, "--strategy", "symbolic",
-                     "--json"]) == 0
+        assert main(["explore", app_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["data"]["strategy"] == "symbolic"
-        assert doc["spec"]["strategy"] == "symbolic"
+        assert doc["data"]["strategy"] == "explicit"
+        assert "strategy" not in doc["spec"]
+
+    def test_strategy_flag_is_gone(self, app_file, capsys):
+        # the old selector is an argparse error, not a silently
+        # accepted no-op
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", app_file, "--strategy", "symbolic"])
+        assert excinfo.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
 
 class TestSelftest:

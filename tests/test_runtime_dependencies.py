@@ -33,7 +33,7 @@ for name in ("a", "b", "c"):
 builder.connect("a", "b", capacity=2)
 builder.connect("b", "c", capacity=1)
 model = weave_sdf(builder.build()[0]).execution_model
-space = explore(model, strategy="explicit")
+space = explore(model)
 assert check_space(space, "AG !deadlock").verdict is Verdict.HOLDS
 assert space.summary()["states"] == space.n_states > 1
 assert statespace_to_dot(space).startswith("digraph")

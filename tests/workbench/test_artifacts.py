@@ -53,8 +53,48 @@ BAD_RUNS = [
     ("rules-not-a-list", {"kind": "lint", "rules": 5}, "rules"),
     ("watch-not-strings", {"kind": "campaign", "watch": [1]}, "watch"),
     ("policy-is-a-number", {"kind": "simulate", "policy": 5}, "policy"),
+    ("policy-without-name", {"kind": "simulate", "policy": {"seed": 1}},
+     "name"),
+    ("policy-unknown-keyword",
+     {"kind": "simulate", "policy": {"name": "asap", "bogus": 1}}, "bogus"),
+    ("priority-weight-is-a-string",
+     {"kind": "simulate",
+      "policy": {"name": "priority", "weights": {"src.start": "x"}}},
+     "weights"),
+    ("priority-weight-is-null",
+     {"kind": "simulate",
+      "policy": {"name": "priority", "weights": {"src.start": None}}},
+     "weights"),
+    ("asap-threshold-is-a-string",
+     {"kind": "simulate",
+      "policy": {"name": "asap", "symbolic_threshold": "x"}},
+     "symbolic_threshold"),
+    ("asap-threshold-is-null",
+     {"kind": "simulate",
+      "policy": {"name": "asap", "symbolic_threshold": None}},
+     "symbolic_threshold"),
+    ("random-seed-is-a-bool",
+     {"kind": "simulate", "policy": {"name": "random", "seed": True}},
+     "seed"),
+    ("replay-step-is-a-string",
+     {"kind": "simulate", "policy": {"name": "replay", "steps": ["ab"]}},
+     "steps"),
+    ("campaign-priority-weight-is-a-string",
+     {"kind": "campaign",
+      "policies": ["asap",
+                   {"name": "priority", "weights": {"src.start": "x"}}]},
+     "policies"),
+    ("campaign-asap-threshold-is-null",
+     {"kind": "campaign",
+      "policies": [{"name": "asap", "symbolic_threshold": None}]},
+     "policies"),
     ("explore-strategy-typo", {"kind": "explore", "strategy": "symbolc"},
      "strategy"),
+    # exploration has one path: an explore document names no strategy
+    ("explore-strategy-symbolic",
+     {"kind": "explore", "strategy": "symbolic"}, "strategy"),
+    ("explore-strategy-explicit",
+     {"kind": "explore", "strategy": "explicit"}, "strategy"),
     ("check-strategy-typo",
      {"kind": "check", "property": "AG !deadlock", "strategy": "symbolc"},
      "strategy"),
@@ -113,7 +153,8 @@ class TestRunSpec:
         (lambda: RunSpec(kind="simulate", model="m", include_graph=True),
          "'include_graph'"),
         (lambda: ExploreSpec("m", max_states=-1), "'max_states'"),
-        (lambda: ExploreSpec("m", strategy="symbolc"), "'strategy'"),
+        (lambda: RunSpec(kind="explore", model="m", strategy="symbolic"),
+         "'strategy'"),
         (lambda: CheckSpec("m", ""), "'property'"),
         (lambda: SimulateSpec("m", include_trace="no"), "'include_trace'"),
     ], ids=["prop-on-explore", "steps-on-lint", "graph-on-simulate",
@@ -167,12 +208,12 @@ class TestRunSpec:
 
     def test_check_doc_defaults_to_auto_strategy(self):
         # hand-written batch docs without a strategy must behave like
-        # CheckSpec/CLI (auto), while explore keeps its explicit default
+        # CheckSpec/CLI (auto), while explore reads no strategy
         spec = RunSpec.from_doc(
             {"kind": "check", "model": "m", "property": "AG !deadlock"})
         assert spec.strategy == "auto"
         assert RunSpec.from_doc(
-            {"kind": "explore", "model": "m"}).strategy == "explicit"
+            {"kind": "explore", "model": "m"}).strategy is None
 
     def test_check_spec_doc_shape(self):
         doc = CheckSpec("m", "AG !deadlock").to_doc()
@@ -338,24 +379,27 @@ class TestUniformReports:
 
 
 class TestExploreStrategySpec:
-    def test_strategy_round_trips(self):
-        spec = ExploreSpec("demo", strategy="symbolic", max_states=50)
-        doc = spec.to_doc()
-        assert doc["strategy"] == "symbolic"
-        assert RunSpec.from_doc(doc).strategy == "symbolic"
+    """Exploration has one path: an explore spec carries no strategy,
+    and its payload keeps the constant ``"strategy": "explicit"``."""
+
+    def test_strategy_is_refused(self):
+        with pytest.raises(TypeError):
+            ExploreSpec("demo", strategy="symbolic")
+        with pytest.raises(SerializationError, match="strategy"):
+            RunSpec.from_doc({"kind": "explore", "model": "demo",
+                              "strategy": "explicit"})
 
     def test_default_strategy_omitted_from_doc(self):
         assert "strategy" not in ExploreSpec("demo").to_doc()
         assert RunSpec.from_doc(
-            {"kind": "explore", "model": "demo"}).strategy == "explicit"
+            {"kind": "explore", "model": "demo"}).strategy is None
 
     def test_strategies_agree_through_the_workbench(self, workbench):
-        explicit = workbench.explore("demo", include_graph=True)
-        symbolic = workbench.explore("demo", strategy="symbolic",
-                                     include_graph=True)
-        assert explicit.data["summary"] == symbolic.data["summary"]
-        assert explicit.data["statespace"] == symbolic.data["statespace"]
-        assert symbolic.data["strategy"] == "symbolic"
+        explored = workbench.explore("demo", include_graph=True)
+        model = workbench.handle("demo").execution_model
+        compiled = model.kernel.transition_system(model).to_statespace()
+        assert explored.data["statespace"] == json.loads(compiled.to_json())
+        assert explored.data["strategy"] == "explicit"
 
     def test_result_doc_carries_version(self, workbench):
         import repro

@@ -254,6 +254,13 @@ class TestSourceFromDoc:
         assert load_doc(handle.source_doc).metadata["place_variant"] \
             == "strict"
 
+    def test_loaders_take_only_the_options_they_read(self):
+        # a keyword its loader does not read is a TypeError, not ignored
+        with pytest.raises(TypeError):
+            load(CcslSpec(name="c", events=["a"]), place_variant="strict")
+        with pytest.raises(TypeError):
+            load(APPLICATION, bogus=1)
+
     def test_null_reads_as_absent(self):
         pam = source_from_doc({"frontend": "pam", "configuration": "dual",
                                "capacity": None})

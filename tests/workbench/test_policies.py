@@ -61,6 +61,24 @@ class TestRegistry:
         with pytest.raises(PolicyError, match="bad arguments"):
             make_policy({"name": "asap", "bogus": 1})
 
+    @pytest.mark.parametrize("spec, keyword", [
+        ({"name": "priority", "weights": {"a": "x"}}, "weights"),
+        ({"name": "priority", "weights": {"a": None}}, "weights"),
+        ({"name": "priority", "weights": ["a"]}, "weights"),
+        ({"name": "asap", "symbolic_threshold": "x"}, "symbolic_threshold"),
+        ({"name": "asap", "symbolic_threshold": None},
+         "symbolic_threshold"),
+        ({"name": "random", "seed": True}, "seed"),
+        ({"name": "random", "seed": 1.5}, "seed"),
+        ({"name": "replay", "steps": ["ab"]}, "steps"),
+        ({"name": "replay", "steps": [[1]]}, "steps"),
+    ])
+    def test_keyword_types_checked(self, spec, keyword):
+        # a wrong JSON type is refused up front, never a TypeError (or
+        # a silently reinterpreted step) at run time
+        with pytest.raises(PolicyError, match=keyword):
+            make_policy(spec)
+
     def test_mapping_needs_name(self):
         with pytest.raises(PolicyError, match="'name'"):
             make_policy({"seed": 1})
