@@ -85,7 +85,6 @@ from repro.workbench import (
     ExploreSpec,
     SimulateSpec,
     Workbench,
-    load_doc,
 )
 
 #: policies offerable without structured arguments (replay needs a
@@ -338,10 +337,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    from repro.serve import split_document
+    from repro.serve import run_local, split_document
     with open(args.specs, encoding="utf-8") as handle:
-        models, runs = split_document(json.load(handle))
-    if not runs:
+        document = json.load(handle)
+    if not split_document(document)[1]:
         print("error: the batch file defines no runs", file=sys.stderr)
         return 2
     workers = args.workers
@@ -350,17 +349,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
         # explicit --workers it would silently run serial at 1
         import os
         workers = (os.cpu_count() or 1) if args.backend == "process" else 1
-    workbench = Workbench(store=args.store)
-    for name, model_doc in models.items():
-        workbench.attach(name, load_doc(model_doc, name=name))
 
     def stream(index: int, result) -> None:
         if not args.json:
             line = result.summary()
             print(f"{line}  [cached]" if result.cached else line)
 
-    results = workbench.run_many(runs, workers=workers,
-                                 backend=args.backend, on_result=stream)
+    # the one loader of a {models, runs} document, shared with submit
+    # and (byte for byte) serve
+    results = run_local(document, store=args.store, workers=workers,
+                        backend=args.backend, on_result=stream)
     emitted = []
     for result in results:
         doc = result.to_doc()

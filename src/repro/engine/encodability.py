@@ -31,11 +31,10 @@ BDD node or stepping the engine:
    the prediction *exact by construction*.
 
 The predictor is consulted by the ``auto`` check routing
-(:func:`repro.engine.ctl.check`), ``repro serve`` model admission and
-the lint rule ``ENC001``; the original try/except paths remain as a
-safety net whose firings are counted in the telemetry below (a firing
-means the predictor was wrong — a bug). Exploration needs no encoding
-and never consults it.
+(:func:`repro.engine.ctl.check`) and the lint rule ``ENC001``; the
+original try/except paths remain as a safety net whose firings are
+counted in the telemetry below (a firing means the predictor was wrong
+— a bug). Exploration needs no encoding and never consults it.
 """
 
 from __future__ import annotations
@@ -375,7 +374,7 @@ def _static_bound(runtime) -> int | None:
     # a deployment runtime exists only once its module is loaded: looking
     # the module up instead of importing it keeps the predictor from
     # pulling the whole deployment package into processes that never
-    # deploy (serve admission, cold ``repro check``)
+    # deploy (a cold ``repro check``)
     deployment = sys.modules.get("repro.deployment.mocc")
     if deployment is not None:
         if isinstance(runtime, deployment.ProcessorMutexRuntime):
@@ -476,5 +475,5 @@ def predict(model, max_local_states: int | None = None,
 
 
 def is_encodable(model) -> bool:
-    """Boolean shorthand for the auto check and admission routers."""
+    """Boolean shorthand for the auto check router."""
     return predict(model).encodable

@@ -7,9 +7,11 @@ compilation — the whole point is admission-time cost). Rules register
 through :func:`register_rule` with a stable ID, a severity and the
 handle artifact they need (``application``, ``execution_model``,
 ``deployment``, ``source_model``), mirroring how front-ends register
-in :mod:`repro.workbench.frontends`; :func:`lint_handle` dispatches
-every applicable rule and returns a deterministic
-:class:`LintReport`.
+in :mod:`repro.workbench.frontends`. One function may serve several
+IDs that share an analysis: stack ``@register_rule`` on it, once per
+ID, and have it yield each diagnostic under its own ID.
+:func:`lint_handle` runs each applicable function once per handle and
+returns a deterministic :class:`LintReport`.
 
 Severities carry a contract, not just a color:
 
@@ -104,12 +106,14 @@ RULES: dict[str, Rule] = {}
 def register_rule(rule_id: str, severity: str, requires: str,
                   summary: str, confirm: str = "none",
                   frontends: tuple[str, ...] | None = None):
-    """Class-method-style decorator registering one analyzer function.
+    """Decorator registering an analyzer function under *rule_id*.
 
     *requires* names the :class:`ModelHandle` attribute the rule reads
     (the rule is skipped on handles where it is ``None``); *frontends*
     optionally restricts to specific front-end names; *confirm* is the
     human-readable dynamic-confirmation story shown in the catalog.
+    The function is returned unchanged, so decorators stack: a function
+    registered under several IDs yields the diagnostics of all of them.
     """
     if severity not in SEVERITIES:
         raise LintError(
@@ -187,9 +191,14 @@ class LintReport:
 def lint_handle(handle, rules: tuple[str, ...] | None = None) -> LintReport:
     """Run every applicable registered rule on *handle*.
 
-    *rules* optionally restricts to specific rule IDs. Output order is
-    deterministic: rules by ID, diagnostics as each rule yields them,
-    then a stable sort by (rule, path, message).
+    *rules* optionally restricts to specific rule IDs. Each distinct
+    rule function runs once, whichever of its IDs are requested, and
+    only the diagnostics of requested, applicable IDs are kept;
+    ``rules_run`` counts those IDs. A diagnostic whose ID is not
+    registered to the function that yielded it, or whose severity is
+    not that ID's, raises :class:`LintError`. Output order is
+    deterministic: diagnostics as each function yields them, then a
+    stable sort by (rule, path, message).
     """
     _ensure_rules_loaded()
     if rules is not None:
@@ -200,6 +209,7 @@ def lint_handle(handle, rules: tuple[str, ...] | None = None) -> LintReport:
     report = LintReport(
         model=getattr(handle, "name", "?"),
         frontend=getattr(handle, "frontend", "?"))
+    kept: dict[object, set[str]] = {}  # rule function -> IDs to keep
     for rule_id in sorted(RULES):
         if rules is not None and rule_id not in rules:
             continue
@@ -207,14 +217,20 @@ def lint_handle(handle, rules: tuple[str, ...] | None = None) -> LintReport:
         if not rule.applies_to(handle):
             continue
         report.rules_run += 1
-        for diagnostic in rule.fn(handle):
-            if (diagnostic.rule != rule.rule_id
+        kept.setdefault(rule.fn, set()).add(rule_id)
+    for fn, rule_ids in kept.items():
+        for diagnostic in fn(handle):
+            rule = RULES.get(diagnostic.rule)
+            if (rule is None or rule.fn is not fn
                     or diagnostic.severity != rule.severity):
+                owned = sorted(r.rule_id for r in RULES.values()
+                               if r.fn is fn)
                 raise LintError(
-                    f"rule {rule.rule_id} emitted a diagnostic labeled "
+                    f"rule {'/'.join(owned)} emitted a diagnostic labeled "
                     f"{diagnostic.rule}/{diagnostic.severity}; rule "
                     f"metadata and diagnostics must agree")
-            report.diagnostics.append(diagnostic)
+            if diagnostic.rule in rule_ids:
+                report.diagnostics.append(diagnostic)
     report.diagnostics.sort(key=lambda d: (d.rule, d.path, d.message))
     return report
 

@@ -5,7 +5,8 @@ missing or unknown entries, so the two ERROR rules can never fire on a
 successfully loaded handle — they exist (and are unit-tested) through
 :func:`allocation_diagnostics`, the pre-deploy entry point tools can
 run on a candidate ``(app, platform, allocation)`` triple before
-committing to the weave. The WARN/INFO rules read the woven
+committing to the weave. :func:`rule_allocation` surfaces its findings
+under both IDs from one call. The WARN/INFO rules read the woven
 :class:`~repro.deployment.weaver.DeploymentResult` bookkeeping.
 """
 
@@ -57,23 +58,15 @@ def allocation_diagnostics(app, platform, allocation) -> list[Diagnostic]:
     summary="agent with no processor allocation",
     confirm="`deploy()` refuses the model with a DeploymentError (a "
             "loaded handle is therefore always clean)")
-def rule_unallocated(handle):
-    result = handle.deployment
-    yield from (d for d in allocation_diagnostics(
-        handle.application, result.platform, result.allocation)
-        if d.rule == "DEP001")
-
-
 @register_rule(
     "DEP002", severity="error", requires="deployment",
     summary="allocation entry naming an unknown agent or processor",
     confirm="`deploy()` refuses the model with a DeploymentError (a "
             "loaded handle is therefore always clean)")
-def rule_unknown_allocation(handle):
+def rule_allocation(handle):
     result = handle.deployment
-    yield from (d for d in allocation_diagnostics(
+    yield from allocation_diagnostics(
         handle.application, result.platform, result.allocation)
-        if d.rule == "DEP002")
 
 
 @register_rule(

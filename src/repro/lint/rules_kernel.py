@@ -1,10 +1,12 @@
 """Kernel conformance findings surfaced as lint rules (``KER***``).
 
-Thin adapters over
+One adapter over
 :func:`repro.kernel.validation.conformance_diagnostics`: the kernel
 owns the traversal and the stable rule IDs; lint owns severity and
-reporting. Front-end loaders run :func:`assert_conformance` before
-weaving, so these fire mainly on programmatically-built models.
+reporting. :func:`rule_conformance` is registered under all four IDs,
+so a lint pass walks the source model once. Front-end loaders run
+:func:`assert_conformance` before weaving, so these fire mainly on
+programmatically-built models.
 """
 
 from __future__ import annotations
@@ -14,30 +16,30 @@ from repro.lint.core import Diagnostic, register_rule
 
 _CONFIRM = {"kind": "conformance"}
 
-
-def _kernel_rule(rule_id: str, summary: str):
-    @register_rule(
-        rule_id, severity="error", requires="source_model",
-        summary=summary,
-        confirm="`assert_conformance` raises ConformanceError with the "
-                "same message")
-    def rule(handle, _rule_id=rule_id):
-        for finding in conformance_diagnostics(handle.source_model):
-            if finding.rule != _rule_id:
-                continue
-            yield Diagnostic(
-                rule=_rule_id, severity="error", path=finding.path,
-                message=finding.message,
-                data={"feature": finding.feature, "confirm": _CONFIRM})
-
-    return rule
+_CONFIRM_STORY = (
+    "`assert_conformance` raises ConformanceError with the same message"
+)
 
 
-rule_required_unset = _kernel_rule(
-    "KER001", "required attribute or reference unset")
-rule_abstract_instance = _kernel_rule(
-    "KER002", "instance of an abstract metaclass")
-rule_closure_violation = _kernel_rule(
-    "KER003", "cross-reference pointing outside the model closure")
-rule_containment_cycle = _kernel_rule(
-    "KER004", "containment cycle")
+@register_rule(
+    "KER001", severity="error", requires="source_model",
+    summary="required attribute or reference unset",
+    confirm=_CONFIRM_STORY)
+@register_rule(
+    "KER002", severity="error", requires="source_model",
+    summary="instance of an abstract metaclass",
+    confirm=_CONFIRM_STORY)
+@register_rule(
+    "KER003", severity="error", requires="source_model",
+    summary="cross-reference pointing outside the model closure",
+    confirm=_CONFIRM_STORY)
+@register_rule(
+    "KER004", severity="error", requires="source_model",
+    summary="containment cycle",
+    confirm=_CONFIRM_STORY)
+def rule_conformance(handle):
+    for finding in conformance_diagnostics(handle.source_model):
+        yield Diagnostic(
+            rule=finding.rule, severity="error", path=finding.path,
+            message=finding.message,
+            data={"feature": finding.feature, "confirm": _CONFIRM})

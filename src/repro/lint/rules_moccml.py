@@ -1,9 +1,10 @@
 """MoCCML rules: unreachable automaton states, overlapping guards.
 
-Both rules run an *exact bounded local walk* per
-:class:`~repro.moccml.semantics.automata_rt.AutomatonRuntime` instance:
-a BFS over ``(state, variables)`` configurations via
-``snapshot``/``restore`` on a clone, presenting every subset of the
+One *exact bounded local walk* per
+:class:`~repro.moccml.semantics.automata_rt.AutomatonRuntime` instance
+answers both rules, so :func:`rule_automaton_walk` is registered under
+MOC001 and MOC002: a BFS over ``(state, variables)`` configurations
+via ``snapshot``/``restore`` on a clone, presenting every subset of the
 instance's (small) local alphabet as a candidate step. The walk
 over-approximates what the instance sees inside the full model (global
 constraints can only *remove* steps), so states it never reaches are
@@ -14,25 +15,13 @@ triggerable globally, which is why both rules stay WARN severity.
 from __future__ import annotations
 
 from repro.lint.core import Diagnostic, register_rule
+from repro.lint.rules_ccsl import leaf_runtimes
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
-from repro.moccml.semantics.runtime import CompositeRuntime
 
 #: local walks beyond these sizes are skipped (ENC001 covers runaway
 #: counters; 2**_MAX_LOCAL_ALPHABET step subsets are tried per config)
 _MAX_LOCAL_ALPHABET = 8
 _MAX_CONFIGS = 2048
-
-
-def automaton_instances(model) -> list[AutomatonRuntime]:
-    instances = []
-    queue = list(model.constraints)
-    while queue:
-        runtime = queue.pop(0)
-        if isinstance(runtime, CompositeRuntime):
-            queue.extend(runtime.children)
-        elif isinstance(runtime, AutomatonRuntime):
-            instances.append(runtime)
-    return instances
 
 
 def local_walk(runtime: AutomatonRuntime) -> dict | None:
@@ -93,37 +82,31 @@ def local_walk(runtime: AutomatonRuntime) -> dict | None:
     confirm="none (the local walk over-approximates the environment, "
             "so unreachability is already exact; WARN because dead "
             "specification states are legal)")
-def rule_unreachable_states(handle):
-    model = handle.execution_model
-    for runtime in automaton_instances(model):
-        walk = local_walk(runtime)
-        if walk is None:
-            continue
-        unreachable = [name for name in runtime.definition.state_names()
-                       if name not in walk["states"]]
-        if not unreachable:
-            continue
-        yield Diagnostic(
-            rule="MOC001", severity="warning",
-            path=f"{model.name}.{runtime.label}",
-            message=f"automaton {runtime.label!r}: state(s) "
-                    f"{', '.join(unreachable)} are unreachable under "
-                    f"any environment",
-            data={"constraint": runtime.label, "states": unreachable})
-
-
 @register_rule(
     "MOC002", severity="warning", requires="execution_model",
     summary="overlapping transition guards (nondeterministic choice "
             "resolved by declaration order)",
     confirm="none (the overlap is exact locally but may be masked by "
             "other constraints in the full model)")
-def rule_overlapping_guards(handle):
+def rule_automaton_walk(handle):
     model = handle.execution_model
-    for runtime in automaton_instances(model):
+    for runtime in leaf_runtimes(model):
+        if not isinstance(runtime, AutomatonRuntime):
+            continue
         walk = local_walk(runtime)
         if walk is None:
             continue
+        unreachable = [name for name in runtime.definition.state_names()
+                       if name not in walk["states"]]
+        if unreachable:
+            yield Diagnostic(
+                rule="MOC001", severity="warning",
+                path=f"{model.name}.{runtime.label}",
+                message=f"automaton {runtime.label!r}: state(s) "
+                        f"{', '.join(unreachable)} are unreachable under "
+                        f"any environment",
+                data={"constraint": runtime.label,
+                      "states": unreachable})
         for state in sorted(walk["overlaps"]):
             for step, transitions in walk["overlaps"][state]:
                 yield Diagnostic(

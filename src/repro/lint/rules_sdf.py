@@ -1,130 +1,31 @@
 """SigPML/SDF rules: balance equations, schedulability, dead actors.
 
-All graph reasoning runs on the flattened
-:func:`~repro.sdf.analysis.place_infos` view, per *connected
-component* — the dynamic claims (deadlock, dead actors) are
-component-local, and the cross-check harness replays them on the
-projected component model when the graph is disconnected.
+All graph reasoning runs per *connected component* of the flattened
+:func:`~repro.sdf.analysis.place_infos` view — the dynamic claims
+(deadlock, dead actors) are component-local, and the cross-check
+harness replays them on the projected component model when the graph
+is disconnected.
+
+The theory is :mod:`repro.sdf.analysis`'s: one
+:func:`~repro.sdf.analysis.components` call gives every component with
+its repetition vector, and each consistent component gets one
+unbounded and one bounded
+:func:`~repro.sdf.analysis.class_s_schedule` run.
+:func:`rule_schedulability` reads those results once for SDF001,
+SDF002, SDF004 and SDF005; only whether each run finds a schedule
+matters, not the schedule.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from repro.lint.core import Diagnostic, register_rule
-from repro.sdf.analysis import PlaceInfo, agent_names, place_infos
-
-
-def graph_components(app) -> list[dict]:
-    """Undirected connected components of the dataflow graph: a list of
-    ``{"agents": [...], "places": [PlaceInfo, ...]}`` dicts (stable
-    order: by first agent)."""
-    agents = agent_names(app)
-    places = place_infos(app)
-    neighbours: dict[str, set[str]] = {name: set() for name in agents}
-    for place in places:
-        neighbours[place.producer].add(place.consumer)
-        neighbours[place.consumer].add(place.producer)
-    seen: set[str] = set()
-    components = []
-    for seed in agents:
-        if seed in seen:
-            continue
-        member_set = {seed}
-        queue = [seed]
-        while queue:
-            current = queue.pop(0)
-            for neighbour in neighbours[current]:
-                if neighbour not in member_set:
-                    member_set.add(neighbour)
-                    queue.append(neighbour)
-        seen |= member_set
-        members = [name for name in agents if name in member_set]
-        components.append({
-            "agents": members,
-            "places": [place for place in places
-                       if place.producer in member_set],
-        })
-    return components
-
-
-def component_rates(component: dict) -> dict[str, int] | None:
-    """The component's repetition vector, or ``None`` when the balance
-    equations are rate-inconsistent."""
-    rates: dict[str, Fraction] = {component["agents"][0]: Fraction(1)}
-    queue = list(rates)
-    places = component["places"]
-    while queue:
-        current = queue.pop(0)
-        for place in places:
-            if current not in (place.producer, place.consumer):
-                continue
-            if place.producer == place.consumer:
-                if place.push != place.pop:
-                    return None
-                continue
-            if place.producer in rates and place.consumer in rates:
-                if rates[place.producer] * place.push \
-                        != rates[place.consumer] * place.pop:
-                    return None
-            elif place.producer in rates:
-                rates[place.consumer] = (
-                    rates[place.producer] * place.push / place.pop)
-                queue.append(place.consumer)
-            elif place.consumer in rates:
-                rates[place.producer] = (
-                    rates[place.consumer] * place.pop / place.push)
-                queue.append(place.producer)
-    lcm = math.lcm(*(rate.denominator for rate in rates.values()))
-    scaled = {name: int(rate * lcm) for name, rate in rates.items()}
-    gcd = math.gcd(*scaled.values())
-    return {name: value // gcd for name, value in scaled.items()}
-
-
-def greedy_pass(component: dict, repetitions: dict[str, int],
-                bounded: bool) -> list[str] | None:
-    """Lee & Messerschmitt's class-S construction on one component;
-    ``None`` on deadlock. With *bounded*, writes respect capacities."""
-    places = component["places"]
-    tokens = {id(place): place.delay for place in places}
-    remaining = dict(repetitions)
-    schedule: list[str] = []
-    total = sum(remaining.values())
-    by_consumer: dict[str, list[PlaceInfo]] = {}
-    by_producer: dict[str, list[PlaceInfo]] = {}
-    for place in places:
-        by_consumer.setdefault(place.consumer, []).append(place)
-        by_producer.setdefault(place.producer, []).append(place)
-
-    def runnable(agent: str) -> bool:
-        for place in by_consumer.get(agent, []):
-            if tokens[id(place)] < place.pop:
-                return False
-        if bounded:
-            for place in by_producer.get(agent, []):
-                projected = tokens[id(place)] + place.push
-                if place.producer == place.consumer:
-                    projected -= place.pop
-                if projected > place.capacity:
-                    return False
-        return True
-
-    while len(schedule) < total:
-        fired = False
-        for agent in component["agents"]:
-            if remaining[agent] > 0 and runnable(agent):
-                for place in by_consumer.get(agent, []):
-                    tokens[id(place)] -= place.pop
-                for place in by_producer.get(agent, []):
-                    tokens[id(place)] += place.push
-                remaining[agent] -= 1
-                schedule.append(agent)
-                fired = True
-                break
-        if not fired:
-            return None
-    return schedule
+from repro.sdf.analysis import (
+    PlaceInfo,
+    agent_names,
+    class_s_schedule,
+    components,
+    place_infos,
+)
 
 
 def component_doc(handle, members: list[str]) -> dict:
@@ -169,54 +70,71 @@ def _deadlock_confirm(members: list[str], whole: bool) -> dict:
             "admit the zero vector)",
     confirm="every execution of the component is finite, so `EF "
             "deadlock` HOLDS on the (projected) component")
-def rule_inconsistent_graph(handle):
-    app = handle.application
-    components = graph_components(app)
-    n_agents = len(agent_names(app))
-    for component in components:
-        if len(component["agents"]) == 1 and not component["places"]:
-            continue
-        if component_rates(component) is not None:
-            continue
-        members = component["agents"]
-        yield Diagnostic(
-            rule="SDF001", severity="error",
-            path=f"{app.name}.{{{', '.join(members)}}}",
-            message=f"rate-inconsistent component "
-                    f"{{{', '.join(members)}}}: the balance equations "
-                    f"have no positive repetition vector, so with "
-                    f"bounded buffers every schedule eventually "
-                    f"deadlocks",
-            data={"agents": members,
-                  "confirm": _deadlock_confirm(
-                      members, len(members) == n_agents)})
-
-
 @register_rule(
     "SDF002", severity="error", requires="application",
     summary="consistent graph admitting no periodic schedule (class-S "
             "construction fails even with unbounded buffers)",
     confirm="the class-S theorem makes every schedule deadlock: `EF "
             "deadlock` HOLDS on the (projected) component")
-def rule_no_pass(handle):
+@register_rule(
+    "SDF004", severity="info", requires="application",
+    summary="repetition vector of a consistent, schedulable graph",
+    confirm="an ASAP run settles into a cycle whose per-agent firing "
+            "counts are an exact integer multiple of the vector")
+@register_rule(
+    "SDF005", severity="warning", requires="application",
+    summary="under-capacity buffering: a periodic schedule exists with "
+            "unbounded buffers but the capacity-aware construction "
+            "fails",
+    confirm="none (the greedy bounded construction is incomplete "
+            "under concurrent firing, so this stays a warning)")
+def rule_schedulability(handle):
     app = handle.application
-    n_agents = len(agent_names(app))
-    for component in graph_components(app):
-        rates = component_rates(component)
-        if rates is None:  # SDF001 territory
+    graph = components(app)
+    whole = len(graph) == 1
+    for component in graph:
+        members = component.agents
+        group = f"{{{', '.join(members)}}}"
+        path = f"{app.name}.{group}"
+        rates = component.repetition
+        if rates is None:
+            yield Diagnostic(
+                rule="SDF001", severity="error", path=path,
+                message=f"rate-inconsistent component {group}: the "
+                        f"balance equations have no positive repetition "
+                        f"vector, so with bounded buffers every schedule "
+                        f"eventually deadlocks",
+                data={"agents": members,
+                      "confirm": _deadlock_confirm(members, whole)})
             continue
-        if greedy_pass(component, rates, bounded=False) is not None:
-            continue
-        members = component["agents"]
-        yield Diagnostic(
-            rule="SDF002", severity="error",
-            path=f"{app.name}.{{{', '.join(members)}}}",
-            message=f"component {{{', '.join(members)}}} admits no "
-                    f"periodic admissible schedule: by the class-S "
-                    f"theorem every schedule of it deadlocks",
-            data={"agents": members, "repetition": rates,
-                  "confirm": _deadlock_confirm(
-                      members, len(members) == n_agents)})
+        unbounded = class_s_schedule(component.places, rates, bounded=False)
+        bounded = class_s_schedule(component.places, rates, bounded=True)
+        if unbounded is None:
+            yield Diagnostic(
+                rule="SDF002", severity="error", path=path,
+                message=f"component {group} admits no periodic "
+                        f"admissible schedule: by the class-S theorem "
+                        f"every schedule of it deadlocks",
+                data={"agents": members, "repetition": rates,
+                      "confirm": _deadlock_confirm(members, whole)})
+        if bounded is not None:
+            yield Diagnostic(
+                rule="SDF004", severity="info", path=path,
+                message="repetition vector: "
+                        + ", ".join(f"{name}={rates[name]}"
+                                    for name in members),
+                data={"agents": members, "repetition": rates,
+                      "confirm": {"kind": "repetition",
+                                  "agents": members,
+                                  "repetition": rates}})
+        elif unbounded is not None:
+            yield Diagnostic(
+                rule="SDF005", severity="warning", path=path,
+                message=f"component {group} schedules with unbounded "
+                        f"buffers but not within the declared "
+                        f"capacities — likely under-provisioned places "
+                        f"(artificial deadlock risk)",
+                data={"agents": members, "repetition": rates})
 
 
 @register_rule(
@@ -268,58 +186,3 @@ def rule_dead_actor(handle):
             data={"agent": agent, "places": starving,
                   "confirm": {"kind": "dead-event",
                               "event": f"{agent}.start"}})
-
-
-@register_rule(
-    "SDF004", severity="info", requires="application",
-    summary="repetition vector of a consistent, schedulable graph",
-    confirm="an ASAP run settles into a cycle whose per-agent firing "
-            "counts are an exact integer multiple of the vector")
-def rule_repetition_vector(handle):
-    app = handle.application
-    for component in graph_components(app):
-        rates = component_rates(component)
-        if rates is None:
-            continue
-        if greedy_pass(component, rates, bounded=True) is None:
-            continue
-        members = component["agents"]
-        vector = {name: rates[name] for name in members}
-        yield Diagnostic(
-            rule="SDF004", severity="info",
-            path=f"{app.name}.{{{', '.join(members)}}}",
-            message=f"repetition vector: "
-                    + ", ".join(f"{name}={vector[name]}"
-                                for name in members),
-            data={"agents": members, "repetition": vector,
-                  "confirm": {"kind": "repetition",
-                              "agents": members,
-                              "repetition": vector}})
-
-
-@register_rule(
-    "SDF005", severity="warning", requires="application",
-    summary="under-capacity buffering: a periodic schedule exists with "
-            "unbounded buffers but the capacity-aware construction "
-            "fails",
-    confirm="none (the greedy bounded construction is incomplete "
-            "under concurrent firing, so this stays a warning)")
-def rule_under_capacity(handle):
-    app = handle.application
-    for component in graph_components(app):
-        rates = component_rates(component)
-        if rates is None:
-            continue
-        if greedy_pass(component, rates, bounded=False) is None:
-            continue  # SDF002 territory
-        if greedy_pass(component, rates, bounded=True) is not None:
-            continue
-        members = component["agents"]
-        yield Diagnostic(
-            rule="SDF005", severity="warning",
-            path=f"{app.name}.{{{', '.join(members)}}}",
-            message=f"component {{{', '.join(members)}}} schedules "
-                    f"with unbounded buffers but not within the "
-                    f"declared capacities — likely under-provisioned "
-                    f"places (artificial deadlock risk)",
-            data={"agents": members, "repetition": rates})

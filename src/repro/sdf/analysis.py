@@ -5,6 +5,13 @@ Lee & Messerschmitt 1987): a consistent SDF graph has a repetition
 vector solving Γ·r = 0 (Γ the topology matrix), and a deadlock-free
 graph admits a Periodic Admissible Sequential Schedule (PASS) firing
 each agent r times per iteration.
+
+The balance equations are solved once, per connected component, by
+:func:`components`, and the class-S loop exists once, as
+:func:`class_s_schedule`. :func:`repetition_vector`,
+:func:`pass_schedule` and :func:`analyze` read the whole graph through
+them; ``repro lint``'s SDF rules (:mod:`repro.lint.rules_sdf`) read
+them per component.
 """
 
 from __future__ import annotations
@@ -70,39 +77,55 @@ def topology_matrix(app: MObject) -> tuple[list[list[int]], list[str], list[str]
     return matrix, [place.name for place in places], agents
 
 
-def repetition_vector(app: MObject) -> dict[str, int]:
-    """Smallest positive integer solution of the balance equations.
+@dataclass
+class Component:
+    """One connected component of the dataflow graph, places read as
+    undirected edges.
 
-    Raises :class:`InconsistentGraphError` when only the zero vector
-    solves them (sample-rate inconsistency). Disconnected graphs are
-    normalized per connected component.
+    ``agents`` and ``places`` keep declaration order. ``repetition`` is
+    the component's repetition vector in that order, or ``None`` when
+    its balance equations admit only the zero vector; ``conflict`` then
+    names the first place found to break them.
+    """
+
+    agents: list[str] = field(default_factory=list)
+    places: list[PlaceInfo] = field(default_factory=list)
+    repetition: dict[str, int] | None = None
+    conflict: str | None = None
+
+
+def components(app: MObject) -> list[Component]:
+    """The connected components of *app*, by first agent in
+    declaration order, each with its repetition vector.
+
+    A breadth-first walk from the component's first agent (rate 1)
+    solves ``r_prod * push = r_cons * pop`` place by place, taking each
+    agent's incident places in declaration order; a self-loop place
+    must push what it pops. The rates are then scaled to the smallest
+    positive integers.
     """
     agents = agent_names(app)
-    if not agents:
-        return {}
     places = place_infos(app)
-
-    neighbours: dict[str, list[PlaceInfo]] = {name: [] for name in agents}
+    incident: dict[str, list[PlaceInfo]] = {name: [] for name in agents}
     for place in places:
-        neighbours[place.producer].append(place)
+        incident[place.producer].append(place)
         if place.consumer != place.producer:
-            neighbours[place.consumer].append(place)
+            incident[place.consumer].append(place)
 
     rates: dict[str, Fraction] = {}
-    components: list[list[str]] = []
+    owner: dict[str, Component] = {}
+    result: list[Component] = []
     for seed in agents:
         if seed in rates:
             continue
-        component = [seed]
-        components.append(component)
         rates[seed] = Fraction(1)
-        queue = [seed]
-        while queue:
-            current = queue.pop(0)
-            for place in neighbours[current]:
+        walk = [seed]
+        conflict = None
+        for current in walk:  # the walk grows as it reaches agents
+            for place in incident[current]:
                 if place.producer == place.consumer:
-                    if place.push != place.pop:
-                        raise InconsistentGraphError(
+                    if place.push != place.pop and conflict is None:
+                        conflict = (
                             f"self-loop place {place.name!r} has push "
                             f"{place.push} != pop {place.pop}")
                     continue
@@ -110,49 +133,67 @@ def repetition_vector(app: MObject) -> dict[str, int]:
                 if place.producer in rates and place.consumer in rates:
                     left = rates[place.producer] * place.push
                     right = rates[place.consumer] * place.pop
-                    if left != right:
-                        raise InconsistentGraphError(
-                            f"balance equations conflict at place "
-                            f"{place.name!r}")
+                    if left != right and conflict is None:
+                        conflict = (f"balance equations conflict at place "
+                                    f"{place.name!r}")
                 elif place.producer in rates:
                     rates[place.consumer] = (
                         rates[place.producer] * place.push / place.pop)
-                    queue.append(place.consumer)
-                    component.append(place.consumer)
+                    walk.append(place.consumer)
                 elif place.consumer in rates:
                     rates[place.producer] = (
                         rates[place.consumer] * place.pop / place.push)
-                    queue.append(place.producer)
-                    component.append(place.producer)
+                    walk.append(place.producer)
+        component = Component(conflict=conflict)
+        result.append(component)
+        for name in walk:
+            owner[name] = component
 
-    # normalize each connected component to its smallest integer vector
-    result: dict[str, int] = {}
-    for component in components:
-        denominator_lcm = math.lcm(
-            *(rates[name].denominator for name in component))
-        scaled = {name: int(rates[name] * denominator_lcm)
-                  for name in component}
-        component_gcd = math.gcd(*scaled.values())
-        for name, value in scaled.items():
-            result[name] = value // component_gcd
-    return {name: result[name] for name in agents}
+    for name in agents:
+        owner[name].agents.append(name)
+    for place in places:
+        owner[place.producer].places.append(place)
+    for component in result:
+        if component.conflict is not None:
+            continue
+        names = component.agents
+        lcm = math.lcm(*(rates[name].denominator for name in names))
+        scaled = [int(rates[name] * lcm) for name in names]
+        gcd = math.gcd(*scaled)
+        component.repetition = {name: value // gcd
+                                for name, value in zip(names, scaled)}
+    return result
 
 
-def pass_schedule(app: MObject, repetitions: dict[str, int] | None = None,
-                  bounded: bool = False) -> list[str] | None:
-    """Construct a Periodic Admissible Sequential Schedule, or None on
-    deadlock.
+def repetition_vector(app: MObject) -> dict[str, int]:
+    """Smallest positive integer solution of the balance equations.
 
-    Lee & Messerschmitt's class-S algorithm: repeatedly fire any runnable
-    agent that has not exhausted its repetition count. With *bounded*,
-    writes also respect place capacities (a stricter, buffer-aware
-    schedule).
+    Raises :class:`InconsistentGraphError` when only the zero vector
+    solves them (sample-rate inconsistency). Disconnected graphs are
+    normalized per connected component.
     """
-    if repetitions is None:
-        repetitions = repetition_vector(app)
-    places = place_infos(app)
-    tokens = {place.name: place.delay for place in places}
+    result: dict[str, int] = {}
+    for component in components(app):
+        if component.repetition is None:
+            raise InconsistentGraphError(component.conflict)
+        result.update(component.repetition)
+    return {name: result[name] for name in agent_names(app)}
+
+
+def class_s_schedule(places: list[PlaceInfo], repetitions: dict[str, int],
+                     bounded: bool) -> list[str] | None:
+    """Lee & Messerschmitt's class-S construction over *places*.
+
+    Repeatedly fire the first agent, in sorted name order, that is
+    runnable and has firings left in *repetitions*; ``None`` on
+    deadlock. With *bounded*, writes also respect place capacities.
+    Whether a schedule is found does not depend on that order: a place
+    has one producer and one consumer, so firing an agent never
+    disables another.
+    """
+    tokens = {id(place): place.delay for place in places}
     remaining = dict(repetitions)
+    order = sorted(remaining)
     schedule: list[str] = []
     total = sum(remaining.values())
 
@@ -164,33 +205,44 @@ def pass_schedule(app: MObject, repetitions: dict[str, int] | None = None,
 
     def runnable(agent: str) -> bool:
         for place in by_consumer.get(agent, []):
-            if tokens[place.name] < place.pop:
+            if tokens[id(place)] < place.pop:
                 return False
         if bounded:
             for place in by_producer.get(agent, []):
-                projected = tokens[place.name] + place.push
+                projected = tokens[id(place)] + place.push
                 if place.producer == place.consumer:
                     projected -= place.pop
                 if projected > place.capacity:
                     return False
         return True
 
-    agents = sorted(remaining)
     while len(schedule) < total:
-        fired = False
-        for agent in agents:
+        for agent in order:
             if remaining[agent] > 0 and runnable(agent):
                 for place in by_consumer.get(agent, []):
-                    tokens[place.name] -= place.pop
+                    tokens[id(place)] -= place.pop
                 for place in by_producer.get(agent, []):
-                    tokens[place.name] += place.push
+                    tokens[id(place)] += place.push
                 remaining[agent] -= 1
                 schedule.append(agent)
-                fired = True
                 break
-        if not fired:
+        else:
             return None
     return schedule
+
+
+def pass_schedule(app: MObject, repetitions: dict[str, int] | None = None,
+                  bounded: bool = False) -> list[str] | None:
+    """Construct a Periodic Admissible Sequential Schedule, or None on
+    deadlock.
+
+    The class-S construction (:func:`class_s_schedule`) over the whole
+    graph. With *bounded*, writes also respect place capacities (a
+    stricter, buffer-aware schedule).
+    """
+    if repetitions is None:
+        repetitions = repetition_vector(app)
+    return class_s_schedule(place_infos(app), repetitions, bounded)
 
 
 def buffer_bounds_of_schedule(app: MObject,

@@ -25,7 +25,13 @@ a client's behalf, so ``path``, ``application_path`` and
 ``deployment_path`` are refused); each ``RunSpec.model`` must name a
 key of ``models``. Names are request-local: the server caches by
 fingerprint (SHA-256 of the source doc's canonical JSON), so the same
-model under different names still shares one warm kernel.
+model under different names still shares one warm kernel. A result
+names its model as the run does: a lint report's ``model`` is the
+spec's ``model`` (the ``models`` key), never the name the description
+gives the loaded model, which no fingerprint hashes. ``repro batch``
+and ``repro submit`` load a document through the same
+:func:`~repro.serve.client.run_local`, so all three paths give the
+same bytes.
 
 **Response** — a stream of NDJSON envelopes, one per completed run, in
 completion order::

@@ -137,7 +137,8 @@ def run_local(document, store=None, workers: int = 1,
     """Execute a batch document offline, exactly as the server would:
     inline models are registered under their request-local names, specs
     run through one :class:`~repro.workbench.Workbench`. This is the
-    reference implementation the server must stay byte-identical to."""
+    reference implementation the server must stay byte-identical to,
+    and the loader ``repro batch`` and ``repro submit`` share."""
     from repro.serve.server import split_document
     from repro.workbench.artifacts import RunSpec
     from repro.workbench.frontends import load_doc

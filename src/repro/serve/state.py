@@ -77,7 +77,6 @@ class CacheEntry:
     key: str
     handle: object
     compile_s: float
-    encodable: bool | None = None
     built_at: float = field(default_factory=time.time)
     last_used: float = field(default_factory=time.time)
     hits: int = 0
@@ -101,7 +100,6 @@ class CacheEntry:
             "age_s": round(time.time() - self.built_at, 3),
             "idle_s": round(time.time() - self.last_used, 3),
             "bdd_nodes": self.nodes(),
-            "encodable": self.encodable,
         }
 
 
@@ -198,8 +196,7 @@ class ModelCache:
         try:
             handle = self._loader(source_doc)
             entry = CacheEntry(key=key, handle=handle,
-                               compile_s=time.perf_counter() - started,
-                               encodable=self._admission_verdict(handle))
+                               compile_s=time.perf_counter() - started)
         except BaseException as exc:
             # any failure must wake single-flight waiters, or they
             # block forever on an event nobody will ever set
@@ -219,23 +216,6 @@ class ModelCache:
         if self.metrics is not None:
             self.metrics.observe("compile_s", entry.compile_s)
         return entry
-
-    def _admission_verdict(self, handle) -> bool | None:
-        """Run the encodability predictor at admission time.
-
-        Every resident model gets a static encodable/unencodable
-        verdict up front, so the service knows — before any run lands —
-        which entries can ever take the symbolic path. ``None`` when
-        the loaded handle carries no execution model — or a stub
-        without constraints (injected test loaders)."""
-        model = getattr(handle, "execution_model", None)
-        if model is None or not hasattr(model, "constraints"):
-            return None
-        from repro.engine.encodability import predict
-        encodable = predict(model).encodable
-        self._count("model_predicted_encodable" if encodable
-                    else "model_predicted_unencodable")
-        return encodable
 
     # -- eviction ----------------------------------------------------------
 

@@ -189,7 +189,7 @@ def _execute_analyze(spec: RunSpec, handle: ModelHandle) -> dict:
     from repro.sdf.analysis import analyze
     if handle.application is None:
         raise FrontendError(
-            f"model {handle.name!r} (front-end {handle.frontend!r}) has "
+            f"model {spec.model!r} (front-end {handle.frontend!r}) has "
             f"no DSL application to analyze")
     info = analyze(handle.application)
     data = {
@@ -209,7 +209,11 @@ def _execute_analyze(spec: RunSpec, handle: ModelHandle) -> dict:
 def _execute_lint(spec: RunSpec, handle: ModelHandle) -> dict:
     from repro.lint import lint_handle
     rules = tuple(spec.rules) if spec.rules is not None else None
-    return lint_handle(handle, rules=rules).to_doc()
+    report = lint_handle(handle, rules=rules)
+    # the spec's name, not the handle's: a handle shared under several
+    # names (serve, attach) must give the bytes its store key promises
+    report.model = spec.model
+    return report.to_doc()
 
 
 _EXECUTORS = {

@@ -176,31 +176,3 @@ class TestAutoRouting:
                        max_states=50)
         assert result.truncated  # explicit fallback still explored
         assert delta(before)["safety_net_raises"] == 1
-
-
-class TestServeAdmission:
-    def test_cache_entry_carries_the_verdict(self):
-        from repro.serve.metrics import Metrics
-        from repro.serve.state import ModelCache
-
-        metrics = Metrics()
-        cache = ModelCache(metrics=metrics)
-        entry = cache.acquire({
-            "frontend": "ccsl", "name": "unb",
-            "events": ["a", "b"],
-            "constraints": [["Precedes", ["a", "b"]]],
-        })
-        assert entry.encodable is False
-        assert entry.describe()["encodable"] is False
-        counters = metrics.snapshot()["counters"]
-        assert counters["model_predicted_unencodable"] == 1
-
-    def test_injected_loader_without_model_is_none(self):
-        from repro.serve.state import ModelCache
-
-        class Bare:
-            name = "bare"
-
-        cache = ModelCache(loader=lambda doc: Bare())
-        entry = cache.acquire({"anything": 1})
-        assert entry.encodable is None

@@ -1,7 +1,9 @@
 """MoCCML rules: the exact bounded local walk over automaton instances."""
 
 from repro.lint import lint_handle
-from repro.lint.rules_moccml import automaton_instances, local_walk
+from repro.lint.rules_ccsl import leaf_runtimes
+from repro.lint.rules_moccml import local_walk
+from repro.moccml.semantics.automata_rt import AutomatonRuntime
 from repro.workbench import MoccmlSpec, load
 
 LIBRARY = """
@@ -44,7 +46,9 @@ class TestUnreachableStates:
 
     def test_walk_reaches_both_live_states(self):
         handle = moccml("gated", ["x", "y"], [("Gate", ("x", "y"))])
-        [runtime] = automaton_instances(handle.execution_model)
+        [runtime] = [runtime
+                     for runtime in leaf_runtimes(handle.execution_model)
+                     if isinstance(runtime, AutomatonRuntime)]
         walk = local_walk(runtime)
         assert walk["states"] == {"Idle", "Busy"}
 

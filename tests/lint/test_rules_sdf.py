@@ -1,12 +1,8 @@
 """SDF rules: balance equations, schedulability, dead actors."""
 
 from repro.lint import lint_handle
-from repro.lint.rules_sdf import (
-    component_doc,
-    component_rates,
-    graph_components,
-    greedy_pass,
-)
+from repro.lint.rules_sdf import component_doc
+from repro.sdf.analysis import class_s_schedule, components
 from repro.workbench import load, source_from_doc
 from tests.lint.conftest import INCONSISTENT, STARVED_CYCLE
 
@@ -26,8 +22,8 @@ class TestBalanceEquations:
 
     def test_consistent_graph_has_rates(self, clean_chain):
         assert rules_of(clean_chain, "SDF001") == []
-        [component] = graph_components(clean_chain.application)
-        assert component_rates(component) == {"src": 1, "dst": 1}
+        [component] = components(clean_chain.application)
+        assert component.repetition == {"src": 1, "dst": 1}
 
     def test_multirate_vector(self):
         handle = load("""
@@ -37,8 +33,8 @@ class TestBalanceEquations:
           place fast -> slow push 1 pop 3 capacity 3
         }
         """)
-        [component] = graph_components(handle.application)
-        assert component_rates(component) == {"fast": 3, "slow": 1}
+        [component] = components(handle.application)
+        assert component.repetition == {"fast": 3, "slow": 1}
         [info] = rules_of(handle, "SDF004")
         assert info.data["repetition"] == {"fast": 3, "slow": 1}
 
@@ -60,9 +56,9 @@ class TestSchedulability:
         }
         """)
         assert rules_of(handle, "SDF002") == []
-        [component] = graph_components(handle.application)
-        rates = component_rates(component)
-        assert greedy_pass(component, rates, bounded=False) is not None
+        [component] = components(handle.application)
+        assert class_s_schedule(component.places, component.repetition,
+                                bounded=False) is not None
 
 
 class TestDeadActors:
@@ -97,9 +93,8 @@ class TestComponentProjection:
           place c -> d push 1 pop 1 capacity 4
         }
         """)
-        components = graph_components(handle.application)
-        assert [c["agents"] for c in components] == [["a", "b"],
-                                                     ["c", "d"]]
+        assert [c.agents for c in components(handle.application)] == [
+            ["a", "b"], ["c", "d"]]
         # only the second component is defective; its diagnostic marks
         # itself component-local so the cross-check projects it
         [finding] = rules_of(handle, "SDF001")

@@ -194,9 +194,9 @@ class TestDrainReportShape:
           place src -> dst push 1 pop 1 capacity 2
         }
         """
+        # a lint run consults the encodability predictor (ENC001)
         return {"models": {"m": {"frontend": "sigpml", "text": text}},
-                "runs": [{"kind": "simulate", "model": "m",
-                          "steps": 4}]}
+                "runs": [{"kind": "lint", "model": "m"}]}
 
     def test_drain_report_extends_the_metrics_document(self):
         service = self._service()

@@ -175,40 +175,6 @@ class TestSingleFlight:
         assert outcomes == ["raised"] * 4
         assert len(cache) == 0
 
-    def test_failed_admission_wakes_every_waiter(self):
-        """A crash *after* the loader (in the admission verdict) must
-        still wake single-flight waiters — they'd otherwise block on an
-        event nobody will ever set."""
-        gate = threading.Event()
-
-        def slow_loader(source_doc):
-            gate.wait(timeout=5)
-            return FakeHandle("shared")
-
-        cache = ModelCache(max_models=4, loader=slow_loader)
-        cache._admission_verdict = _raise_doomed
-        outcomes = []
-
-        def worker():
-            try:
-                cache.acquire(doc(1))
-                outcomes.append("ok")
-            except RuntimeError:
-                outcomes.append("raised")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert outcomes == ["raised"] * 4
-        assert len(cache) == 0
-
-
-def _raise_doomed(handle):
-    raise RuntimeError("doomed verdict")
-
 
 class TestEviction:
     def test_entry_count_lru(self):
@@ -307,7 +273,7 @@ class TestTelemetry:
         assert report["evictions"] == 0
         entry = report["entries"][0]
         assert set(entry) == {"key", "name", "hits", "compile_s",
-                              "age_s", "idle_s", "bdd_nodes", "encodable"}
+                              "age_s", "idle_s", "bdd_nodes"}
 
 
 class TestKernelRelease:

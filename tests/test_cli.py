@@ -353,6 +353,70 @@ class TestBatchRefusals:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+#: one model under a document key ("m") that differs from the name its
+#: description gives the loaded handle ("ccsl-spec")
+ALIASED_LINT = {
+    "models": {"m": {"frontend": "ccsl", "events": ["a", "b"],
+                     "constraints": [{"relation": "Alternates",
+                                      "args": ["a", "b"]}]}},
+    "runs": [{"kind": "lint", "model": "m"}],
+}
+
+
+class TestAliasedLint:
+    """A lint result names the spec's model, so its bytes are a function
+    of the store key on every path that runs a document."""
+
+    def cli_docs(self, capsys, argv) -> list:
+        assert main(argv) == 0
+        docs = json.loads(capsys.readouterr().out)
+        for doc in docs:
+            doc.pop("cached", None)
+        return docs
+
+    def test_every_path_gives_the_same_document(self, tmp_path, capsys):
+        from repro.serve import serve, submit
+        from repro.workbench import LintSpec, Workbench, source_from_doc
+
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(ALIASED_LINT))
+        batch = self.cli_docs(capsys, ["batch", str(path), "--json"])
+        local = self.cli_docs(capsys, ["submit", str(path), "--json"])
+        with serve(port=0, workers=1).start() as server:
+            served = [result.to_doc()
+                      for result in submit(ALIASED_LINT, server.url)]
+        workbench = Workbench()
+        handle = workbench.add(
+            source_from_doc(ALIASED_LINT["models"]["m"]), name="renamed")
+        workbench.attach("m", handle)
+        offline = [workbench.run(LintSpec("m")).to_doc()]
+        assert batch == local == served == offline
+        [doc] = batch
+        assert doc["model"] == doc["data"]["model"] == "m"
+
+    def test_store_filled_by_submit_serves_cold_bytes(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "alias.json"
+        path.write_text(json.dumps(ALIASED_LINT))
+        store = str(tmp_path / "store")
+        cold = self.cli_docs(capsys, ["batch", str(path), "--json"])
+        self.cli_docs(capsys, ["submit", str(path), "--store", store,
+                               "--json"])
+        assert main(["batch", str(path), "--store", store, "--json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert all(doc.pop("cached") for doc in warm)
+        assert warm == cold
+
+    def test_path_token_lint_names_the_token(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo.sigpml").write_text(APPLICATION)
+        (tmp_path / "batch.json").write_text(json.dumps(
+            [{"kind": "lint", "model": "demo.sigpml"}]))
+        [doc] = self.cli_docs(capsys, ["batch", "batch.json", "--json"])
+        assert doc["data"]["model"] == "demo.sigpml"
+
+
 class TestDeploy:
     def test_deploy_and_simulate(self, app_file, deployment_file, capsys):
         assert main(["deploy", app_file, deployment_file,
