@@ -6,12 +6,11 @@ bijection with the MoCC events; the conjunction of all constraint
 expressions characterizes the acceptable steps. This package provides:
 
 * :mod:`repro.boolalg.expr` — an immutable expression AST with
-  evaluation, substitution and light simplification;
-* :mod:`repro.boolalg.cnf` — CNF conversion (distributive and Tseitin);
-* :mod:`repro.boolalg.sat` — a DPLL solver with all-solution
-  enumeration;
-* :mod:`repro.boolalg.bdd` — a hash-consed reduced ordered BDD package
-  used by the engine to enumerate and count acceptable steps.
+  evaluation, substitution, light simplification and brute-force model
+  enumeration (the reference the BDD is tested against);
+* :mod:`repro.boolalg.bdd` — a hash-consed reduced ordered BDD package,
+  the one boolean decision procedure: the engine enumerates and counts
+  acceptable steps on it, and lint decides dead events on it.
 """
 
 from repro.boolalg.expr import (
@@ -29,15 +28,11 @@ from repro.boolalg.expr import (
     all_assignments,
     iter_models,
 )
-from repro.boolalg.cnf import to_cnf_clauses, tseitin_clauses
-from repro.boolalg.sat import all_sat, is_satisfiable, solve_one
 from repro.boolalg.bdd import Bdd
 
 __all__ = [
     "BExpr", "Var", "Const", "Not", "And", "Or", "Implies", "Iff", "Xor",
     "TRUE", "FALSE",
     "all_assignments", "iter_models",
-    "to_cnf_clauses", "tseitin_clauses",
-    "is_satisfiable", "solve_one", "all_sat",
     "Bdd",
 ]

@@ -343,12 +343,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if not split_document(document)[1]:
         print("error: the batch file defines no runs", file=sys.stderr)
         return 2
-    workers = args.workers
-    if workers is None:
-        # the process backend exists to use the cores; without an
-        # explicit --workers it would silently run serial at 1
-        import os
-        workers = (os.cpu_count() or 1) if args.backend == "process" else 1
 
     def stream(index: int, result) -> None:
         if not args.json:
@@ -357,7 +351,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     # the one loader of a {models, runs} document, shared with submit
     # and (byte for byte) serve
-    results = run_local(document, store=args.store, workers=workers,
+    results = run_local(document, store=args.store, workers=args.workers,
                         backend=args.backend, on_result=stream)
     emitted = []
     for result in results:
@@ -432,7 +426,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
     results, origin = submit_or_local(
         document, server=args.server, store=args.store,
-        workers=args.workers or 1, backend=args.backend,
+        workers=args.workers, backend=args.backend,
         on_result=stream)
     emitted = []
     for result in results:
@@ -1002,7 +996,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--store", default=None, metavar="DIR",
                         help="artifact store for the local fallback")
     submit.add_argument("--workers", type=int, default=None,
-                        help="workers for the local fallback")
+                        help="workers for the local fallback (default: 1; "
+                             "with --backend process, the core count)")
     submit.add_argument("--backend", default="serial",
                         choices=("serial", "process"),
                         help="backend for the local fallback "

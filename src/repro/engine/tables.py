@@ -232,8 +232,6 @@ class TableStepper:
         self._conj_cache = _LruCache(self.CONJ_CACHE_SIZE)
         self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
         self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
-        #: hit/miss counters (introspection, tests, tuning)
-        self.stats = {"steps_hits": 0, "steps_misses": 0}
 
     def _adopt(self, tables: list[LocalTable]) -> None:
         """Step through *tables* from now on."""
@@ -280,14 +278,11 @@ class TableStepper:
         key = (node, include_empty)
         steps = self._steps_cache.get(key)
         if steps is None:
-            self.stats["steps_misses"] += 1
             models = [sorted(model) for model in self._models(node)
                       if model or include_empty]
             models.sort(key=lambda model: (len(model), model))
             steps = tuple([frozenset(model) for model in models])
             self._steps_cache.put(key, steps)
-        else:
-            self.stats["steps_hits"] += 1
         return steps
 
     def _models(self, node: int) -> list[tuple[str, ...]]:

@@ -5,15 +5,18 @@ loaded :class:`~repro.engine.execution_model.ExecutionModel`, never
 over concrete executions. Dead-event claims (``error`` severity) all
 confirm dynamically as ``AG !occurs(<event>)`` on the untruncated
 state space.
+
+CCS001 decides satisfiability on a :class:`~repro.boolalg.bdd.Bdd`,
+the package every other boolean question of the engine is answered
+on, in a manager of its own rather than the model's kernel.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.boolalg.cnf import to_cnf_clauses
+from repro.boolalg.bdd import Bdd
 from repro.boolalg.expr import And
-from repro.boolalg.sat import solve_clauses
 from repro.ccsl.stateful import (
     CausesRuntime,
     DelayedForRuntime,
@@ -55,32 +58,41 @@ def _dead_event_diag(rule: str, model, event: str, message: str,
             "(relational) constraints",
     confirm="`AG !occurs(<event>)` HOLDS on the untruncated space")
 def rule_stateless_dead(handle):
-    """SAT-check each event against the conjunction of every stateless
-    :class:`FormulaRuntime` step formula. Those formulas never change,
-    and stateful constraints only *remove* steps, so an event that no
-    satisfying assignment of the conjunction fires is definitely dead
-    (catches e.g. ``Coincides(a, b)`` + ``Excludes(a, b)``)."""
+    """Decide each event against the conjunction of every stateless
+    :class:`FormulaRuntime` step formula, compiled on a BDD. Those
+    formulas never change, and stateful constraints only *remove* steps,
+    so an event that no satisfying assignment of the conjunction fires
+    is definitely dead (catches e.g. ``Coincides(a, b)`` +
+    ``Excludes(a, b)``)."""
     model = handle.execution_model
     formulas = [runtime.step_formula()
                 for runtime in leaf_runtimes(model)
                 if isinstance(runtime, FormulaRuntime)]
     if not formulas:
         return
-    conjunction = And(*formulas)
-    support = conjunction.support()
-    # pay the CNF conversion once, then probe events under assumptions;
-    # every satisfying assignment found proves all its fired events
-    # alive at once, so clean models need only a couple of solver runs
-    clauses = to_cnf_clauses(conjunction)
+    support = And(*formulas).support()
+    # a private manager: lint must not grow the model's kernel, whose
+    # resident nodes ``repro serve`` counts against --max-nodes
+    bdd = Bdd(order=model.events)
+    nodes = [bdd.from_expr(formula) for formula in formulas]
+    # a balanced AND tree: a left fold would copy the upper levels of
+    # the growing conjunction once per formula
+    while len(nodes) > 1:
+        odd = nodes[-1:] if len(nodes) % 2 else []
+        nodes = [bdd.apply_and(left, right)
+                 for left, right in zip(nodes[::2], nodes[1::2])] + odd
+    [node] = nodes
+    # every model found proves all its fired events alive at once; a
+    # maximal one first leaves clean models with few events to probe
     alive: set[str] = set()
-    base = solve_clauses(clauses, prefer_true=True)
+    base = bdd.max_true_model(node, model.events)
     if base is not None:
         alive |= {name for name, value in base.items() if value}
     for event in model.events:
         if event not in support or event in alive:
             continue
-        witness = (None if base is None else
-                   solve_clauses(clauses, {event: True}, prefer_true=True))
+        witness = (None if base is None else bdd.max_true_model(
+            bdd.apply_and(node, bdd.var(event)), model.events))
         if witness is not None:
             alive |= {name for name, value in witness.items() if value}
             continue

@@ -60,7 +60,6 @@ counter names                                     what they count
 ``symbolic.images``/``symbolic.preimages``/       image and preimage steps,
 ``symbolic.compiles``                             TransitionSystem builds
 ``bdd.reorders``/``bdd.reorder_skips``            sifting runs, churn skips
-``sat.decisions``/``sat.propagations``            DPLL work
 ``store.hits``/``store.misses``                   artifact-store lookups
 ``explore.spaces``                                explicit BFS runs
 ``model.loads``                                   front-end loads

@@ -15,6 +15,7 @@ Everything here is stdlib-only (``urllib``), matching the server side.
 from __future__ import annotations
 
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -109,7 +110,7 @@ def submit(document, server: str, timeout: float | None = None,
 
 
 def submit_or_local(document, server: str | None = None, store=None,
-                    workers: int = 1, backend: str = "serial",
+                    workers: int | None = None, backend: str = "serial",
                     on_result=None) -> tuple[list, str]:
     """Run *document* on *server* if reachable, else locally.
 
@@ -132,13 +133,16 @@ def submit_or_local(document, server: str | None = None, store=None,
     return results, "local"
 
 
-def run_local(document, store=None, workers: int = 1,
+def run_local(document, store=None, workers: int | None = None,
               backend: str = "serial", on_result=None) -> list:
     """Execute a batch document offline, exactly as the server would:
     inline models are registered under their request-local names, specs
     run through one :class:`~repro.workbench.Workbench`. This is the
     reference implementation the server must stay byte-identical to,
-    and the loader ``repro batch`` and ``repro submit`` share."""
+    and the loader ``repro batch`` and ``repro submit`` share.
+
+    *workers* defaults to the core count on the ``process`` backend,
+    which exists to use the cores, and to 1 otherwise."""
     from repro.serve.server import split_document
     from repro.workbench.artifacts import RunSpec
     from repro.workbench.frontends import load_doc
@@ -149,5 +153,7 @@ def run_local(document, store=None, workers: int = 1,
     for name, source_doc in models.items():
         workbench.attach(name, load_doc(source_doc))
     specs = [RunSpec.from_doc(doc) for doc in runs]
+    if workers is None:
+        workers = (os.cpu_count() or 1) if backend == "process" else 1
     return workbench.run_many(specs, workers=workers, backend=backend,
                               on_result=on_result)

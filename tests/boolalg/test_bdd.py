@@ -149,6 +149,21 @@ class TestOperations:
         assert first == second
         assert bdd.node_count() == before
 
+    def test_conjunction_is_independent_of_grouping(self):
+        # canonicity: a balanced AND tree, the left fold of ``conjoin``
+        # and the compiled n-ary And are one and the same node
+        exprs = [Implies(a, b), Or(b, c), Not(And(c, d)), Iff(a, d),
+                 Or(a, Not(c))]
+        bdd = Bdd()
+        nodes = [bdd.from_expr(expr) for expr in exprs]
+        balanced = bdd.apply_and(
+            bdd.apply_and(bdd.apply_and(nodes[0], nodes[1]),
+                          bdd.apply_and(nodes[2], nodes[3])),
+            nodes[4])
+        assert balanced == bdd.conjoin(nodes)
+        assert balanced == bdd.from_expr(And(*exprs))
+        assert balanced != bdd.zero
+
 
 class TestRename:
     def test_order_preserving_substitution(self):

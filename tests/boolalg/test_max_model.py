@@ -67,6 +67,41 @@ class TestMaxTrueModel:
         assert first == second
 
 
+class TestProbeUnderAssumption:
+    """``max_true_model(f & var(e))``: is there a model of *f* that
+    fires *e* (lint's dead-event question)?"""
+
+    def test_witness_fires_the_event(self):
+        bdd = Bdd()
+        expr = And(Or(a, b), Not(And(a, b)), Implies(c, a))
+        node = bdd.from_expr(expr)
+        witness = bdd.max_true_model(
+            bdd.apply_and(node, bdd.var("b")), ["a", "b", "c"])
+        assert witness == {"a": False, "b": True, "c": False}
+        assert expr.evaluate(witness)
+
+    def test_dead_event_has_no_witness(self):
+        bdd = Bdd()
+        node = bdd.from_expr(And(Implies(a, b), Not(b)))
+        assert bdd.max_true_model(node, ["a", "b"]) == {
+            "a": False, "b": False}
+        assert bdd.max_true_model(
+            bdd.apply_and(node, bdd.var("a")), ["a", "b"]) is None
+
+    def test_unsat_clause_set_has_no_model(self):
+        # every clause over {a, b}: no expression-level folding applies,
+        # the contradiction only shows once the clauses are conjoined
+        clauses = [Or(a, b), Or(Not(a), b), Or(a, Not(b)),
+                   Or(Not(a), Not(b))]
+        bdd = Bdd()
+        node = bdd.conjoin(bdd.from_expr(clause) for clause in clauses)
+        assert node == bdd.zero
+        assert bdd.max_true_model(node, ["a", "b"]) is None
+        three = bdd.conjoin(bdd.from_expr(clause) for clause in clauses[1:])
+        assert bdd.max_true_model(three, ["a", "b"]) == {
+            "a": False, "b": False}
+
+
 def exprs(max_leaves=10):
     leaf = st.sampled_from([Var(name) for name in NAMES] + [TRUE, FALSE])
 
@@ -100,3 +135,20 @@ def test_max_model_is_model_and_maximal(expr):
         assert model is not None
         assert expr.evaluate(model)
         assert sum(model.values()) == brute_best
+
+
+@settings(max_examples=100, deadline=None)
+@given(exprs())
+def test_probe_matches_brute_force(expr):
+    bdd = Bdd(order=NAMES)
+    node = bdd.from_expr(expr)
+    for name in NAMES:
+        witness = bdd.max_true_model(
+            bdd.apply_and(node, bdd.var(name)), NAMES)
+        fires = any(expr.evaluate(assignment) and assignment[name]
+                    for assignment in all_assignments(NAMES))
+        if fires:
+            assert witness is not None
+            assert witness[name] and expr.evaluate(witness)
+        else:
+            assert witness is None

@@ -1,4 +1,4 @@
-"""Property-based tests: BDD, CNF and DPLL agree with direct evaluation."""
+"""Property-based tests: the BDD agrees with direct evaluation."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -13,9 +13,7 @@ from repro.boolalg import (
     Var,
     Xor,
     all_assignments,
-    all_sat,
-    is_satisfiable,
-    to_cnf_clauses,
+    iter_models,
 )
 
 NAMES = ["p", "q", "r", "s"]
@@ -48,34 +46,14 @@ def test_bdd_matches_evaluation(expr):
         assert bdd.evaluate(node, assignment) == expr.evaluate(assignment)
 
 
-@settings(max_examples=120, deadline=None)
-@given(exprs())
-def test_cnf_matches_evaluation(expr):
-    clauses = to_cnf_clauses(expr)
-    for assignment in all_assignments(NAMES):
-        cnf_value = all(
-            any(assignment[name] == polarity for name, polarity in clause)
-            for clause in clauses)
-        assert cnf_value == expr.evaluate(assignment)
-
-
-@settings(max_examples=120, deadline=None)
-@given(exprs())
-def test_sat_agrees_with_brute_force(expr):
-    brute_sat = any(
-        expr.evaluate(assignment) for assignment in all_assignments(NAMES))
-    assert is_satisfiable(expr) == brute_sat
-
-
 @settings(max_examples=80, deadline=None)
 @given(exprs(max_leaves=8))
-def test_all_sat_matches_bdd_models(expr):
-    over = frozenset(NAMES)
+def test_bdd_models_match_brute_force(expr):
     bdd = Bdd(order=NAMES)
     node = bdd.from_expr(expr)
-    dpll_models = {frozenset(m.items()) for m in all_sat(expr, over=over)}
+    brute_models = {frozenset(m.items()) for m in iter_models(expr, NAMES)}
     bdd_models = {frozenset(m.items()) for m in bdd.iter_models(node, NAMES)}
-    assert dpll_models == bdd_models
+    assert brute_models == bdd_models
     assert bdd.sat_count(node, NAMES) == len(bdd_models)
 
 

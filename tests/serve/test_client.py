@@ -1,5 +1,7 @@
 """The client: local fallback, document splitting, endpoint handling."""
 
+import os
+
 import pytest
 
 from repro.serve import ServeError, ping, run_local, serve, \
@@ -21,6 +23,23 @@ def document():
 
 #: a loopback port nothing listens on (port 1 is reserved)
 DEAD = "http://127.0.0.1:1"
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """``(backend, workers)`` of every call that reaches the farm; the
+    groups then run serially, so no pool is started."""
+    import repro.farm as farm
+
+    execute_groups = farm.execute_groups
+    calls = []
+
+    def record(groups, backend, workers, deliver, should_stop=None):
+        calls.append((backend, workers))
+        execute_groups(groups, "serial", 1, deliver, should_stop)
+
+    monkeypatch.setattr(farm, "execute_groups", record)
+    return calls
 
 
 class TestSplitDocument:
@@ -112,6 +131,29 @@ class TestRunLocal:
         results = run_local(twin, workers=2)
         assert [result.ok for result in results] == [True, True]
         assert results[0].data == results[1].data
+
+    def test_process_backend_defaults_to_core_count(self, reached,
+                                                    monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_local(document(), backend="process")
+        assert reached == [("process", 3)]
+
+    def test_process_backend_without_core_count_uses_one(self, reached,
+                                                         monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_local(document(), backend="process")
+        assert reached == [("process", 1)]
+
+    def test_serial_backend_defaults_to_one(self, reached, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_local(document())
+        assert reached == [("serial", 1)]
+
+    def test_explicit_workers_are_kept(self, reached, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_local(document(), workers=2, backend="process")
+        run_local(document(), workers=3)
+        assert reached == [("process", 2), ("serial", 3)]
 
     def test_ping_unreachable_is_none(self):
         assert ping(DEAD) is None

@@ -417,6 +417,40 @@ class TestAliasedLint:
         assert doc["data"]["model"] == "demo.sigpml"
 
 
+class TestLocalWorkers:
+    """`repro batch` and `repro submit`'s local fallback share one
+    default for --workers: the core count on the process backend."""
+
+    def test_batch_and_submit_reach_the_backend_alike(self, tmp_path,
+                                                      monkeypatch):
+        import os
+
+        import repro.farm as farm
+
+        execute_groups = farm.execute_groups
+        reached = []
+
+        def record(groups, backend, workers, deliver, should_stop=None):
+            reached.append((backend, workers))
+            # no pool: the recorded arguments are what is under test
+            execute_groups(groups, "serial", 1, deliver, should_stop)
+
+        monkeypatch.setattr(farm, "execute_groups", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        model = {"frontend": "ccsl", "events": ["a", "b"],
+                 "constraints": [{"relation": "Alternates",
+                                  "args": ["a", "b"]}]}
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "models": {"one": model, "two": model},
+            "runs": [{"kind": "simulate", "model": "one", "steps": 4},
+                     {"kind": "simulate", "model": "two", "steps": 4}]}))
+        for command in ("batch", "submit"):
+            assert main([command, str(path), "--backend", "process",
+                         "--json"]) == 0
+        assert reached == [("process", 4), ("process", 4)]
+
+
 class TestDeploy:
     def test_deploy_and_simulate(self, app_file, deployment_file, capsys):
         assert main(["deploy", app_file, deployment_file,

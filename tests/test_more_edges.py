@@ -1,10 +1,8 @@
 """Final edge-path sweep: weaver multiplicities, printer builtins,
-clause support, modulo arithmetic, registry labels."""
+modulo arithmetic, registry labels."""
 
 import pytest
 
-from repro.boolalg import And, Or, Not, Var, tseitin_clauses
-from repro.boolalg.cnf import clauses_support
 from repro.ccsl.library import kernel_library
 from repro.ecl import parse_ecl, weave
 from repro.errors import MappingError
@@ -62,16 +60,6 @@ class TestPrinterBuiltins:
         assert "// builtin definition for SubClock" in text
         # declarations are still parseable prototypes
         assert "declaration Alternates(first: event, second: event)" in text
-
-
-class TestClauseSupport:
-    def test_aux_variables_filtered(self):
-        clauses, _root = tseitin_clauses(
-            Or(And(Var("x"), Var("y")), Not(Var("z"))))
-        visible = clauses_support(clauses)
-        assert visible == frozenset({"x", "y", "z"})
-        with_aux = clauses_support(clauses, include_aux=True)
-        assert len(with_aux) > len(visible)
 
 
 class TestModulo:
