@@ -20,13 +20,16 @@ cache key (see :mod:`repro.engine.execution_model`).
 
 The variable order is *dynamic*: first declaration places a variable at
 the next free level, but :meth:`Bdd.reorder` (Rudell-style sifting over
-an adjacent-level swap primitive) may move levels around afterwards,
-either explicitly or automatically when the unique table grows past a
-threshold. Reordering rewrites the affected unique-table rows in place,
-so node ids — and the functions they denote — survive every reorder;
-only level-keyed operation caches (notably the cross-call ``exists``
-memo) must be, and are, invalidated. Callers must not reorder while a
-lazy enumeration (:meth:`Bdd.iter_models`) is being consumed.
+an adjacent-level swap primitive) may move levels around afterwards.
+The manager never reorders on its own: it sifts when its owner calls
+:meth:`Bdd.reorder`, against the roots the owner names, and the owner
+decides when (the symbolic engine's policy lives in
+``TransitionSystem._maybe_reorder``). Reordering rewrites the affected
+unique-table rows in place, so node ids reachable from the roots — and
+the functions they denote — survive every reorder; only level-keyed
+operation caches (notably the cross-call ``exists`` memo) must be, and
+are, invalidated. Callers must not reorder while a lazy enumeration
+(:meth:`Bdd.iter_models`) is being consumed.
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ from repro.boolalg.expr import (
 class Bdd:
     """A BDD manager with a dynamic (siftable) variable order."""
 
-    def __init__(self, order: Iterable[str] | None = None,
-                 auto_reorder_threshold: int | None = None,
-                 auto_reorder_budget: int | None = None):
+    def __init__(self, order: Iterable[str] | None = None):
         #: node storage: index -> (level, low, high); levels 0.. for
         #: variables, terminals use a level beyond every variable.
         self._nodes: list[tuple[int, int, int]] = []
@@ -90,23 +91,9 @@ class Bdd:
         self._level_nodes: dict[int, set[int]] = {}
         #: reorder-time live node count — the sifting objective
         self._live = 0
-        #: optional zero-argument callable returning the node ids an
-        #: engine still holds — explicit :meth:`reorder` calls sift
-        #: against the truly live structure instead of every parentless
-        #: row, and setting it transfers auto-reorder firing to the
-        #: engine's safe points (see :meth:`_run_pending_reorder`)
-        self.reorder_roots_provider = None
         #: completed :meth:`reorder` runs (telemetry; external caches
         #: keyed on levels can use it as an epoch)
         self.reorder_count = 0
-        self._auto_reorder_threshold = auto_reorder_threshold
-        self._auto_reorder_budget = auto_reorder_budget
-        #: int sentinel checked on every node allocation — the
-        #: threshold, or "never" when auto-reordering is off
-        self._reorder_at = (auto_reorder_threshold
-                            if auto_reorder_threshold is not None
-                            else (1 << 62))
-        self._reorder_pending = False
         self._reordering = False
         # operation-cache hit/miss counters (plain attributes: ite is
         # the hottest function in the engine)
@@ -135,6 +122,10 @@ class Bdd:
     #: evicted one by one, so the memo stays bounded across arbitrarily
     #: many clone/discard cycles while hot formulas stay cached.
     _EXPR_CACHE_LIMIT = 50_000
+
+    #: one variable's sift is cut short once the live node count grows
+    #: past this factor of the count that sift started from.
+    _SIFT_GROWTH_LIMIT = 1.2
 
     # -- variables ------------------------------------------------------------
 
@@ -191,8 +182,6 @@ class Bdd:
             if bucket is None:
                 bucket = self._level_nodes[level] = set()
             bucket.add(index)
-        elif index >= self._reorder_at:
-            self._reorder_pending = True
         return index
 
     def _ref(self, child: int) -> None:
@@ -254,24 +243,12 @@ class Bdd:
             bucket.add(index)
         self._level_nodes = buckets
 
-    def _init_reorder_refs(self, roots: Iterable[int] | None) -> None:
+    def _init_reorder_refs(self, roots: Iterable[int]) -> None:
         """Snapshot the sifting objective: refs[x] = live edges into x
-        plus one pseudo-ref per root; ``_live`` = reachable rows. With
-        no explicit roots every parentless row is a root — sound (ids
-        are forever) but it counts long-dead intermediates too, so
-        engines that know their live roots should pass them."""
+        plus one pseudo-ref per root; ``_live`` = rows reachable from
+        *roots*."""
         self._refs = [0] * len(self._nodes)
         self._live = 0
-        if roots is None:
-            referenced = bytearray(len(self._nodes))
-            for index in range(self.one + 1, len(self._nodes)):
-                _level, low, high = self._nodes[index]
-                if low > self.one:
-                    referenced[low] = 1
-                if high > self.one:
-                    referenced[high] = 1
-            roots = [index for index in range(self.one + 1, len(self._nodes))
-                     if not referenced[index]]
         for root in roots:
             self._ref(root)
 
@@ -279,18 +256,27 @@ class Bdd:
         """Total nodes allocated by this manager (including terminals)."""
         return len(self._nodes)
 
-    def size(self, node: int) -> int:
-        """Nodes reachable from *node* (terminals excluded)."""
+    def size(self, *nodes: int) -> int:
+        """Distinct non-terminal nodes reachable from any of *nodes*.
+
+        O(reachable): over an owner's live roots it is the cheap probe
+        that tells genuine structure growth from allocation churn (the
+        table is append-only, so its length counts every transient
+        intermediate ever built)."""
+        rows = self._nodes
+        one = self.one
         seen: set[int] = set()
-        stack = [node]
+        stack = [node for node in nodes if node > one]
         while stack:
             current = stack.pop()
-            if current in (self.zero, self.one) or current in seen:
+            if current in seen:
                 continue
             seen.add(current)
-            _level, low, high = self._nodes[current]
-            stack.append(low)
-            stack.append(high)
+            _level, low, high = rows[current]
+            if low > one:
+                stack.append(low)
+            if high > one:
+                stack.append(high)
         return len(seen)
 
     def cache_sizes(self) -> dict[str, int]:
@@ -336,7 +322,6 @@ class Bdd:
             self._andex_cache.clear()
         while len(self._expr_cache) > self._EXPR_CACHE_LIMIT:
             self._expr_cache.popitem(last=False)
-        self._run_pending_reorder()
 
     # -- core operations -----------------------------------------------------------
 
@@ -473,7 +458,6 @@ class Bdd:
         hit here instead of being re-walked. The cache is level-keyed,
         so it is invalidated on reorder.
         """
-        self._run_pending_reorder()
         levels = frozenset(self._levels[name] for name in names
                            if name in self._levels)
         if not levels or node in (self.zero, self.one):
@@ -532,7 +516,6 @@ class Bdd:
         ``(f, g, frozen level-set)`` with the commutative operands
         id-ordered; level-keyed, so invalidated on reorder.
         """
-        self._run_pending_reorder()
         levels = frozenset(self._levels[name] for name in names
                            if name in self._levels)
         if not levels:
@@ -602,7 +585,6 @@ class Bdd:
         falls back to the general simultaneous :meth:`substitute`
         instead of raising.
         """
-        self._run_pending_reorder()
         level_map: dict[int, int] = {}
         for old, new in mapping.items():
             if old not in self._levels:
@@ -641,7 +623,6 @@ class Bdd:
         of :meth:`rename`'s single linear walk — prefer :meth:`rename`
         when the mapping is order-monotone over the support.
         """
-        self._run_pending_reorder()
         level_map: dict[int, int] = {}
         for old, new in mapping.items():
             if old not in self._levels:
@@ -747,12 +728,12 @@ class Bdd:
         self._levels[u_name] = lower
         self._levels[v_name] = upper
 
-    def _sift_var(self, name: str, max_growth: float) -> None:
+    def _sift_var(self, name: str) -> None:
         """Move one variable through every level, park it at the
         position minimizing the live node count (Rudell sifting)."""
         n = len(self._order)
         pos = self._levels[name]
-        limit = max(64, int(self._live * max_growth))
+        limit = max(64, int(self._live * self._SIFT_GROWTH_LIMIT))
         best_size = self._live
         best_pos = pos
 
@@ -785,96 +766,37 @@ class Bdd:
             self._swap_adjacent(pos - 1)
             pos -= 1
 
-    def _count_reachable(self, roots: Iterable[int]) -> int:
-        """Distinct non-terminal nodes reachable from *roots* — O(live),
-        the cheap probe that tells genuine structure growth from
-        allocation churn (the table is append-only, so its length
-        counts every transient intermediate ever built)."""
-        nodes = self._nodes
-        seen: set[int] = set()
-        stack = [root for root in roots if root > 1]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            _level, low, high = nodes[node]
-            if low > 1:
-                stack.append(low)
-            if high > 1:
-                stack.append(high)
-        return len(seen)
-
-    def reorder(self, budget: int | None = None,
-                max_growth: float = 1.2,
-                roots: Iterable[int] | None = None,
-                auto: bool = False) -> int:
+    def reorder(self, roots: Iterable[int], budget: int | None = None) -> int:
         """Dynamic variable reordering by Rudell-style sifting.
 
         Each variable (most-populated levels first) is sifted through
         every position via adjacent-level swaps and parked where the
-        live node count is smallest; a sift is aborted early when the
-        table grows past ``max_growth`` times its starting size. Passes
-        repeat until the improvement fades (converge) or *budget*
-        variable-sifts have been spent. Node ids reachable from *roots*
-        survive with their function intact — only the level assignment
-        changes — and the operation caches are invalidated (the exists
-        caches are keyed on levels; the others are dropped wholesale
-        for safety). Returns the live-node-count reduction.
+        live node count is smallest; one variable's sift is aborted
+        early when the live count grows past
+        :attr:`_SIFT_GROWTH_LIMIT` times the count it started from.
+        Passes repeat until the improvement fades (converge) or
+        *budget* variable-sifts have been spent. Node ids reachable
+        from *roots* survive with their function intact — only the
+        level assignment changes — and the operation caches are
+        invalidated (the exists caches are keyed on levels; the others
+        are dropped wholesale for safety). Returns the live-node-count
+        reduction.
 
         The live-only contract: sifting rewrites (and its cost scales
         with) only the rows reachable from *roots*. Everything else is
         evicted from the unique table up front — ids not covered by
         *roots* are **invalidated** by the reorder and must not be used
-        again. With the default ``roots=None`` every parentless row is
-        a root, which transitively covers every row in the table: the
-        default is universally safe for any caller, just slower, since
-        long-dead intermediates are sifted too. Engines that know their
-        live handles should pass them (or set
-        :attr:`reorder_roots_provider`).
+        again, so the caller names every id it still holds.
 
-        Also the target of the *auto*-reorder trigger: a manager built
-        with ``auto_reorder_threshold=N`` schedules a reorder as soon
-        as the unique table grows past N nodes. A standalone manager
-        (no :attr:`reorder_roots_provider`) fires it at the next safe
-        point (entry of a top-level operation) with the safe default
-        roots; when a provider is set, the owning engine fires the
-        pending reorder at its own safe points (see
-        ``TransitionSystem``), where it can pin in-flight intermediate
-        nodes alongside the provider's roots. After a run the
-        threshold ratchets to twice the current table size.
-
-        Auto-fired reorders (``auto=True`` with known roots) first
-        probe the live structure in O(live): the append-only table also
-        counts every transient intermediate, so crossing the threshold
-        often means allocation *churn* with a perfectly healthy order —
-        and sifting against that small, unrepresentative live snapshot
-        both discards the operation caches and overfits the order to
-        it. When the live set is below an eighth of the table, the
-        reorder is skipped wholesale (caches intact) and the trigger
-        re-arms at twice the current table size; sifting runs only when
-        the live structure itself has grown to the table's scale.
+        The manager never calls this itself: whether a reorder is due,
+        and which ids are live, is the owner's decision (the symbolic
+        engine's is ``TransitionSystem._maybe_reorder``).
         """
-        if self._reordering:
-            return 0
-        self._reorder_pending = False
         if len(self._order) < 2:
-            return 0
-        if roots is None and self.reorder_roots_provider is not None:
-            roots = list(self.reorder_roots_provider())
-        if auto and roots is not None \
-                and self._count_reachable(roots) * 8 <= len(self._nodes):
-            # churn-dominated growth: the order is holding up — re-arm
-            # a doubling later, keep the caches, skip the sift
-            self._reorder_at = max(self._reorder_at, 2 * len(self._nodes))
-            if self._auto_reorder_threshold is not None:
-                self._auto_reorder_threshold = self._reorder_at
-            obs.count("bdd.reorder_skips")
             return 0
         self._reordering = True
         started = time.perf_counter()
-        trace = obs.span("bdd.reorder", auto=auto,
-                         nodes_before=len(self._nodes))
+        trace = obs.span("bdd.reorder", nodes_before=len(self._nodes))
         trace.__enter__()
         try:
             # refs first: the bucket sweep keeps live rows only and
@@ -894,16 +816,12 @@ class Bdd:
                     if budget is not None and sifted >= budget:
                         exhausted = True
                         break
-                    self._sift_var(name, max_growth)
+                    self._sift_var(name)
                     sifted += 1
                 improvement = round_start - self._live
                 if improvement <= max(16, round_start // 50):
                     break  # converged: another pass would not pay
             self.reorder_count += 1
-            if self._auto_reorder_threshold is not None:
-                self._auto_reorder_threshold = max(
-                    self._auto_reorder_threshold, 2 * len(self._nodes))
-                self._reorder_at = self._auto_reorder_threshold
             self.clear_operation_caches()
             obs.count("bdd.reorders")
             obs.observe("bdd.reorder_s", time.perf_counter() - started)
@@ -914,25 +832,6 @@ class Bdd:
             self._reordering = False
             self._level_nodes = {}  # bucket upkeep stops with the reorder
             trace.__exit__(None, None, None)
-
-    def reorder_due(self) -> bool:
-        """True when the auto-reorder trigger has fired and a reorder
-        can run now — the hook for an owning engine that fires pending
-        reorders at its own safe points with its own root set."""
-        return self._reorder_pending and not self._reordering
-
-    def _run_pending_reorder(self) -> None:
-        """Fire a scheduled auto-reorder at a safe point (no level-
-        sensitive walk in flight — callers hold only node ids, which
-        the default roots preserve). Only for standalone managers: when
-        a :attr:`reorder_roots_provider` is set, the owning engine
-        fires pending reorders itself, at points where it can also pin
-        its in-flight intermediates (a provider cannot see another
-        caller's local variables, so firing here with provider roots
-        would invalidate them)."""
-        if self._reorder_pending and not self._reordering \
-                and self.reorder_roots_provider is None:
-            self.reorder(budget=self._auto_reorder_budget, auto=True)
 
     # -- building from expressions -----------------------------------------------
 

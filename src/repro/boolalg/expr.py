@@ -142,10 +142,12 @@ class Var(BExpr):
 
 
 class _Not(BExpr):
-    __slots__ = ("operand",)
+    __slots__ = ("operand", "_hash")
 
     def __init__(self, operand: BExpr):
         object.__setattr__(self, "operand", operand)
+        # computed once: memo lookups must not re-walk the subtree
+        object.__setattr__(self, "_hash", hash(("not", operand)))
 
     def __setattr__(self, *_args):  # pragma: no cover - defensive
         raise AttributeError("BExpr is immutable")
@@ -163,7 +165,7 @@ class _Not(BExpr):
         return isinstance(other, _Not) and self.operand == other.operand
 
     def __hash__(self) -> int:
-        return hash(("not", self.operand))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"~{self.operand!r}" if isinstance(
@@ -171,11 +173,13 @@ class _Not(BExpr):
 
 
 class _NaryOp(BExpr):
-    __slots__ = ("args",)
+    __slots__ = ("args", "_hash")
     _symbol = "?"
 
     def __init__(self, args: tuple[BExpr, ...]):
         object.__setattr__(self, "args", args)
+        # computed once: memo lookups must not re-walk the subtree
+        object.__setattr__(self, "_hash", hash((self._symbol, args)))
 
     def __setattr__(self, *_args):  # pragma: no cover - defensive
         raise AttributeError("BExpr is immutable")
@@ -190,7 +194,7 @@ class _NaryOp(BExpr):
         return type(other) is type(self) and self.args == other.args
 
     def __hash__(self) -> int:
-        return hash((self._symbol, self.args))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = f" {self._symbol} ".join(

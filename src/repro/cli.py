@@ -672,7 +672,7 @@ def _selftest_reorder(handles) -> dict:
         model = handle.execution_model
         model.clear_caches()
         before = check(model, "AG !deadlock", strategy="symbolic").verdict
-        model.kernel.transition_system(model).bdd.reorder()
+        model.kernel.transition_system(model).reorder()
         after = check(model, "AG !deadlock", strategy="symbolic").verdict
         if after is not before:
             mismatches.append(

@@ -154,19 +154,22 @@ compile plus fixpoint ran 3-4x slower at torus(4,4), while the
 clustered product checks torus(6,6) in seconds (``bench_e15``).
 
 Dynamic variable reordering (:meth:`~repro.boolalg.bdd.Bdd.reorder`,
-Rudell sifting) is the escape hatch for a bad variable order. It runs
-automatically: node-table growth past a threshold schedules a reorder,
-which the owning :class:`~repro.engine.symbolic.TransitionSystem`
-fires at fixpoint safe points, pinning in-flight iterates. Because the
-append-only table counts transient allocations, an auto-fired reorder
-first probes the truly live structure and *skips* the sift (keeping
-all operation caches) when growth is churn-dominated — live nodes
-below an eighth of the table — so healthy orders are never torn up
-mid-fixpoint. Each firing sifts at most
-:data:`~repro.engine.symbolic.DEFAULT_AUTO_REORDER_BUDGET` variables;
-explicit ``system.bdd.reorder()`` always sifts to convergence, and
-every artifact — state space, verdict, witness — is byte-identical
-across a reorder (``tests/engine/test_relation_modes.py``).
+Rudell sifting) is the escape hatch for a bad variable order. The
+manager only sifts when asked; the one automatic trigger is
+:meth:`~repro.engine.symbolic.TransitionSystem._maybe_reorder`, which
+the fixpoint loops (reachability, EU, EG, witness distance rings) call
+between iterations with the iterates they hold. Once the node table
+has grown past
+:data:`~repro.engine.symbolic.DEFAULT_AUTO_REORDER_THRESHOLD`, it
+probes the truly live structure and *skips* the sift (keeping all
+operation caches) when growth is churn-dominated — live nodes at most
+an eighth of the append-only table — so healthy orders are never torn
+up mid-fixpoint; otherwise it sifts at most
+:data:`~repro.engine.symbolic.DEFAULT_AUTO_REORDER_BUDGET` variables.
+Either way the trigger re-arms at twice the table. An explicit
+``system.reorder()`` always sifts to convergence, and every artifact —
+state space, verdict, witness — is byte-identical across a reorder
+(``tests/engine/test_relation_modes.py``).
 
 Property syntax, worked example
 ===============================

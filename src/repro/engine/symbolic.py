@@ -75,13 +75,14 @@ DEFAULT_MAX_LOCAL_STATES = 4_096
 #: many BDD nodes — small enough to keep early quantification effective,
 #: large enough to amortize the per-cluster conjunction overhead.
 DEFAULT_CLUSTER_CAP = 2_000
-#: unique-table size at which the manager schedules its first dynamic
-#: variable reorder (sifting); the threshold doubles after each run.
+#: unique-table size past which a system's first dynamic variable
+#: reorder (sifting) is due; the threshold re-arms at twice the table
+#: after each firing (see :meth:`TransitionSystem._maybe_reorder`).
 DEFAULT_AUTO_REORDER_THRESHOLD = 250_000
-#: variable-sift budget per auto-fired reorder — bounds the worst case
-#: (sifting is O(live table) per variable, and an auto trigger must
-#: never stall a fixpoint for minutes); explicit ``reorder()`` calls
-#: default to running until convergence instead.
+#: variable-sift budget per automatic reorder — bounds the worst case
+#: (sifting is O(live table) per variable, and an automatic reorder
+#: must never stall a fixpoint for minutes); an explicit
+#: :meth:`TransitionSystem.reorder` runs until convergence instead.
 DEFAULT_AUTO_REORDER_BUDGET = 32
 
 
@@ -165,16 +166,9 @@ class TransitionSystem(TableStepper):
         tables = [_close_local(index, constraint, DEFAULT_MAX_LOCAL_STATES)
                   for index, constraint in enumerate(model.constraints)]
         self.order: list[int] = _constraint_order(model.constraints)
-        super().__init__(
-            Bdd(auto_reorder_threshold=DEFAULT_AUTO_REORDER_THRESHOLD,
-                auto_reorder_budget=DEFAULT_AUTO_REORDER_BUDGET),
-            list(model.events), tables, self.order)
-        # installing the provider *before* compiling matters: it stops
-        # the manager from firing mid-compile standalone reorders, whose
-        # parentless default roots treat every dead intermediate of the
-        # relation build as live structure (the engine fires pending
-        # reorders itself, at fixpoint safe points — _maybe_reorder)
-        self.bdd.reorder_roots_provider = self._reorder_roots
+        super().__init__(Bdd(), list(model.events), tables, self.order)
+        #: table size past which the next automatic reorder is due
+        self._reorder_at = DEFAULT_AUTO_REORDER_THRESHOLD
         self._declare_variables()
         self._compile_relation()
         self.initial_ids: tuple[int, ...] = tuple(0 for _ in self.tables)
@@ -190,9 +184,6 @@ class TransitionSystem(TableStepper):
         #: parks its reach-restricted evaluator here) — lives and dies
         #: with the compiled system
         self.analysis_cache: dict = {}
-        #: in-flight nodes pinned across an engine-fired reorder (see
-        #: :meth:`_maybe_reorder`); always empty outside that call
-        self._pinned: tuple = ()
 
     # -- encoding ----------------------------------------------------------
 
@@ -273,16 +264,17 @@ class TransitionSystem(TableStepper):
         return clusters
 
     def _reorder_roots(self) -> list[int]:
-        """Every node id this system still holds — the live set a
-        reorder must preserve, and the sifting objective it minimizes.
+        """Every node id this system holds between operations — the
+        live set a reorder must preserve, and the sifting objective it
+        minimizes.
 
         This MUST be exhaustive: since the manager's reorder rewrites
         only rows reachable from its roots and invalidates the rest, a
-        node id missing here is dead after the next auto-reorder.
-        Higher analysis layers participate through the
-        ``analysis_cache`` protocol (any cached object exposing
-        ``reorder_roots()``), and in-flight fixpoint iterates through
-        the :meth:`_maybe_reorder` pin slot.
+        node id missing here is dead after the next reorder. Higher
+        analysis layers participate through the ``analysis_cache``
+        protocol (any cached object exposing ``reorder_roots()``). The
+        iterates a fixpoint loop holds in its locals are not here: the
+        loop passes them to :meth:`_maybe_reorder` as arguments.
         """
         roots: list[int] = [self.initial_node]
         roots.extend(self.parts)
@@ -300,28 +292,42 @@ class TransitionSystem(TableStepper):
             holder = getattr(analysis, "reorder_roots", None)
             if holder is not None:
                 roots.extend(holder())
-        roots.extend(self._pinned)
         return roots
 
     def _maybe_reorder(self, *in_flight: int) -> None:
-        """Engine safe point: run the pending auto-reorder, if any.
+        """The one automatic reorder trigger, called between fixpoint
+        iterations (no level-sensitive walk is in flight there) with
+        the iterates the loop holds in locals as *in_flight*.
 
-        The manager schedules a reorder when its table crosses the
-        growth threshold but — with a roots provider installed — never
-        fires it on its own: only the engine knows which intermediate
-        nodes its fixpoint loops still hold in Python locals. Loop
-        bodies call this between iterations, passing those locals as
-        *in_flight*; they are pinned alongside :meth:`_reorder_roots`
-        for the duration of the reorder.
+        Once the table has grown past ``_reorder_at``, the live
+        structure is probed first: the append-only table also counts
+        every transient intermediate, so growth is often *churn* under
+        a healthy order, and sifting against that small live set would
+        drop the caches and overfit the order to it. With at most an
+        eighth of the table live the sift is skipped (counted as
+        ``bdd.reorder_skips``); otherwise it sifts at most
+        :data:`DEFAULT_AUTO_REORDER_BUDGET` variables. Either way the
+        trigger re-arms at twice the table.
         """
         bdd = self.bdd
-        if not bdd.reorder_due():
+        if bdd.node_count() <= self._reorder_at or len(bdd.order) < 2:
             return
-        self._pinned = in_flight
-        try:
-            bdd.reorder(budget=DEFAULT_AUTO_REORDER_BUDGET, auto=True)
-        finally:
-            self._pinned = ()
+        roots = self._reorder_roots()
+        roots.extend(in_flight)
+        if bdd.size(*roots) * 8 <= bdd.node_count():
+            obs.count("bdd.reorder_skips")
+        else:
+            bdd.reorder(roots, budget=DEFAULT_AUTO_REORDER_BUDGET)
+        self._reorder_at = max(self._reorder_at, 2 * bdd.node_count())
+
+    def reorder(self) -> int:
+        """Sift the variable order to convergence now, against every
+        node id this system holds, and re-arm the automatic trigger.
+        Returns the live-node-count reduction. Call it between
+        analyses: ids held outside this system are not preserved."""
+        reduction = self.bdd.reorder(self._reorder_roots())
+        self._reorder_at = max(self._reorder_at, 2 * self.bdd.node_count())
+        return reduction
 
     def _relation_part(self, index: int) -> int:
         """``T_i``: one cube per discovered local transition."""
@@ -521,7 +527,7 @@ class TransitionSystem(TableStepper):
                             reached) > max_states:
                         truncated = True
                         break
-                self._maybe_reorder(reached, *layers)
+                    self._maybe_reorder(reached, *layers)
             trace.set(iterations=depth, truncated=truncated,
                       nodes=bdd.size(reached) if obs.tracing_active()
                       else None)

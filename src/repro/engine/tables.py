@@ -247,8 +247,7 @@ class TableStepper:
         and every subtree is memoized: a successor whose constraints
         changed k formulas redoes about k·log n pairwise ANDs, where a
         left fold redoes every AND after the first changed slot. The
-        manager's caches are trimmed once the whole tree is built, so no
-        pending reorder fires while subtree nodes are held in locals.
+        manager's caches are trimmed once the whole tree is built.
         """
         leaves = tuple([nodes[slot] for slot in self.leaf_order])
         if not leaves:

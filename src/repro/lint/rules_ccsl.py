@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 from repro.boolalg.bdd import Bdd
-from repro.boolalg.expr import And
 from repro.ccsl.stateful import (
     CausesRuntime,
     DelayedForRuntime,
@@ -70,7 +69,9 @@ def rule_stateless_dead(handle):
                 if isinstance(runtime, FormulaRuntime)]
     if not formulas:
         return
-    support = And(*formulas).support()
+    # each formula's own support: folding the conjunction first can
+    # reduce a contradiction to FALSE, whose support is empty
+    support = frozenset().union(*(formula.support() for formula in formulas))
     # a private manager: lint must not grow the model's kernel, whose
     # resident nodes ``repro serve`` counts against --max-nodes
     bdd = Bdd(order=model.events)

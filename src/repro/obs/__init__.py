@@ -44,8 +44,10 @@ span name                      region (attributes)
                                steps)
 ``explore.bfs``                explicit BFS (states, transitions,
                                truncated)
-``bdd.reorder``                one sifting run (auto, nodes_before,
-                               nodes_after, reduction)
+``bdd.reorder``                one sifting run (nodes_before, sifted,
+                               live_after, reduction); an automatic one
+                               nests under the fixpoint iteration or
+                               property check that fired it
 =============================  ============================================
 
 Counter-naming convention

@@ -46,7 +46,8 @@ class SdfBuilder:
         ``push``/``pop`` are the output/input port rates; ``capacity``
         defaults to a buffer that can hold one push plus one pop worth of
         tokens plus the initial *delay* tokens, which always lets the
-        graph progress.
+        graph progress. A place never starts with more tokens than its
+        capacity.
         """
         producer_agent = self._agent(producer)
         consumer_agent = self._agent(consumer)
@@ -61,6 +62,10 @@ class SdfBuilder:
         if capacity < 1:
             raise SdfError(
                 f"place {producer}->{consumer}: capacity must be >= 1")
+        if delay > capacity:
+            raise SdfError(
+                f"place {producer}->{consumer}: {delay} initial tokens "
+                f"exceed capacity {capacity}")
 
         place_name = name or self._fresh_place_name(producer, consumer)
         if place_name in self._place_names:

@@ -4,12 +4,14 @@ A reorder may only change *where* variables sit in the order, never
 *what* any surviving node denotes. These tests pin that contract three
 ways: property-based semantic invariance (``sat_count``, ``evaluate``
 and ``iter_models`` agree before and after random reorders), the
-adjacent-level swap primitive in isolation (white-box), and the
-auto-reorder trigger machinery (standalone firing, the churn skip, and
-engine-style explicit roots). A brute-force sweep over every ``ite``
-triple of a small function space guards the normalization rules —
-operand collapses can re-merge branches, and a missed re-check there
-historically corrupted canonicity.
+adjacent-level swap primitive in isolation (white-box), and the split
+between mechanism and policy: the manager never reorders on its own,
+and the one automatic trigger, ``TransitionSystem._maybe_reorder``,
+re-arms after firing and skips the sift under allocation churn. A
+brute-force sweep over every ``ite`` triple of a small function space
+guards the normalization rules — operand collapses can re-merge
+branches, and a missed re-check there historically corrupted
+canonicity.
 """
 
 import itertools
@@ -20,6 +22,9 @@ from hypothesis import given, settings
 
 from repro.boolalg import And, Bdd, Iff, Implies, Not, Or, Var, Xor, \
     all_assignments
+from repro.ccsl import AlternatesRuntime, PrecedesRuntime
+from repro.engine import ExecutionModel
+from repro.obs import GLOBAL
 
 NAMES = ["p", "q", "r", "s", "t"]
 
@@ -164,8 +169,23 @@ class TestAdjacentSwapPrimitive:
         assert bdd.sat_count(node, NAMES) == count
 
 
+def compiled_system():
+    """A small compiled transition system: its manager owns the trigger
+    policy the engine applies at its safe points."""
+    model = ExecutionModel(
+        ["a", "b", "c"],
+        [AlternatesRuntime("a", "b"), PrecedesRuntime("b", "c", bound=2)],
+        name="trigger")
+    return model.kernel.transition_system(model)
+
+
+def fired():
+    """Automatic trigger firings so far: sifts plus churn skips."""
+    return GLOBAL.counter("bdd.reorders") + GLOBAL.counter("bdd.reorder_skips")
+
+
 class TestAutoReorderTrigger:
-    def build_junk(self, bdd, rounds=24):
+    def build_junk(self, bdd, names=NAMES, rounds=24):
         """Allocate enough distinct structure to cross a small
         threshold: a growing union of minterms — every partial union is
         a new function, so each round genuinely extends the table."""
@@ -173,7 +193,7 @@ class TestAutoReorderTrigger:
         union = bdd.zero
         for index in range(rounds):
             minterm = bdd.one
-            for position, name in enumerate(NAMES):
+            for position, name in enumerate(names):
                 literal = (bdd.var(name) if (index >> position) & 1
                            else bdd.nvar(name))
                 minterm = bdd.apply_and(minterm, literal)
@@ -181,69 +201,57 @@ class TestAutoReorderTrigger:
             acc.append(union)
         return acc
 
-    def test_trigger_schedules_and_standalone_fires(self):
-        bdd = Bdd(auto_reorder_threshold=64)
-        for name in NAMES:
-            bdd.declare(name)
-        assert not bdd.reorder_due()
-        nodes = self.build_junk(bdd)
-        assert bdd.reorder_due()  # table growth scheduled a reorder
-        # any top-level operation is a safe point for a standalone
-        # manager; the pending reorder fires there with default roots
-        count = bdd.sat_count(nodes[0], NAMES)
-        bdd.exists(nodes[0], ["p"])
-        assert bdd.reorder_count == 1
-        assert not bdd.reorder_due()
-        assert bdd.sat_count(nodes[0], NAMES) == count
+    def test_manager_never_reorders_on_its_own(self):
+        """The manager is a mechanism: thousands of allocations and
+        every top-level operation leave the order alone until its
+        owner calls reorder()."""
+        names = [f"v{i}" for i in range(12)]
+        bdd = Bdd(order=names)
+        nodes = self.build_junk(bdd, names, rounds=600)
+        union = nodes[-1]
+        bdd.exists(union, names[:3])
+        bdd.and_exists(union, nodes[100], names[3:6])
+        bdd.rename(union, {"v0": "w0"})
+        bdd.substitute(union, {"v1": "v2", "v2": "v1"})
+        bdd.from_expr(Xor(Var("v0"), Var("v11")))
+        bdd.conjoin(nodes[::50])
+        assert bdd.node_count() > 2_000
+        assert bdd.reorder_count == 0
+        assert bdd.order == names + ["w0"]
 
     def test_threshold_ratchets_after_firing(self):
-        bdd = Bdd(auto_reorder_threshold=64)
-        for name in NAMES:
-            bdd.declare(name)
-        self.build_junk(bdd)
-        bdd.exists(bdd.var("p"), ["q"])  # fire
-        assert bdd._reorder_at >= 2 * 64
-        assert not bdd.reorder_due()
-
-    def test_provider_transfers_firing_to_the_owner(self):
-        """With a roots provider installed the manager never fires on
-        its own — the owning engine must call reorder() at its safe
-        points (where it can pin in-flight nodes)."""
-        bdd = Bdd(auto_reorder_threshold=64)
-        for name in NAMES:
-            bdd.declare(name)
-        nodes = self.build_junk(bdd)
-        keep = nodes[:2]
-        bdd.reorder_roots_provider = lambda: list(keep)
-        assert bdd.reorder_due()
-        bdd.exists(keep[0], ["p"])  # NOT a safe point for the owner
-        assert bdd.reorder_count == 0
-        assert bdd.reorder_due()  # still pending, awaiting the owner
-        # the owner fires it explicitly; live structure here is tiny
-        # relative to the table, so the churn check skips the sift but
-        # still re-arms the trigger
-        before = bdd._reorder_at
-        bdd.reorder(budget=4, auto=True)
-        assert not bdd.reorder_due()
-        assert bdd._reorder_at >= before
+        system = compiled_system()
+        system._reorder_at = 64
+        assert system.bdd.node_count() > 64  # due at the next safe point
+        before = fired()
+        system._maybe_reorder()
+        assert fired() == before + 1
+        assert system._reorder_at >= 2 * system.bdd.node_count()
+        system._maybe_reorder()  # re-armed: nothing is due
+        assert fired() == before + 1
 
     def test_auto_churn_skip_keeps_caches_and_ids(self):
-        """An auto reorder whose roots reach only a sliver of the table
-        must skip the sift: ids stay valid, caches stay warm."""
-        bdd = Bdd(auto_reorder_threshold=64)
-        for name in NAMES:
-            bdd.declare(name)
-        self.build_junk(bdd)
+        """An automatic reorder whose roots reach only a sliver of the
+        table must skip the sift: ids stay valid, caches stay warm."""
+        system = compiled_system()
+        bdd = system.bdd
+        self.build_junk(bdd, [f"j{i}" for i in range(10)], rounds=300)
         node = bdd.from_expr(And(Var("p"), Or(Var("q"), Var("r"))))
         count = bdd.sat_count(node, NAMES)
+        initial = bdd.sat_count(system.initial_node, system.all_cur)
         cache_before = bdd.cache_sizes()["ite"]
-        fired_before = bdd.reorder_count  # standalone may have fired
+        order, table = bdd.order, bdd.node_count()
+        skips = GLOBAL.counter("bdd.reorder_skips")
         assert cache_before > 0
-        gain = bdd.reorder(roots=[node], auto=True)
-        assert gain == 0
-        assert bdd.reorder_count == fired_before  # skipped, not run
+        system._reorder_at = 64
+        system._maybe_reorder(node)
+        assert GLOBAL.counter("bdd.reorder_skips") == skips + 1
+        assert bdd.reorder_count == 0  # skipped, not run
         assert bdd.cache_sizes()["ite"] == cache_before
+        assert (bdd.order, bdd.node_count()) == (order, table)
         assert bdd.sat_count(node, NAMES) == count
+        assert bdd.sat_count(system.initial_node, system.all_cur) == initial
+        assert system._reorder_at >= 2 * table
 
     def test_explicit_reorder_never_churn_skips(self):
         """A user-requested reorder always sifts, even tiny roots."""

@@ -10,7 +10,7 @@ constraint, and ``monolithic``, the whole conjunction in a single
 cluster — check each against the explicit engine on the equivalence
 corpus, compare what the relation computes byte-for-byte across the
 two, and pin that verdicts survive a forced variable reorder
-mid-analysis.
+mid-analysis and automatic reorders fired inside the fixpoints.
 """
 
 import json
@@ -22,6 +22,7 @@ from repro.engine import cross_check, symbolic
 from repro.engine.ctl import Verdict, check
 from repro.engine.equivalence import battery_texts
 from repro.engine.symbolic import symbolic_reachable
+from repro.obs import GLOBAL
 
 from tests.engine.test_symbolic_equivalence import CORPUS
 
@@ -97,7 +98,7 @@ class TestVerdictsSurviveReorder:
         props = ("AG !deadlock", "EF deadlock", "AG EF occurs(a0.start)")
         before = [check(model, text, strategy="symbolic").verdict
                   for text in props]
-        _compiled(model, mode).bdd.reorder()
+        _compiled(model, mode).reorder()
         after = [check(model, text, strategy="symbolic").verdict
                  for text in props]
         assert after == before
@@ -120,7 +121,7 @@ class TestVerdictsSurviveReorder:
             frontier += [system.successor(ids, step)
                          for step in steps[ids][0]]
         order = system.bdd.order
-        system.bdd.reorder()
+        system.reorder()
         assert system.bdd.order != order
         for fresh in (False, True):
             if fresh:
@@ -133,7 +134,19 @@ class TestVerdictsSurviveReorder:
         model = CORPUS["forkjoin-cap2"]()
         first = symbolic_reachable(model)
         count = first.count()
-        first.system.bdd.reorder()
+        first.system.reorder()
         model.clear_caches()
         again = symbolic_reachable(model)
         assert again.count() == count
+
+    def test_automatic_reorders_keep_the_corpus_equivalent(self,
+                                                           monkeypatch):
+        """With the automatic trigger armed at 20 nodes, reorders fire
+        at the fixpoint safe points of every corpus model, pinning the
+        iterates in flight: the explicit engine still agrees on each."""
+        monkeypatch.setattr(symbolic, "DEFAULT_AUTO_REORDER_THRESHOLD", 20)
+        sifts = GLOBAL.counter("bdd.reorders")
+        for name in sorted(CORPUS):
+            report = cross_check(CORPUS[name](), max_states=10_000)
+            assert report["mismatches"] == [], name
+        assert GLOBAL.counter("bdd.reorders") > sifts

@@ -2,7 +2,8 @@
 
 import random
 
-from repro.boolalg import And, Bdd, iter_models
+from repro.boolalg import And, Bdd, Var, iter_models
+from repro.engine import ExecutionModel
 from repro.lint import lint_handle
 from repro.lint.rules_ccsl import (
     leaf_runtimes,
@@ -32,6 +33,19 @@ class TestStatelessContradiction:
         assert {d.data["event"] for d in findings} == {"x", "y"}
         for finding in findings:
             assert finding.data["confirm"]["kind"] == "dead-event"
+
+    def test_contradiction_kills_every_constrained_event(self):
+        """No step at all satisfies ``a | b`` with its negation, however
+        the contradiction is spelled: both events are dead, also when
+        the conjunction folds to FALSE before the BDD sees it."""
+        a, b = Var("a"), Var("b")
+        for formulas in ([a | b, ~(a | b)], [a | b, ~a, ~b]):
+            runtimes = [FormulaRuntime(f"f{index}", formula)
+                        for index, formula in enumerate(formulas)]
+            model = ExecutionModel(["a", "b"], runtimes, name="contra")
+            assert model.acceptable_steps(include_empty=True) == []
+            findings = rules_of(load(model), "CCS001")
+            assert [d.data["event"] for d in findings] == ["a", "b"], formulas
 
     def test_plain_coincides_is_clean(self):
         handle = ccsl("coinc", ["x", "y"], [("Coincides", ("x", "y"))])

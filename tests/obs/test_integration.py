@@ -81,9 +81,21 @@ class TestEngineSpans:
         assert GLOBAL.counter("bdd.reorders") == before_runs + 1
         span = next(s for s in tracer.spans()
                     if s.name == "bdd.reorder")
-        assert span.attrs["auto"] is False
         assert span.attrs["sifted"] >= 1
         assert "bdd.reorder_s" in GLOBAL.snapshot()["latency"]
+
+    def test_automatic_sift_nests_under_its_iteration(self, tracer,
+                                                      monkeypatch):
+        """An automatic sift carries no flag of its own: the fixpoint
+        iteration that fired it is its parent span."""
+        from repro.engine import symbolic
+
+        monkeypatch.setattr(symbolic, "DEFAULT_AUTO_REORDER_THRESHOLD", 20)
+        workbench = make_workbench(["app"])
+        workbench.run(CheckSpec("app", "AG !deadlock", strategy="symbolic"))
+        parents = [span.name for span in tracer.spans()
+                   for child in span.children if child.name == "bdd.reorder"]
+        assert parents and set(parents) == {"symbolic.fixpoint.iteration"}
 
 
 class TestSerialBackend:

@@ -101,6 +101,11 @@ BAD_MODELS = [
     ("deployment-text-holding-a-path",
      {"frontend": "deployment", "application_text": CHAIN,
       "deployment_text": "board.dep"}, "deployment_text"),
+    # a place holding more initial tokens than its capacity
+    ("sigpml-place-over-full",
+     model_doc("application overfull {\n  agent a\n  agent b\n"
+               "  place a -> b push 1 pop 1 capacity 1 delay 3\n}"),
+     "capacity"),
 ]
 
 
