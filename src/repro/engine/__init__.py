@@ -207,13 +207,9 @@ from repro.engine.simulator import SimulationResult, simulate_model
 from repro.engine.explorer import explore
 from repro.engine.statespace import StateSpace
 from repro.engine.analysis import (
-    event_liveness,
     max_cycle_mean_throughput,
     parallelism_profile,
     simulated_throughput,
-    symbolic_check_variable_bound,
-    symbolic_deadlock_free,
-    symbolic_event_liveness,
     symbolic_variable_bounds,
     variable_bounds,
 )
@@ -242,12 +238,11 @@ __all__ = [
     "Trace",
     "SimulationResult", "simulate_model",
     "explore", "StateSpace",
-    "event_liveness", "parallelism_profile", "variable_bounds",
+    "parallelism_profile", "variable_bounds",
     "max_cycle_mean_throughput", "simulated_throughput",
     "symbolic_reachable", "ReachableSet", "TransitionSystem",
     "CompiledStateView", "LocalTable",
-    "symbolic_deadlock_free", "symbolic_event_liveness",
-    "symbolic_variable_bounds", "symbolic_check_variable_bound",
+    "symbolic_variable_bounds",
     "assert_equivalent", "cross_check",
     "check", "check_space", "parse_property", "replay_steps",
     "CheckResult", "Verdict",

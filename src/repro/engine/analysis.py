@@ -1,14 +1,16 @@
-"""Analyses over state spaces and execution models.
+"""Quantitative analyses over state spaces and execution models.
 
-Includes the steady-state throughput computation (maximum cycle mean,
-Karp's algorithm) used to compare deployments in the PAM study, plus
-liveness/boundedness helpers.
-
-The ``symbolic_*`` family answers invariant questions — deadlock
-freedom, event liveness, variable/buffer bounds — directly on the
-reachable-set BDD of :mod:`repro.engine.symbolic`, without ever
-concretizing a state graph: the cost scales with BDD size, not with
-the number of reachable states.
+Yes/no questions about the state space — deadlock freedom, event
+liveness, variable/buffer bounds — are CTL properties
+(:func:`~repro.engine.ctl.check`). These helpers answer what CTL cannot
+phrase: the steady-state throughput (maximum cycle mean, Karp's
+algorithm) used to compare deployments in the PAM study, latencies,
+the parallelism profile, exact variable bounds and the step-level
+mutual exclusion check. :func:`symbolic_variable_bounds` reads its
+min/max values off the reachable-set BDD of
+:mod:`repro.engine.symbolic`, without concretizing a state graph. Like
+the CTL atoms, the throughput and mutual-exclusion helpers refuse an
+event the model does not declare.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ from repro.engine.statespace import StateSpace
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
 
 
-def event_liveness(space: StateSpace) -> dict[str, bool]:
-    """Per-event liveness: does the event occur anywhere in the space?"""
-    alive = space.live_events()
-    return {event: event in alive for event in space.events}
+def _require_events(events, known, name: str) -> None:
+    """Refuse event names outside *known* — a typoed event must error,
+    never yield a definitive answer."""
+    unknown = [event for event in events if event not in known]
+    if unknown:
+        raise EngineError(
+            f"unknown event{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} in {name!r}; known: "
+            f"{sorted(known)}")
 
 
 def parallelism_profile(space: StateSpace) -> dict[str, float]:
@@ -93,6 +100,7 @@ def simulated_throughput(model: ExecutionModel, events: list[str],
     policy, giving a quick simulated estimate to compare against the
     exact :func:`max_cycle_mean_throughput`.
     """
+    _require_events(events, model.events, model.name)
     policy = policy if policy is not None else AsapPolicy()
     initial = model.snapshot()
     try:
@@ -109,6 +117,7 @@ def max_cycle_mean_throughput(space: StateSpace, event: str) -> float:
     with Karp's maximum cycle mean algorithm. Returns 0.0 when the space
     has no cycle.
     """
+    _require_events([event], space.events, space.name)
     best = Fraction(0)
     for component in space.recurrent_components():
         mean = _karp_max_cycle_mean(space, component, event)
@@ -189,28 +198,6 @@ def occurrence_latency(trace, cause: str, effect: str) -> list[int]:
     return latencies
 
 
-def symbolic_deadlock_free(model: ExecutionModel,
-                           include_empty: bool = False) -> bool:
-    """Whether the *complete* reachable set has a step out of every
-    state — verified on the fixpoint BDD, no state graph is built.
-
-    Raises :class:`~repro.errors.SymbolicEncodingError` when the model
-    cannot be finitely encoded (fall back to
-    ``explore(...).is_deadlock_free()`` in that case).
-    """
-    from repro.engine.symbolic import symbolic_reachable
-    return symbolic_reachable(
-        model, include_empty=include_empty).is_deadlock_free()
-
-
-def symbolic_event_liveness(model: ExecutionModel) -> dict[str, bool]:
-    """Per-event liveness over the complete reachable set, answered on
-    the reachable-set BDD (cf. :func:`event_liveness` for graphs)."""
-    from repro.engine.symbolic import symbolic_reachable
-    alive = symbolic_reachable(model).live_events()
-    return {event: event in alive for event in model.events}
-
-
 def symbolic_variable_bounds(model: ExecutionModel
                              ) -> dict[str, tuple[int, int]]:
     """Min/max value per automaton variable over the complete reachable
@@ -232,30 +219,6 @@ def symbolic_variable_bounds(model: ExecutionModel
     return bounds
 
 
-def symbolic_check_variable_bound(model: ExecutionModel, variable: str,
-                                  low: int | None = None,
-                                  high: int | None = None) -> bool:
-    """Verify ``low <= variable <= high`` over every reachable state.
-
-    *variable* is ``"<constraint label>.<variable name>"`` — e.g. a
-    place's occupancy counter, making this the buffer-bound verifier:
-    ``symbolic_check_variable_bound(model,
-    "PlaceLimitation@Place:a_b.size", high=capacity)``. Answered on the
-    reachable-set BDD.
-    """
-    bounds = symbolic_variable_bounds(model)
-    if variable not in bounds:
-        raise EngineError(
-            f"no automaton variable {variable!r}; known: "
-            f"{sorted(bounds) or '(none)'}")
-    observed_low, observed_high = bounds[variable]
-    if low is not None and observed_low < low:
-        return False
-    if high is not None and observed_high > high:
-        return False
-    return True
-
-
 def check_mutual_exclusion(space: StateSpace, events: list[str]) -> Verdict:
     """Whether no transition step takes two of *events* at once — used
     to verify processor mutual exclusion after deployment.
@@ -264,8 +227,10 @@ def check_mutual_exclusion(space: StateSpace, events: list[str]) -> Verdict:
     *enabled*, not *taken*). ``FAILS`` on an explored violating step,
     which is a real acceptable step even on a partial space; without
     one, ``UNKNOWN`` on a truncated or ``maximal_only`` space and
-    ``HOLDS`` on a complete one.
+    ``HOLDS`` on a complete one. An event the space does not declare
+    raises :class:`~repro.errors.EngineError`, as the CTL atoms do.
     """
+    _require_events(events, space.events, space.name)
     event_set = set(events)
     for _source, step, _target in space.edges():
         if len(step & event_set) > 1:

@@ -12,9 +12,11 @@ State spaces — :func:`cross_check` explores one model and concretizes
 its compiled symbolic system
 (:meth:`~repro.engine.symbolic.TransitionSystem.to_statespace`):
 states, transitions, truncation and serialized bytes must be
-identical, and on an untruncated full-branching exploration the
-symbolic fixpoint must match the state count, deadlocks and dead
-events. :func:`assert_equivalent` raises
+identical. On an untruncated full-branching exploration the symbolic
+CTL checker's own sets — its reachable set, its ``deadlock`` set and
+its ``occurs(e)`` atoms, which every symbolic check reads — must match
+the explored state count and keys, deadlocks and dead events.
+:func:`assert_equivalent` raises
 :class:`~repro.errors.EquivalenceError` on any mismatch.
 
 Properties — :func:`property_findings` compares one property's
@@ -93,9 +95,10 @@ def cross_check(
 
     Returns a report dictionary with the compared metrics and a
     ``mismatches`` list (empty means the backends agree). Alongside
-    the two graphs, the symbolic fixpoint is checked against the
-    explicit state count and deadlock verdict whenever the comparison
-    is meaningful (untruncated, full branching).
+    the two graphs, the sets the symbolic checker evaluates with
+    (reachable states, ``deadlock``, ``occurs(e)`` per event) are
+    checked against the explored space whenever the comparison is
+    meaningful (untruncated, full branching).
     *properties* overrides the checked property texts: ``None`` runs
     the instantiated :data:`PROPERTY_BATTERY`, an explicit list (the
     fuzz harness passes generated formulas) runs exactly those, and an
@@ -108,7 +111,8 @@ def cross_check(
         maximal_only=maximal_only,
     )
     explicit = explore(model, **budgets)
-    symbolic = model.kernel.transition_system(model).to_statespace(**budgets)
+    system = model.kernel.transition_system(model)
+    symbolic = system.to_statespace(**budgets)
     mismatches: list[str] = []
 
     def check(what: str, left, right) -> None:
@@ -132,18 +136,18 @@ def cross_check(
     }
 
     if not explicit.truncated and max_depth is None and not maximal_only:
-        from repro.engine.symbolic import symbolic_reachable
-
-        reachable = symbolic_reachable(model, include_empty=include_empty)
+        checker = ctl._symbolic_checker(system, include_empty)
+        reachable = checker.reached
+        dead = checker.sat(ctl.Deadlock())
+        zero = system.bdd.zero
         check("fixpoint state count", explicit.n_states, reachable.count())
         check("fixpoint keys", set(explicit.keys), set(reachable.states()))
-        check(
-            "deadlock freedom",
-            explicit.is_deadlock_free(),
-            reachable.is_deadlock_free(),
-        )
-        check("deadlock count", len(explicit.deadlocks()), reachable.deadlock_count())
-        check("dead events", explicit.dead_events(), reachable.dead_events())
+        check("deadlock freedom", explicit.is_deadlock_free(), dead == zero)
+        check("deadlock count", len(explicit.deadlocks()), system.count_states(dead))
+        dead_events = {
+            event for event in system.events if checker.sat(ctl.Occurs(event)) == zero
+        }
+        check("dead events", explicit.dead_events(), dead_events)
         report["fixpoint"] = {"states": reachable.count(), "depth": reachable.depth}
         if properties is None or properties:
             report["properties"] = []

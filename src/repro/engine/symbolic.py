@@ -38,16 +38,18 @@ The pipeline:
    nodes, and every image and preimage is a clustered relational
    product with early quantification (Burch, Clarke & Long 1991).
 4. **Frontier fixpoint.** ``R_{k+1} = R_k ∨ rename(∃ state, events:
-   T ∧ F_k)`` iterated until the frontier empties, with per-layer
-   bookkeeping so depth/state budgets behave like the explicit BFS.
+   T ∧ F_k)`` iterated until the frontier empties, keeping each BFS
+   layer (the states first reached at each depth).
 
-Set-level queries (state counts, deadlock freedom, event liveness,
-variable/buffer bounds) are answered *directly on the reachable-set
-BDD* without concretizing, and :meth:`TransitionSystem.preimage` — the
-backward relational product paired with :meth:`~TransitionSystem.image`
-— gives the CTL checker of :mod:`repro.engine.ctl` its EX/EF/EG/EU
-fixpoints on the same relation. On-demand concretization back to an
-explicit :class:`~repro.engine.statespace.StateSpace`
+Counts and projections — state and layer counts, membership,
+enumeration, one constraint's reachable local states — are read off
+the reachable-set BDD without concretizing. Deadlock, event liveness
+and variable bounds are CTL atoms (``deadlock``, ``occurs(e)``,
+``var(label.name) op k``), answered on the same set by the checker of
+:mod:`repro.engine.ctl`, whose EX/EF/EG/EU fixpoints run on
+:meth:`TransitionSystem.preimage` — the backward relational product
+paired with :meth:`~TransitionSystem.image`. On-demand concretization
+back to an explicit :class:`~repro.engine.statespace.StateSpace`
 (:meth:`TransitionSystem.to_statespace`) runs the very same BFS loop as
 :func:`~repro.engine.explorer.explore`, over a
 :class:`~repro.engine.tables.CompiledStateView` of the closed tables;
@@ -493,21 +495,21 @@ class TransitionSystem(TableStepper):
 
     # -- fixpoint ----------------------------------------------------------
 
-    def reachable(self, include_empty: bool = False,
-                  max_depth: int | None = None,
-                  max_states: int | None = None) -> "ReachableSet":
-        """Frontier-based fixpoint iteration from the initial state."""
+    def reachable_set(self, include_empty: bool = False) -> "ReachableSet":
+        """The reachable set, by frontier fixpoint iteration from the
+        initial state, cached on this system — repeated analyses of one
+        model family (the property battery, successive ``check()``
+        calls) share one fixpoint run."""
+        cached = self._reachable_cache.get(include_empty)
+        if cached is not None:
+            return cached
         bdd = self.bdd
         reached = self.initial_node
         frontier = self.initial_node
         layers = [self.initial_node]
-        truncated = False
         depth = 0
         with obs.span("symbolic.fixpoint", model=self.name) as trace:
             while frontier != bdd.zero:
-                if max_depth is not None and depth >= max_depth:
-                    truncated = True
-                    break
                 with obs.span("symbolic.fixpoint.iteration",
                               depth=depth) as step:
                     successors = self.image(frontier, include_empty)
@@ -523,25 +525,12 @@ class TransitionSystem(TableStepper):
                         # it when someone is collecting the spans
                         step.set(frontier_nodes=bdd.size(frontier),
                                  reached_nodes=bdd.size(reached))
-                    if max_states is not None and self.count_states(
-                            reached) > max_states:
-                        truncated = True
-                        break
                     self._maybe_reorder(reached, *layers)
-            trace.set(iterations=depth, truncated=truncated,
+            trace.set(iterations=depth,
                       nodes=bdd.size(reached) if obs.tracing_active()
                       else None)
-        return ReachableSet(self, reached, layers, truncated, include_empty)
-
-    def reachable_set(self, include_empty: bool = False) -> "ReachableSet":
-        """The *complete* (budget-free) reachable set, cached on this
-        system — repeated analyses of one model family (the property
-        battery, successive ``check()`` calls) share one fixpoint run.
-        """
-        cached = self._reachable_cache.get(include_empty)
-        if cached is None:
-            cached = self.reachable(include_empty=include_empty)
-            self._reachable_cache[include_empty] = cached
+        cached = ReachableSet(self, reached, layers)
+        self._reachable_cache[include_empty] = cached
         return cached
 
     # -- decoding ----------------------------------------------------------
@@ -565,9 +554,6 @@ class TransitionSystem(TableStepper):
             for bit, name in enumerate(self.cur_names[index]):
                 assignment[name] = bool(ids[index] >> bit & 1)
         return assignment
-
-    def state_bits(self) -> int:
-        return len(self.all_cur)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -596,21 +582,22 @@ class TransitionSystem(TableStepper):
 
 
 class ReachableSet:
-    """The reachable configuration set as a BDD, plus layer structure.
+    """The complete reachable configuration set as a BDD, plus its BFS
+    layers — a plain value that the fixpoint returns.
 
-    All queries answer on the symbolic set without concretizing; use
+    Counts, membership, enumeration and per-constraint projections are
+    read off the set without concretizing. It answers no questions:
+    deadlock, liveness and bounds are CTL atoms
+    (:func:`~repro.engine.ctl.check`), and
     :meth:`TransitionSystem.to_statespace` or
-    :func:`~repro.engine.explorer.explore` when the explicit graph is
-    needed.
+    :func:`~repro.engine.explorer.explore` give the explicit graph.
     """
 
     def __init__(self, system: TransitionSystem, node: int,
-                 layers: list[int], truncated: bool, include_empty: bool):
+                 layers: list[int]):
         self.system = system
         self.node = node
         self.layers = layers
-        self.truncated = truncated
-        self.include_empty = include_empty
 
     @property
     def depth(self) -> int:
@@ -627,43 +614,6 @@ class ReachableSet:
     def contains(self, ids: Sequence[int]) -> bool:
         return self.system.bdd.evaluate(
             self.node, self.system.encode_assignment(ids))
-
-    def _require_complete(self, what: str) -> None:
-        if self.truncated:
-            raise EngineError(
-                f"{what} needs the complete reachable set; this fixpoint "
-                f"was truncated by its depth/state budget")
-
-    # -- invariant checks (answered on the BDD) ----------------------------
-
-    def deadlock_node(self) -> int:
-        """States in the set with no outgoing step (per the exploration
-        semantics: non-empty steps, plus configuration-changing empty
-        steps when the set was computed with ``include_empty``)."""
-        self._require_complete("deadlock analysis")
-        bdd = self.system.bdd
-        can_step = self.system.can_step_node(self.include_empty)
-        return bdd.apply_and(self.node, bdd.apply_not(can_step))
-
-    def deadlock_count(self) -> int:
-        return self.system.count_states(self.deadlock_node())
-
-    def is_deadlock_free(self) -> bool:
-        return self.deadlock_node() == self.system.bdd.zero
-
-    def live_events(self) -> set[str]:
-        """Events occurring on at least one transition from the set."""
-        self._require_complete("liveness analysis")
-        bdd = self.system.bdd
-        alive = set()
-        for event in self.system.events:
-            occurs = self.system.occurs_node(event, self.include_empty)
-            if bdd.apply_and(self.node, occurs) != bdd.zero:
-                alive.add(event)
-        return alive
-
-    def dead_events(self) -> set[str]:
-        return set(self.system.events) - self.live_events()
 
     def local_states(self, constraint: int | str) -> list[Hashable]:
         """Reachable local ``state_key()`` values of one constraint —
@@ -695,7 +645,7 @@ class ReachableSet:
                 ids.add(local_id)
         return [table.keys[local_id] for local_id in sorted(ids)]
 
-    # -- enumeration / concretization --------------------------------------
+    # -- enumeration -------------------------------------------------------
 
     def states(self) -> Iterator[tuple]:
         """Enumerate reachable configuration keys (deterministic order)."""
@@ -709,38 +659,20 @@ class ReachableSet:
                     if model[name]))
             yield system.decode_key(ids)
 
-    def summary(self) -> dict[str, object]:
-        data: dict[str, object] = {
-            "states": self.count(),
-            "depth": self.depth,
-            "state_bits": self.system.state_bits(),
-            "bdd_nodes": self.system.bdd.node_count(),
-            "truncated": self.truncated,
-        }
-        if not self.truncated:
-            data["deadlocks"] = self.deadlock_count()
-            data["dead_events"] = sorted(self.dead_events())
-        return data
-
     def __repr__(self):
-        status = " (truncated)" if self.truncated else ""
         return (f"ReachableSet({self.system.name!r}, {self.count()} "
-                f"states, depth {self.depth}{status})")
+                f"states, depth {self.depth})")
 
 
-def symbolic_reachable(model, include_empty: bool = False,
-                       max_depth: int | None = None,
-                       max_states: int | None = None) -> ReachableSet:
-    """The reachable configuration set of *model*, by fixpoint iteration.
+def symbolic_reachable(model, include_empty: bool = False) -> ReachableSet:
+    """The complete reachable configuration set of *model*, by fixpoint
+    iteration.
 
-    The compiled system is cached on the model's symbolic kernel; the
-    fixpoint itself is recomputed per call (budgets differ). Raises
-    :class:`~repro.errors.SymbolicEncodingError` when the model cannot
-    be finitely encoded (:func:`~repro.engine.explorer.explore` needs no
-    encoding, and ``check(strategy="auto")`` falls back to it).
+    The compiled system and its fixpoint are cached on the model's
+    symbolic kernel, so clones and later symbolic checks share them.
+    Raises :class:`~repro.errors.SymbolicEncodingError` when the model
+    cannot be finitely encoded (:func:`~repro.engine.explorer.explore`
+    needs no encoding, and ``check(strategy="auto")`` falls back to it).
     """
     system = model.kernel.transition_system(model)
-    if max_depth is None and max_states is None:
-        return system.reachable_set(include_empty=include_empty)
-    return system.reachable(include_empty=include_empty,
-                            max_depth=max_depth, max_states=max_states)
+    return system.reachable_set(include_empty=include_empty)

@@ -5,7 +5,9 @@ One *exact bounded local walk* per
 answers both rules, so :func:`rule_automaton_walk` is registered under
 MOC001 and MOC002: a BFS over ``(state, variables)`` configurations
 via ``snapshot``/``restore`` on a clone, presenting every subset of the
-instance's (small) local alphabet as a candidate step. The walk
+instance's (small) local alphabet as a candidate step — the empty one
+too, as the engine's own closure does, since a transition without
+``when`` events fires on a step that leaves the alphabet out. The walk
 over-approximates what the instance sees inside the full model (global
 constraints can only *remove* steps), so states it never reaches are
 truly unreachable — but a reported guard overlap might not be
@@ -35,7 +37,7 @@ def local_walk(runtime: AutomatonRuntime) -> dict | None:
     if len(alphabet) > _MAX_LOCAL_ALPHABET:
         return None
     steps = []
-    for mask in range(1, 2 ** len(alphabet)):
+    for mask in range(2 ** len(alphabet)):
         steps.append(frozenset(
             event for index, event in enumerate(alphabet)
             if mask >> index & 1))

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.engine import cross_check, symbolic
+from repro.engine import ctl, cross_check, symbolic
 from repro.engine.ctl import Verdict, check
 from repro.engine.equivalence import battery_texts
 from repro.engine.symbolic import symbolic_reachable
@@ -45,14 +45,20 @@ def _compiled(model, mode):
 
 def _relation_artifacts(model):
     """Everything the relation computes for *model*: the reachable
-    fixpoint layer by layer and the symbolic verdicts and witness
-    traces of the property battery."""
-    reachable = symbolic_reachable(model)
+    fixpoint layer by layer, the checker's deadlock and ``occurs``
+    sets (read the way ``cross_check`` reads them) and the symbolic
+    verdicts and witness traces of the property battery."""
+    system = model.kernel.transition_system(model)
+    checker = ctl._symbolic_checker(system, False)
+    reachable = checker.reached
+    zero = system.bdd.zero
     return {
         "layers": reachable.layer_counts(),
         "states": sorted(map(repr, reachable.states())),
-        "deadlocks": reachable.deadlock_count(),
-        "dead_events": sorted(reachable.dead_events()),
+        "deadlocks": system.count_states(checker.sat(ctl.Deadlock())),
+        "dead_events": sorted(
+            event for event in system.events
+            if checker.sat(ctl.Occurs(event)) == zero),
         "checks": [check(model, text, strategy="symbolic").to_doc()
                    for text in battery_texts(model)],
     }

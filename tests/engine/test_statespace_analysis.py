@@ -9,25 +9,33 @@ from repro.engine import (
     ExecutionModel,
     StateSpace,
     Trace,
-    event_liveness,
     explore,
     max_cycle_mean_throughput,
     parallelism_profile,
     simulate_model,
 )
-from repro.engine.analysis import occurrence_latency
+from repro.engine.analysis import (
+    check_mutual_exclusion,
+    occurrence_latency,
+    simulated_throughput,
+)
 from repro.engine.explorer import _maximal_steps
+from repro.errors import EngineError
 from repro.sdf import SdfBuilder, weave_sdf
 
 
-def pipeline_space(maximal_only=False, length=3, capacity=2):
+def pipeline_model(length=3, capacity=2):
     builder = SdfBuilder("pipe")
     for index in range(length):
         builder.agent(f"a{index}")
     for index in range(length - 1):
         builder.connect(f"a{index}", f"a{index+1}", capacity=capacity)
     model, _app = builder.build()
-    return explore(weave_sdf(model).execution_model,
+    return weave_sdf(model).execution_model
+
+
+def pipeline_space(maximal_only=False, length=3, capacity=2):
+    return explore(pipeline_model(length, capacity),
                    maximal_only=maximal_only, max_states=50_000)
 
 
@@ -59,9 +67,8 @@ class TestStateSpaceMetrics:
 
     def test_event_liveness(self):
         space = pipeline_space()
-        liveness = event_liveness(space)
-        assert liveness["a0.start"] is True
-        assert liveness["a0.isExecuting"] is False  # cycles = 0
+        assert "a0.start" in space.live_events()
+        assert "a0.isExecuting" in space.dead_events()  # cycles = 0
 
     def test_parallelism_profile(self):
         space = pipeline_space()
@@ -69,6 +76,22 @@ class TestStateSpaceMetrics:
         assert profile["max"] >= 3.0
         assert 0 < profile["mean"] <= profile["max"]
         assert profile["transitions"] == float(space.n_transitions)
+
+
+class TestUnknownEvents:
+    """A misspelt event is refused, as the CTL atoms refuse it, instead
+    of answering as if the event never occurred."""
+
+    @pytest.mark.parametrize("analysis", [
+        lambda model: check_mutual_exclusion(explore(model),
+                                             ["a0.start", "a1.strat"]),
+        lambda model: max_cycle_mean_throughput(explore(model), "a1.strat"),
+        lambda model: simulated_throughput(model, ["a1.strat"]),
+    ], ids=["mutual-exclusion", "max-cycle-mean", "simulated-throughput"])
+    def test_misspelt_event_raises(self, analysis):
+        with pytest.raises(EngineError,
+                           match=r"unknown event 'a1\.strat' in .*known: "):
+            analysis(pipeline_model(length=2))
 
 
 def hand_space(n_states, edges):

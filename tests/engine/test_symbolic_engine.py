@@ -1,6 +1,6 @@
 """Unit tests of the symbolic fixpoint engine itself: local closure,
 variable-order heuristic, relation encoding, fixpoint iteration,
-BDD-level invariant checks, and kernel-level caching."""
+symbolic CTL checks of invariants, and kernel-level caching."""
 
 import pytest
 
@@ -8,10 +8,9 @@ from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.engine import (
     ExecutionModel,
     CompiledStateView,
+    Verdict,
+    check,
     explore,
-    symbolic_check_variable_bound,
-    symbolic_deadlock_free,
-    symbolic_event_liveness,
     symbolic_reachable,
     symbolic_variable_bounds,
 )
@@ -128,18 +127,6 @@ class TestFixpoint:
     def test_layer_counts_sum_to_total(self):
         reachable = symbolic_reachable(chain_model(3))
         assert sum(reachable.layer_counts()) == reachable.count()
-        assert not reachable.truncated
-
-    def test_depth_budget_truncates(self):
-        reachable = symbolic_reachable(chain_model(3), max_depth=1)
-        assert reachable.truncated
-        with pytest.raises(EngineError, match="complete reachable set"):
-            reachable.is_deadlock_free()
-
-    def test_state_budget_truncates(self):
-        reachable = symbolic_reachable(chain_model(4), max_states=3)
-        assert reachable.truncated
-        assert reachable.count() > 3  # stopped after the violating layer
 
     def test_states_enumeration_matches_graph(self):
         model = chain_model(3)
@@ -157,17 +144,12 @@ class TestFixpoint:
         assert system.to_statespace().to_json() == \
             explore(model).to_json()
 
-    def test_summary_fields(self):
-        summary = symbolic_reachable(chain_model(3)).summary()
-        assert summary["states"] == 9
-        assert summary["deadlocks"] == 0
-        assert not summary["truncated"]
-        assert summary["state_bits"] > 0
-
 
 class TestSymbolicAnalyses:
     def test_deadlock_free_chain(self):
-        assert symbolic_deadlock_free(chain_model(3))
+        result = check(chain_model(3), "AG !deadlock", strategy="symbolic")
+        assert result.verdict is Verdict.HOLDS
+        assert result.states == 9
 
     def test_deadlocking_model(self):
         # a must lead and b must lead: no first step at all
@@ -175,14 +157,17 @@ class TestSymbolicAnalyses:
             ["a", "b"],
             [AlternatesRuntime("a", "b"), AlternatesRuntime("b", "a")],
             name="deadlock")
-        assert not symbolic_deadlock_free(model)
+        assert check(model, "AG !deadlock",
+                     strategy="symbolic").verdict is Verdict.FAILS
         assert not explore(model).is_deadlock_free()
 
     def test_liveness_matches_graph(self):
-        from repro.engine import event_liveness
         model = chain_model(3)
-        assert symbolic_event_liveness(model) == \
-            event_liveness(explore(model))
+        alive = {event for event in model.events
+                 if check(model, f"EF occurs({event})",
+                          strategy="symbolic").verdict is Verdict.HOLDS}
+        assert alive == explore(model).live_events()
+        assert alive < set(model.events)  # the isExecuting events are dead
 
     def test_variable_bounds_match_graph(self):
         from repro.engine import variable_bounds
@@ -194,14 +179,15 @@ class TestSymbolicAnalyses:
         model = chain_model(3, capacity=2)
         label = next(c.label for c in model.constraints
                      if "Place" in c.label)
-        assert symbolic_check_variable_bound(model, f"{label}.size",
-                                             low=0, high=2)
-        assert not symbolic_check_variable_bound(model, f"{label}.size",
-                                                 high=1)
+        assert check(model, f"AG var({label}.size) <= 2",
+                     strategy="symbolic").verdict is Verdict.HOLDS
+        assert check(model, f"AG var({label}.size) <= 1",
+                     strategy="symbolic").verdict is Verdict.FAILS
 
     def test_unknown_variable_raises(self):
-        with pytest.raises(EngineError, match="no automaton variable"):
-            symbolic_check_variable_bound(chain_model(2), "nope.var")
+        with pytest.raises(EngineError, match="no constraint labelled"):
+            check(chain_model(2), "AG var(nope.var) <= 1",
+                  strategy="symbolic")
 
     def test_local_states_by_label(self):
         model = chain_model(3, capacity=2)

@@ -2,9 +2,9 @@
 
 Every model family in the corpus is cross-checked — identical state
 spaces (states, transitions, serialized bytes, truncation frontiers)
-plus the pure fixpoint's state count, deadlock verdict and event
-liveness. A mismatch anywhere is a bug in the symbolic engine, never an
-acceptable difference.
+plus the symbolic checker's own reachable set, deadlock set and
+``occurs`` atoms. A mismatch anywhere is a bug in the symbolic engine,
+never an acceptable difference.
 """
 
 import pytest
@@ -243,6 +243,38 @@ class TestCrossCheckIsStrict:
         assert not report["agree"]
         assert any("not a valid schedule prefix" in m
                    for m in report["mismatches"])
+
+
+class TestHarnessChecksTheChecker:
+    """``cross_check`` reads the sets the symbolic checker evaluates
+    every check with, so a fault in a checker atom is a mismatch even
+    where no checked property reads that atom."""
+
+    def test_empty_deadlock_set_is_a_mismatch(self, monkeypatch):
+        class FaultyChecker(ctl._SymbolicChecker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.dead = self.system.bdd.zero
+
+        monkeypatch.setattr(ctl, "_SymbolicChecker", FaultyChecker)
+        report = cross_check(CORPUS["chain3-strict"](), properties=[])
+        assert any(m.startswith("deadlock count")
+                   for m in report["mismatches"]), report["mismatches"]
+
+    def test_empty_occurs_atom_is_a_mismatch(self, monkeypatch):
+        model = CORPUS["chain3-cap2"]()
+        last = ctl.Occurs(sorted(model.events)[-1])
+
+        class FaultyChecker(ctl._SymbolicChecker):
+            def _eval(self, prop):
+                if prop == last:
+                    return self.system.bdd.zero
+                return super()._eval(prop)
+
+        monkeypatch.setattr(ctl, "_SymbolicChecker", FaultyChecker)
+        report = cross_check(model)
+        assert any(m.startswith("dead events")
+                   for m in report["mismatches"]), report["mismatches"]
 
 
 class TestNonEncodableModels:

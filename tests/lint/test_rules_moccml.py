@@ -1,10 +1,12 @@
 """MoCCML rules: the exact bounded local walk over automaton instances."""
 
+from repro.engine.tables import LocalTable
 from repro.lint import lint_handle
 from repro.lint.rules_ccsl import leaf_runtimes
 from repro.lint.rules_moccml import local_walk
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
 from repro.workbench import MoccmlSpec, load
+from tests.lint.test_artifact_pins import lint_corpus
 
 LIBRARY = """
 library LintLib {
@@ -27,10 +29,41 @@ library LintLib {
 """
 
 
-def moccml(name, events, constraints):
+#: transitions without ``when`` events fire on the empty projection
+EMPTY_STEP_LIBRARY = """
+library EmptyStepLib {
+  declaration Hop(a: event, b: event)
+  automaton HopDef implements Hop {
+    initial state S1
+    state S2
+    transition S1 -> S2 unless {a, b}
+    transition S2 -> S1 when {a} unless {b}
+  }
+  declaration Fork(a: event, b: event)
+  automaton ForkDef implements Fork {
+    initial state S1
+    state S2
+    transition S1 -> S2 unless {a}
+    transition S1 -> S1 unless {b}
+  }
+}
+"""
+
+
+def moccml(name, events, constraints, library=LIBRARY):
     return load(MoccmlSpec(name=name, events=events,
                            constraints=constraints,
-                           library_text=LIBRARY))
+                           library_text=library))
+
+
+def hop():
+    return moccml("hop", ["a", "b", "c"], [("Hop", ("a", "b"))],
+                  EMPTY_STEP_LIBRARY)
+
+
+def fork():
+    return moccml("fork", ["a", "b"], [("Fork", ("a", "b"))],
+                  EMPTY_STEP_LIBRARY)
 
 
 def rules_of(handle, rule):
@@ -65,6 +98,30 @@ class TestOverlappingGuards:
     def test_deterministic_automaton_is_clean(self):
         handle = moccml("gated", ["x", "y"], [("Gate", ("x", "y"))])
         assert rules_of(handle, "MOC002") == []
+
+
+class TestEmptyProjection:
+    def test_unless_only_transition_reaches_its_target(self):
+        # S1 -> S2 fires on step {c}, whose projection on Hop is empty
+        assert rules_of(hop(), "MOC001") == []
+
+    def test_overlap_on_the_empty_step_is_moc002(self):
+        [finding] = rules_of(fork(), "MOC002")
+        assert finding.data["state"] == "S1"
+        assert finding.data["step"] == []
+        assert finding.data["transitions"] == ["S1->S2", "S1->S1"]
+
+    def test_walk_matches_the_engine_closure(self):
+        handles = [*lint_corpus().values(), hop(), fork()]
+        runtimes = [runtime for handle in handles
+                    if handle.execution_model is not None
+                    for runtime in leaf_runtimes(handle.execution_model)
+                    if isinstance(runtime, AutomatonRuntime)]
+        assert len(runtimes) > 200
+        for runtime in runtimes:
+            closed = LocalTable(0, runtime).close(2048)
+            assert local_walk(runtime)["states"] == {
+                key[1] for key in closed.keys}, runtime.label
 
 
 class TestWalkBounds:
