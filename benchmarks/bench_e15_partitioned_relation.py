@@ -14,8 +14,12 @@ with early quantification.
 
 What stays measured here: the ``torus(6,6)`` infeasibility pin (the
 exact fixpoint and deadlock verdict within the checkable budget), an
-explicit-vs-symbolic agreement check on the bench family, and the
-clustered cost growth along ``torus(3,3)``..``torus(4,5)``.
+explicit-vs-symbolic agreement check on the bench family, the
+clustered cost growth along ``torus(3,3)``..``torus(4,5)``, and
+explicit exploration of ``torus(4,4)`` and ``torus(5,5)``: with 112 and
+175 constraints, of which a step names about a tenth, they are the
+widest models any bench explores explicitly, so they show whether a
+successor costs what its step names or what the model holds.
 
 Each torus edge that wraps around carries one pipeline delay token
 (plus one unit of slack capacity), the classic software-pipelining
@@ -27,7 +31,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.engine import Verdict, check
+from repro.engine import Verdict, check, explore
 from repro.engine.symbolic import TransitionSystem, symbolic_reachable
 from repro.sdf import SdfBuilder, weave_sdf
 
@@ -41,6 +45,9 @@ CHECKABLE_BUDGET_S = 120.0
 #: needed >30s and ~8M nodes); the clustered product computes the exact
 #: 2772-state fixpoint in ~17s.
 INFEASIBLE_CONFIG = (6, 6)
+
+#: reachable states of explicit exploration per torus size
+EXPLICIT_STATES = {(4, 4): 140, (5, 5): 630}
 
 
 def torus(rows: int, cols: int, capacity: int = 1):
@@ -106,3 +113,16 @@ def bench_torus_scaling_partitioned(benchmark, size):
 
     system = benchmark.pedantic(fixpoint, rounds=1, iterations=1)
     benchmark.extra_info["engine"] = obs.engine_snapshot(system)
+
+
+@pytest.mark.benchmark(group="e15-explicit")
+@pytest.mark.parametrize("size", sorted(EXPLICIT_STATES),
+                         ids=lambda size: f"{size[0]}x{size[1]}")
+def bench_explore_torus_explicit(benchmark, size):
+    """Explicit BFS over the kernel's local tables on a wide model, cold
+    tables and memos every round (a fresh model per round)."""
+    rows, cols = size
+    space = benchmark.pedantic(explore, setup=lambda: (
+        (torus(rows, cols),), {"max_states": 10_000}), rounds=3)
+    assert space.n_states == EXPLICIT_STATES[size]
+    assert not space.truncated

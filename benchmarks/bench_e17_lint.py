@@ -1,17 +1,21 @@
-"""E17 — static analysis: lint is orders of magnitude cheaper than
-exploration, and never wrong about what the engine would do.
+"""E17 — static analysis: lint is cheap in absolute terms, and never
+wrong about what the engine would do.
 
 The claim: over a mixed 30-model corpus (SigPML chains, diamonds and
 multirate graphs plus CCSL specifications, encodable and not), a full
-``lint_handle`` pass is at least **50x** cheaper than exploring the
-same models, and the encodability predictor agrees with the actual
-symbolic compile on **100%** of the corpus.
+``lint_handle`` pass costs at most **3.5 ms per model**, and the
+encodability predictor agrees with the actual symbolic compile on
+**100%** of the corpus.
 
 Pinned by sanity tests and measured by benchmarks:
 
-1. **Lint >= 50x cheaper than exploration.** Both passes run over the
-   identical corpus; the wall-time ratio rides
-   ``extra_info["engine"]`` into ``BENCH_engine.json``.
+1. **Lint within its budget.** The fastest of five lint passes over the
+   corpus, divided by the model count, stays within
+   ``LINT_BUDGET_MS_PER_MODEL``. The budget bounds lint itself: the
+   explore-over-lint ratio this bench used to floor at 50x fell
+   whenever exploration got faster, with nothing in lint regressed. The
+   ratio is still printed, and rides ``extra_info["engine"]`` into
+   ``BENCH_engine.json``.
 2. **Predictor agreement is total.** ``predict(model).encodable``
    matches whether the symbolic backend actually compiles, model by
    model — no misses, in either direction
@@ -30,7 +34,13 @@ from repro.engine.equivalence import check_encodability
 from repro.lint import crosscheck_corpus, lint_handle
 from repro.workbench import CcslSpec, load
 
-SPEEDUP_FLOOR = 50.0
+#: mean lint cost per model, in ms, of the fastest of ``LINT_PASSES``
+#: passes over the corpus. Six readings at the commit that set it read
+#: 1.42-2.14 (single passes 1.42-2.28) on a 2-vCPU VM whose speed swings
+#: up to 2x; the budget leaves 1.6x over the slowest of them, and a
+#: ``lint_handle`` three times slower reads above 4.2 on every reading.
+LINT_BUDGET_MS_PER_MODEL = 3.5
+LINT_PASSES = 5
 MODEL_COUNT = 30
 EXPLORE_BUDGET = 2500
 
@@ -114,15 +124,16 @@ def explore_pass(handles) -> float:
 
 
 class TestLintContract:
-    def test_lint_at_least_50x_cheaper_than_exploration(self):
+    def test_lint_within_its_budget_per_model(self):
         handles = build_corpus()
         lint_pass(handles)  # warm the rule registry import
-        lint_s = lint_pass(handles)
+        lint_s = min(lint_pass(handles) for _ in range(LINT_PASSES))
         explore_s = explore_pass(handles)
-        ratio = explore_s / lint_s
-        print(f"\nlint: {lint_s * 1000:.1f}ms  "
-              f"explore: {explore_s * 1000:.1f}ms  ratio: {ratio:.0f}x")
-        assert ratio >= SPEEDUP_FLOOR
+        per_model_ms = lint_s * 1000 / MODEL_COUNT
+        print(f"\nlint: {lint_s * 1000:.1f}ms ({per_model_ms:.2f}ms/model)  "
+              f"explore: {explore_s * 1000:.1f}ms  "
+              f"ratio: {explore_s / lint_s:.0f}x")
+        assert per_model_ms <= LINT_BUDGET_MS_PER_MODEL
 
     def test_predictor_agreement_is_total(self):
         misses = []

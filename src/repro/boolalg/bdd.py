@@ -78,6 +78,11 @@ class Bdd:
         #: commutative operands id-ordered — level-keyed, so
         #: invalidated on reorder.
         self._andex_cache: dict[frozenset[int], dict[int, int]] = {}
+        #: cross-call :meth:`max_true_model` memo: per variable set (the
+        #: tuple a caller passed), its names, the position of each of
+        #: their levels, and ``{node: (score, value, child)}`` — level-
+        #: keyed, so invalidated on reorder.
+        self._max_model_cache: dict[tuple[str, ...], tuple] = {}
         #: from_expr memo — a *bounded* LRU: expression objects can be
         #: created in unbounded numbers by long-running sessions (every
         #: clone/discard cycle of a stateful model contributes fresh
@@ -284,7 +289,12 @@ class Bdd:
         return {"ite": len(self._ite_cache), "expr": len(self._expr_cache),
                 "exists": sum(map(len, self._exists_cache.values())),
                 "and_exists": sum(map(len, self._andex_cache.values())),
+                "max_model": self._max_model_size(),
                 "not": len(self._not_cache)}
+
+    def _max_model_size(self) -> int:
+        return sum(len(best) for _names, _positions, best
+                   in self._max_model_cache.values())
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
         """Hit/miss counters and hit rates per operation cache."""
@@ -298,7 +308,8 @@ class Bdd:
                 "not": bucket(self._not_hits, self._not_misses)}
 
     def clear_operation_caches(self) -> None:
-        """Drop the ite, negation, exists and expression caches.
+        """Drop the ite, negation, exists, max-model and expression
+        caches.
 
         Node ids remain valid (the unique table is untouched); only the
         memoized operation results are released. Safe at any time — the
@@ -309,6 +320,7 @@ class Bdd:
         self._not_cache.clear()
         self._exists_cache.clear()
         self._andex_cache.clear()
+        self._max_model_cache.clear()
         self._expr_cache.clear()
 
     def _trim_caches(self) -> None:
@@ -320,6 +332,8 @@ class Bdd:
         if sum(map(len, self._andex_cache.values())) \
                 > self._EXISTS_CACHE_LIMIT:
             self._andex_cache.clear()
+        if self._max_model_size() > self._EXISTS_CACHE_LIMIT:
+            self._max_model_cache.clear()
         while len(self._expr_cache) > self._EXPR_CACHE_LIMIT:
             self._expr_cache.popitem(last=False)
 
@@ -408,7 +422,51 @@ class Bdd:
         return result
 
     def apply_and(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.zero)
+        """Conjunction ``f ∧ g``: its own recursion on cofactors, without
+        :meth:`ite`'s three-operand normalization.
+
+        Terminal and equal operands return at once, a known complement
+        (:attr:`_not_cache`) gives ``zero``, and the operands are ordered
+        by id, so the result is memoized in the ite cache under the key
+        ``ite(f, g, 0)`` uses when neither operand's complement is known.
+        Nodes are allocated in the same order as ``ite(f, g, 0)`` would
+        allocate them: both recurse low cofactor first, and a memo hit
+        or a shortcut only ever returns a node that exists already. So
+        node ids and :meth:`node_count` do not depend on which of the two
+        computed a conjunction.
+        """
+        zero = self.zero
+        if f == zero or g == zero:
+            return zero
+        one = self.one
+        if f == one or f == g:
+            return g
+        if g == one:
+            return f
+        if g < f:
+            f, g = g, f
+        if self._not_cache.get(f) == g:
+            return zero
+        key = (f, g, zero)
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            self._ite_hits += 1
+            return cached
+        self._ite_misses += 1
+        f_level, f_low, f_high = self._nodes[f]
+        g_level, g_low, g_high = self._nodes[g]
+        if f_level < g_level:
+            level = f_level
+            g_low = g_high = g
+        else:
+            level = g_level
+            if g_level < f_level:
+                f_low = f_high = f
+        low = self.apply_and(f_low, g_low)
+        high = self.apply_and(f_high, g_high)
+        result = low if low == high else self._node(level, low, high)
+        self._ite_cache[key] = result
+        return result
 
     def apply_or(self, f: int, g: int) -> int:
         return self.ite(f, self.one, g)
@@ -973,59 +1031,72 @@ class Bdd:
         Returns None when the function is unsatisfiable. Deterministic:
         ties prefer the high (true) branch, then the low branch. Used by
         the engine's ASAP policy to pick a maximal step without
-        enumerating every model.
+        enumerating every model, and by lint's CCS001.
+
+        Each node's best branch is memoized across calls, one memo per
+        variable set: a call walks only the nodes no earlier call over
+        the same set reached. The memo is level-keyed (positions follow
+        the order), so a reorder drops it; it is trimmed like the exists
+        memo. A node the walk reaches at a level outside *over* is a
+        :class:`ValueError` naming every support variable *over* misses,
+        so the set must still cover the support of *node*.
         """
         if node == self.zero:
             return None
-        names = list(dict.fromkeys(over))
-        for name in names:
-            self.declare(name)
-        levels = sorted(self._levels[name] for name in names)
-        position_of = {level: i for i, level in enumerate(levels)}
-        total = len(levels)
-        missing = self._support_levels(node) - set(levels)
-        if missing:
-            missing_names = [self._order[level] for level in sorted(missing)]
-            raise ValueError(
-                f"max_true_model variable set must cover the support; "
-                f"missing {missing_names}")
+        key = tuple(over)
+        context = self._max_model_cache.get(key)
+        if context is None:
+            names = list(dict.fromkeys(key))
+            for name in names:
+                self.declare(name)
+            levels = sorted(self._levels[name] for name in names)
+            context = self._max_model_cache[key] = (
+                names, {level: i for i, level in enumerate(levels)}, {})
+        names, position_of, best = context
+        total = len(position_of)
+        nodes = self._nodes
+        zero = self.zero
+        one = self.one
 
-        def position(of_node: int) -> int:
-            level = self._level(of_node)
-            return position_of.get(level, total)
+        def position(child: int) -> int:
+            return total if child <= one else position_of[nodes[child][0]]
 
         # best[node] = (true-count below node incl. free gaps, value, child)
-        best: dict[int, tuple[int, bool, int]] = {}
-
         def walk(current: int) -> int:
             """Max true-count achievable from *current* (its own level
             onwards); free gaps below children count fully as true."""
-            if current == self.one:
+            if current == one:
                 return 0
-            if current in best:
-                return best[current][0]
-            _level, low, high = self._nodes[current]
-            p = position(current)
-            candidates: list[tuple[int, bool, int]] = []
-            for value, child in ((True, high), (False, low)):
-                if child == self.zero:
-                    continue
-                gap = position(child) - p - 1
-                tail = total - position(child) if child == self.one else 0
-                score = walk(child) + gap + tail + (1 if value else 0)
-                candidates.append((score, value, child))
-            score, value, child = max(candidates, key=lambda c: (c[0], c[1]))
-            best[current] = (score, value, child)
-            return score
+            entry = best.get(current)
+            if entry is not None:
+                return entry[0]
+            level, low, high = nodes[current]
+            at = position_of.get(level)
+            if at is None:
+                missing = self._support_levels(node) - set(position_of)
+                raise ValueError(
+                    f"max_true_model variable set must cover the support; "
+                    f"missing {[self._order[lv] for lv in sorted(missing)]}")
+            # ties prefer the high (true) branch
+            entry = None
+            if high != zero:
+                entry = (walk(high) + position(high) - at, True, high)
+            if low != zero:
+                score = walk(low) + position(low) - at - 1
+                if entry is None or score > entry[0]:
+                    entry = (score, False, low)
+            best[current] = entry
+            return entry[0]
 
         walk(node)
         model = {name: True for name in names}  # free vars default true
         current = node
-        while current != self.one:
-            _level, _low, _high = self._nodes[current]
+        while current != one:
             _score, value, child = best[current]
-            model[self._order[self._nodes[current][0]]] = value
+            model[self._order[nodes[current][0]]] = value
             current = child
+        if len(best) > self._EXISTS_CACHE_LIMIT:
+            best.clear()
         return model
 
     def iter_models(self, node: int,

@@ -20,21 +20,10 @@ from fractions import Fraction
 from repro.engine.ctl import Verdict
 from repro.engine.execution_model import ExecutionModel
 from repro.engine.policies import AsapPolicy, SchedulingPolicy
-from repro.errors import EngineError
 from repro.engine.simulator import simulate_model
 from repro.engine.statespace import StateSpace
+from repro.engine.trace import require_events
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
-
-
-def _require_events(events, known, name: str) -> None:
-    """Refuse event names outside *known* — a typoed event must error,
-    never yield a definitive answer."""
-    unknown = [event for event in events if event not in known]
-    if unknown:
-        raise EngineError(
-            f"unknown event{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(map(repr, unknown))} in {name!r}; known: "
-            f"{sorted(known)}")
 
 
 def parallelism_profile(space: StateSpace) -> dict[str, float]:
@@ -100,7 +89,7 @@ def simulated_throughput(model: ExecutionModel, events: list[str],
     policy, giving a quick simulated estimate to compare against the
     exact :func:`max_cycle_mean_throughput`.
     """
-    _require_events(events, model.events, model.name)
+    require_events(events, model.events, model.name)
     policy = policy if policy is not None else AsapPolicy()
     initial = model.snapshot()
     try:
@@ -117,7 +106,7 @@ def max_cycle_mean_throughput(space: StateSpace, event: str) -> float:
     with Karp's maximum cycle mean algorithm. Returns 0.0 when the space
     has no cycle.
     """
-    _require_events([event], space.events, space.name)
+    require_events([event], space.events, space.name)
     best = Fraction(0)
     for component in space.recurrent_components():
         mean = _karp_max_cycle_mean(space, component, event)
@@ -187,8 +176,10 @@ def occurrence_latency(trace, cause: str, effect: str) -> list[int]:
     i-th *effect* occurrence in a trace (pipeline source→sink latency).
 
     Only pairs where the effect does not precede its cause are counted;
-    unmatched trailing causes are ignored.
+    unmatched trailing causes are ignored. An event outside the trace's
+    events is an :class:`~repro.errors.EngineError`.
     """
+    require_events([cause, effect], trace.events, "trace")
     causes = trace.occurrence_indices(cause)
     effects = trace.occurrence_indices(effect)
     latencies = []
@@ -230,7 +221,7 @@ def check_mutual_exclusion(space: StateSpace, events: list[str]) -> Verdict:
     ``HOLDS`` on a complete one. An event the space does not declare
     raises :class:`~repro.errors.EngineError`, as the CTL atoms do.
     """
-    _require_events(events, space.events, space.name)
+    require_events(events, space.events, space.name)
     event_set = set(events)
     for _source, step, _target in space.edges():
         if len(step & event_set) > 1:

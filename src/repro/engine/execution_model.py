@@ -57,7 +57,11 @@ class SymbolicKernel(TableStepper):
       nodes (:meth:`~repro.engine.tables.TableStepper.conjunction`);
     * enumerated step lists and maximal steps, keyed by the conjunction
       node id — hash-consing guarantees equal ids mean equal functions,
-      so revisited configurations anywhere in an exploration hit here;
+      so revisited configurations anywhere in an exploration hit here —
+      and, below them, each BDD node's enumerated models and best
+      branch, shared by every conjunction that reaches the node;
+    * per distinct step, the constraint slots it names, so a successor
+      steps only those (plus any slot that does not stutter there);
     * one lazily filled :class:`~repro.engine.tables.LocalTable` per
       constraint slot, which explicit exploration and simulation step
       through (:meth:`table_view`) instead of re-running the runtimes.
@@ -158,10 +162,14 @@ class SymbolicKernel(TableStepper):
         return space
 
     def cache_sizes(self) -> dict[str, int]:
+        enumeration = self._enumeration  # one read: a run may reset it
         return {
             "conjunctions": len(self._conj_cache),
             "steps": len(self._steps_cache),
             "max_steps": len(self._max_step_cache),
+            "touches": len(self._touches),
+            "models": 0 if enumeration is None else len(enumeration[3]),
+            "max_model": self.bdd.cache_sizes()["max_model"],
             "transition_systems": len(self._ts_cache),
             "explored_spaces": len(self._space_cache),
             "local_tables": len(self.tables),
@@ -175,6 +183,7 @@ class SymbolicKernel(TableStepper):
         self._conj_cache.clear()
         self._steps_cache.clear()
         self._max_step_cache.clear()
+        self._enumeration = None
         self._ts_cache.clear()
         self._space_cache.clear()
         self._adopt([])

@@ -11,6 +11,14 @@ the state it reaches, so a table fills only as far as it is walked; a
 locally unbounded constraint (an unbounded counter, a communication
 delay nobody reads) simply grows with the explored space.
 
+A table also learns, once per id, whether a step that names none of its
+events leaves it where it is (:meth:`LocalTable.stutters`): true of
+most constraints, but not of a deadline (it counts every step), a
+communication delay (it ages tokens in flight) or a MoCCML automaton
+with an ``unless``-only transition. It learns this from a probe of the
+empty projection, never probing an id whose formula rejects that
+projection.
+
 Two owners hold tables, and both step through :class:`TableStepper`:
 
 * a model family's :class:`~repro.engine.execution_model.SymbolicKernel`
@@ -22,9 +30,12 @@ Two owners hold tables, and both step through :class:`TableStepper`:
 
 :class:`CompiledStateView` is the one stepping view over either
 owner: the explorer's breadth-first search and the simulator both run
-on it. A state is a tuple of local ids, a successor is one dict lookup
-per constraint, and the acceptable steps at a state are the owner's
-memoized enumeration of the conjunction of per-id formula nodes
+on it. A state is a tuple of local ids. A successor costs what its step
+names, not what the model holds: one dict lookup per constraint whose
+alphabet the step names, plus one per constraint that does not stutter
+at that state (found once per state); every other constraint keeps its
+id. The acceptable steps at a state are the owner's memoized
+enumeration of the conjunction of per-id formula nodes
 (:meth:`TableStepper.steps_of`, the same enumeration
 :meth:`~repro.engine.execution_model.ExecutionModel.acceptable_steps`
 uses on a live model).
@@ -40,6 +51,9 @@ from repro.errors import EngineError, SemanticsError, SymbolicEncodingError
 
 #: cache-miss sentinel (None is a legitimate cached value for max_step)
 _MISSING = object()
+
+#: the projection of a step that names none of a table's events
+_EMPTY: frozenset[str] = frozenset()
 
 
 class _LruCache:
@@ -88,11 +102,17 @@ class LocalTable:
     to the successor id. State ``0`` is the runtime's state when the
     table was made. A *closed* table (:meth:`close`) holds every locally
     acceptable transition, so a miss there is an unacceptable step.
+
+    ``idle[s]`` says whether the empty projection is a self-loop at
+    ``s`` (``None`` until :meth:`stutters` learns it), and
+    ``unsettled`` counts the admitted ids not known to stutter: a table
+    at 0 is *settled*, and a successor need not read it unless the step
+    names its events.
     """
 
     __slots__ = ("index", "label", "alphabet", "events", "keys", "tokens",
-                 "accepting", "formulas", "delta", "key_to_id", "bits",
-                 "closed", "_probe")
+                 "accepting", "formulas", "delta", "idle", "unsettled",
+                 "key_to_id", "bits", "closed", "_probe")
 
     def __init__(self, index: int, runtime):
         self.index = index
@@ -105,6 +125,11 @@ class LocalTable:
         self.accepting: list[bool] = []
         self.formulas: list[BExpr] = []
         self.delta: list[dict[frozenset[str], int]] = []
+        #: per id: whether the empty projection is a self-loop there
+        #: (None until :meth:`stutters` learns it)
+        self.idle: list[bool | None] = []
+        #: admitted ids not known to stutter; 0 once the table is settled
+        self.unsettled = 0
         self.key_to_id: dict[Hashable, int] = {}
         self.bits = 0  # state bits of the encoding, set by close()
         self.closed = False
@@ -129,6 +154,8 @@ class LocalTable:
         self.accepting.append(bool(probe.is_accepting()))
         self.formulas.append(probe.step_formula())
         self.delta.append({})
+        self.idle.append(None)
+        self.unsettled += 1
         return local_id
 
     def locate(self, runtime) -> int:
@@ -157,6 +184,40 @@ class LocalTable:
             successor = self._admit()
             self.delta[local_id][projection] = successor
         return successor
+
+    def stutters(self, local_id: int) -> bool:
+        """Whether a step that names none of this table's events leaves
+        *local_id* where it is, learnt once per id.
+
+        A filled-in empty transition answers it. Otherwise, on a lazy
+        table whose formula at *local_id* accepts the empty projection,
+        the probe runtime takes that projection once; a self-loop is
+        recorded in ``delta``, any other state it reaches is not
+        admitted. A formula that rejects the empty projection is never
+        probed (every acceptable step names the table there, and a
+        runtime such as a deadline at its expiry raises on the empty
+        projection), and counts as not stuttering, as does a runtime
+        whose ``advance()`` refuses it.
+        """
+        idle = self.idle[local_id]
+        if idle is None:
+            target = self.delta[local_id].get(_EMPTY)
+            formula = self.formulas[local_id]
+            if target is None and not self.closed and formula.evaluate(
+                    dict.fromkeys(formula.support(), False)):
+                probe = self._probe
+                probe.restore(self.tokens[local_id])
+                try:
+                    probe.advance(_EMPTY)
+                except SemanticsError:
+                    pass
+                else:
+                    if probe.state_key() == self.keys[local_id]:
+                        target = self.delta[local_id][_EMPTY] = local_id
+            idle = self.idle[local_id] = target == local_id
+            if idle:
+                self.unsettled -= 1
+        return idle
 
     def close(self, max_states: int) -> "LocalTable":
         """Fill the table eagerly: from every admitted state, in id order,
@@ -210,9 +271,25 @@ class TableStepper:
     node — hash-consing makes a node id a canonical key for its boolean
     function, so any two configurations with the same acceptable steps
     share one enumeration. Per-id formula nodes are compiled on first
-    use. The memos are bounded LRUs: an owner lives as long as its model
+    use. Every memo is bounded: an owner lives as long as its model
     family, so unbounded dicts would grow with every exploration
-    (eviction merely costs a recompute).
+    (eviction merely costs a recompute). The conjunction, step and
+    maximal-step memos are LRUs; two more are plain dicts cleared past
+    their caps:
+
+    * per distinct step, the slots it names with their projections
+      (:attr:`TOUCH_CACHE_SIZE` steps, equal projections shared), which
+      :meth:`successor` reads instead of intersecting the step with
+      every alphabet;
+    * per BDD node, its enumerated models, with the events in level
+      order and their positions (:attr:`MODELS_CACHE_SIZE` nodes),
+      which :meth:`steps_of` shares across conjunctions. Positions
+      follow the variable order, so the memo carries the manager's
+      ``reorder_count`` (its *epoch*) and is rebuilt after a reorder.
+
+    :meth:`successor` also keeps the slots that may move on the empty
+    projection at the state it last stepped from, so the edges of one
+    state find them once.
 
     *leaf_order* lists the constraint slots in the order the conjunction
     tree takes them (:func:`~repro.engine.symbolic._constraint_order`:
@@ -221,6 +298,10 @@ class TableStepper:
 
     CONJ_CACHE_SIZE = 8_192
     STEPS_CACHE_SIZE = 4_096
+    #: distinct steps whose touched slots are kept; cleared past it
+    TOUCH_CACHE_SIZE = 4_096
+    #: BDD nodes whose enumerated models are kept; cleared past it
+    MODELS_CACHE_SIZE = 200_000
 
     def __init__(self, bdd, events: Sequence[str],
                  tables: list[LocalTable], leaf_order: Sequence[int]):
@@ -232,12 +313,28 @@ class TableStepper:
         self._conj_cache = _LruCache(self.CONJ_CACHE_SIZE)
         self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
         self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
+        #: :meth:`_models`' memo: (reorder epoch, events in level order,
+        #: level -> position, node -> (its position, its models))
+        self._enumeration: tuple | None = None
 
     def _adopt(self, tables: list[LocalTable]) -> None:
         """Step through *tables* from now on."""
         self.tables = tables
         #: compiled step-formula node per (slot, local id)
         self._formula_nodes: list[list[int]] = [[] for _ in tables]
+        #: the slots whose alphabet holds each event
+        slots_of: dict[str, list[int]] = {}
+        for slot, table in enumerate(tables):
+            for event in table.alphabet:
+                slots_of.setdefault(event, []).append(slot)
+        self._slots_of = slots_of
+        #: step -> (slot, table, projection) of each slot it names
+        self._touches: dict[frozenset[str], tuple] = {}
+        #: one object per distinct projection the touches hold
+        self._projections: dict[frozenset[str], frozenset[str]] = {}
+        #: (the state :meth:`successor` last stepped from, its slots that
+        #: may move on the empty projection)
+        self._moving: tuple = (None, [])
 
     def conjunction(self, nodes: tuple[int, ...]) -> int:
         """The conjunction of compiled constraint *nodes*, given in slot
@@ -286,25 +383,32 @@ class TableStepper:
 
     def _models(self, node: int) -> list[tuple[str, ...]]:
         """Every assignment of the events satisfying *node*, as the tuple
-        of its true events: one pass over the BDD in event-level order,
-        memoized per node, which expands each event a path skips (a free
-        level) both ways. Raises :class:`ValueError` when *node* reads a
-        variable that is not an event."""
+        of its true events (a shared list: read it, never change it):
+        one pass over the BDD in event-level order, which expands each
+        event a path skips (a free level) both ways. Raises
+        :class:`ValueError` when *node* reads a variable that is not an
+        event.
+
+        The per-node models, the events in level order and their
+        positions are kept across calls for one variable order: the memo
+        carries the manager's ``reorder_count`` and is rebuilt when a
+        reorder moved the levels, or once it holds more than
+        :attr:`MODELS_CACHE_SIZE` nodes."""
         bdd = self.bdd
         rows = bdd._nodes
         zero, one = bdd.zero, bdd.one
-        names = sorted(self.events, key=bdd.declare)
-        position = {bdd.declare(name): index
-                    for index, name in enumerate(names)}
-        #: node -> (its event position, the models from there on)
-        below: dict[int, tuple[int, list]] = {one: (len(names), [()])}
+        memo = self._enumeration
+        if memo is None or memo[0] != bdd.reorder_count:
+            names = sorted(self.events, key=bdd.declare)
+            memo = self._enumeration = (
+                bdd.reorder_count, names,
+                {bdd.declare(name): index for index, name in enumerate(names)},
+                {one: (len(names), [()])})
+        _epoch, names, position, below = memo
 
-        def free(start: int, stop: int, models: list) -> list:
-            for name in names[start:stop]:
-                models = models + [(name,) + model for model in models]
-            return models
-
-        def models_of(current: int) -> tuple[int, list]:
+        def models_of(current: int, start: int) -> list:
+            """The models of *current* over the events from position
+            *start* on: its own, then each event it skips both ways."""
             entry = below.get(current)
             if entry is None:
                 level, low, high = rows[current]
@@ -314,19 +418,22 @@ class TableStepper:
                     raise ValueError(
                         f"step enumeration must cover the support; "
                         f"missing {missing}")
-                models = []
-                if low != zero:
-                    models = free(at + 1, *models_of(low))
+                models = [] if low == zero else models_of(low, at + 1)
                 if high != zero:
                     name = names[at]
-                    models = models + [(name,) + model for model in
-                                       free(at + 1, *models_of(high))]
+                    models = models + [(name,) + model for model
+                                       in models_of(high, at + 1)]
                 entry = below[current] = (at, models)
-            return entry
+            at, models = entry
+            if at > start:
+                for name in names[start:at]:
+                    models = models + [(name,) + model for model in models]
+            return models
 
-        if node == zero:
-            return []
-        return free(0, *models_of(node))
+        models = [] if node == zero else models_of(node, 0)
+        if len(below) > self.MODELS_CACHE_SIZE:
+            self._enumeration = None
+        return models
 
     def max_step_of(self, node: int) -> frozenset[str] | None:
         """A maximal step satisfying conjunction *node* (memoized), or
@@ -387,14 +494,61 @@ class TableStepper:
 
     def successor(self, ids: Sequence[int],
                   step: frozenset[str]) -> tuple[int, ...]:
-        """The table state reached from *ids* by *step*."""
-        successor = []
-        for table, local in zip(self.tables, ids):
-            projection = step & table.events
+        """The table state reached from *ids* by *step*.
+
+        Only two kinds of slot are stepped: those whose alphabet *step*
+        names (:meth:`_touching`), and those whose empty projection is
+        not a proven self-loop at *ids* (:meth:`_moving_at`); every
+        other slot keeps its local id, as stepping it on the empty
+        projection would."""
+        touches = self._touches.get(step)
+        if touches is None:
+            touches = self._touching(step)
+        successor = list(ids)
+        for slot, table, projection in touches:
+            local = ids[slot]
             target = table.delta[local].get(projection)
-            successor.append(table.step(local, projection)
-                             if target is None else target)
+            successor[slot] = (table.step(local, projection)
+                               if target is None else target)
+        for slot in self._moving_at(ids):
+            table = self.tables[slot]
+            if step.isdisjoint(table.events):
+                successor[slot] = table.step(ids[slot], _EMPTY)
         return tuple(successor)
+
+    def _touching(self, step: frozenset[str]) -> tuple:
+        """``(slot, table, projection)`` for each slot *step* names, in
+        slot order, kept per step (steps recur across states) until
+        :attr:`TOUCH_CACHE_SIZE` distinct steps are held. Equal
+        projections are kept as one object, which holds the memo's size
+        down and lets every ``delta`` lookup reuse its cached hash."""
+        if len(self._touches) >= self.TOUCH_CACHE_SIZE:
+            self._touches.clear()
+            self._projections.clear()
+        slots_of = self._slots_of
+        tables = self.tables
+        shared = self._projections
+        touches = []
+        for slot in sorted({slot for event in step
+                            for slot in slots_of.get(event, ())}):
+            projection = step & tables[slot].events
+            touches.append((slot, tables[slot],
+                            shared.setdefault(projection, projection)))
+        touches = self._touches[step] = tuple(touches)
+        return touches
+
+    def _moving_at(self, ids: Sequence[int]) -> list[int]:
+        """The slots whose empty projection may move them at *ids*
+        (:meth:`LocalTable.stutters`), found once per state: the edges of
+        one state are stepped from the same *ids* object. A settled
+        table (every admitted id stutters) is skipped unread."""
+        moving = self._moving
+        if moving[0] is not ids:
+            moving = self._moving = (ids, [
+                slot for slot, (table, local)
+                in enumerate(zip(self.tables, ids))
+                if table.unsettled and not table.stutters(local)])
+        return moving[1]
 
     def decode_key(self, ids: Sequence[int]) -> tuple:
         """The explicit configuration key (tuple of ``state_key()``s) of

@@ -10,6 +10,19 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from repro.errors import EngineError
+
+
+def require_events(events: Iterable[str], known, name: str) -> None:
+    """Refuse event names outside *known* — a typoed event must error,
+    never yield a definitive answer."""
+    unknown = [event for event in events if event not in known]
+    if unknown:
+        raise EngineError(
+            f"unknown event{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} in {name!r}; known: "
+            f"{sorted(known)}")
+
 
 class Trace:
     """An ordered sequence of steps (frozensets of occurring events)."""
@@ -85,7 +98,9 @@ class Trace:
         return sum(len(step) for step in self.steps) / len(self.steps)
 
     def throughput(self, event: str) -> float:
-        """Occurrences of *event* per step over the whole trace."""
+        """Occurrences of *event* per step over the whole trace; an event
+        outside :attr:`events` is an :class:`EngineError`."""
+        require_events([event], self.events, "trace")
         if not self.steps:
             return 0.0
         return self.count(event) / len(self.steps)

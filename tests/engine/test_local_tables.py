@@ -6,11 +6,13 @@ model, re-running every constraint runtime on every edge or step. Every
 exploration and simulation here must match it byte for byte.
 """
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.boolalg import Bdd, Not, TRUE, Var
+from repro.boolalg import And, Bdd, Not, Or, TRUE, Var, iter_models
 from repro.ccsl import AlternatesRuntime, PrecedesRuntime
 from repro.deployment import Allocation, Platform, deploy
 from repro.engine import (
@@ -31,7 +33,7 @@ from repro.engine.policies import CallbackPolicy
 from repro.engine.symbolic import _close_local
 from repro.engine.tables import TableStepper
 from repro.errors import EngineError, SemanticsError
-from repro.moccml.semantics.runtime import ConstraintRuntime
+from repro.moccml.semantics.runtime import ConstraintRuntime, FormulaRuntime
 from repro.pam.experiments import build_configuration
 from repro.sdf import SdfBuilder
 from tests.boolalg.test_bdd_reorder import NAMES, exprs
@@ -534,3 +536,66 @@ class TestStepEnumeration:
     def test_no_constraints_accept_every_step(self):
         bdd = Bdd(order=EVENTS)
         assert TableStepper(bdd, EVENTS, [], []).conjunction(()) == bdd.one
+
+
+def random_formulas(count, seed=29):
+    """*count* random formulas over the enumeration tests' variables."""
+    rng = random.Random(seed)
+
+    def draw(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return Var(rng.choice(NAMES))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Not(draw(depth - 1))
+        pair = draw(depth - 1), draw(depth - 1)
+        return And(*pair) if kind == 1 else Or(*pair)
+
+    return [draw(4) for _ in range(count)]
+
+
+class TestMemoBounds:
+    """More distinct steps and conjunctions than each stepping memo
+    holds: the answers stay the brute-force enumerator's, every memo
+    stays within its cap, and ``SymbolicKernel.clear()`` empties it."""
+
+    CAPS = {"touches": 3, "models": 5, "max_model": 7}
+
+    def test_memos_stay_within_their_caps(self, monkeypatch):
+        monkeypatch.setattr(TableStepper, "TOUCH_CACHE_SIZE",
+                            self.CAPS["touches"])
+        monkeypatch.setattr(TableStepper, "MODELS_CACHE_SIZE",
+                            self.CAPS["models"])
+        monkeypatch.setattr(Bdd, "_EXISTS_CACHE_LIMIT",
+                            self.CAPS["max_model"])
+        # stateless tables that accept every step, two events each
+        model = ExecutionModel(EVENTS, [
+            FormulaRuntime(f"free{index}", TRUE, EVENTS[index:index + 2])
+            for index in range(0, len(EVENTS), 2)])
+        kernel = model.kernel
+        view = kernel.table_view(model)
+        start = view.snapshot()
+        peaks = dict.fromkeys(self.CAPS, 0)
+        for index, formula in enumerate(random_formulas(60)):
+            node = kernel.bdd.from_expr(formula)
+            models = [frozenset(name for name, value in assignment.items()
+                                if value)
+                      for assignment in iter_models(formula, EVENTS)]
+            assert kernel.steps_of(node, include_empty=True) == tuple(
+                sorted(models, key=lambda step: (len(step), sorted(step))))
+            step = kernel.max_step_of(node)
+            largest = max(map(len, models), default=0)
+            assert (step is None) == (largest == 0)
+            assert step is None or (step in models and len(step) == largest)
+            view.restore(start)
+            view.advance(frozenset(event for bit, event in enumerate(EVENTS)
+                                   if (index + 1) >> bit & 1))
+            assert view.snapshot() == start
+            sizes = kernel.cache_sizes()
+            for name, cap in self.CAPS.items():
+                assert sizes[name] <= cap, name
+                peaks[name] = max(peaks[name], sizes[name])
+        assert all(peaks.values()), peaks
+        kernel.clear()
+        sizes = kernel.cache_sizes()
+        assert all(sizes[name] == 0 for name in self.CAPS), sizes

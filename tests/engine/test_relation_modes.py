@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro.engine import ctl, cross_check, symbolic
+from repro.engine import ctl, cross_check, explore, symbolic
 from repro.engine.ctl import Verdict, check
 from repro.engine.equivalence import battery_texts
 from repro.engine.symbolic import symbolic_reachable
@@ -135,6 +135,22 @@ class TestVerdictsSurviveReorder:
             assert {ids: (system.steps_at(ids),
                           system.steps_at(ids, include_empty=True))
                     for ids in steps} == steps
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_concretization_across_a_sift_matches_explore(self, name):
+        """The stepping memos are keyed on the order they were built
+        under: a concretization started before a sift and repeated after
+        it enumerates in the new level order, byte-identical to explicit
+        exploration. Node ids survive the sift, so a memo kept across it
+        answers wrong, or refuses a state bit as an event."""
+        model = CORPUS[name]()
+        system = model.kernel.transition_system(model)
+        system.to_statespace(max_states=3)
+        order = system.bdd.order
+        system.reorder()
+        assert system.bdd.order != order
+        assert system.to_statespace(max_states=20_000).to_json() \
+            == explore(model, max_states=20_000).to_json()
 
     def test_reorder_between_fixpoints_keeps_the_count(self):
         model = CORPUS["forkjoin-cap2"]()

@@ -78,6 +78,10 @@ class TestStateSpaceMetrics:
         assert profile["transitions"] == float(space.n_transitions)
 
 
+def asap_trace(model, steps=6):
+    return simulate_model(model, AsapPolicy(), steps).trace
+
+
 class TestUnknownEvents:
     """A misspelt event is refused, as the CTL atoms refuse it, instead
     of answering as if the event never occurred."""
@@ -87,7 +91,15 @@ class TestUnknownEvents:
                                              ["a0.start", "a1.strat"]),
         lambda model: max_cycle_mean_throughput(explore(model), "a1.strat"),
         lambda model: simulated_throughput(model, ["a1.strat"]),
-    ], ids=["mutual-exclusion", "max-cycle-mean", "simulated-throughput"])
+        lambda model: occurrence_latency(asap_trace(model), "a0.start",
+                                         "a1.strat"),
+        lambda model: occurrence_latency(asap_trace(model), "a1.strat",
+                                         "a0.start"),
+        lambda model: asap_trace(model).throughput("a1.strat"),
+        lambda model: Trace(model.events).throughput("a1.strat"),
+    ], ids=["mutual-exclusion", "max-cycle-mean", "simulated-throughput",
+            "latency-effect", "latency-cause", "trace-throughput",
+            "empty-trace-throughput"])
     def test_misspelt_event_raises(self, analysis):
         with pytest.raises(EngineError,
                            match=r"unknown event 'a1\.strat' in .*known: "):
