@@ -2,10 +2,15 @@
 
 Two claims, each pinned by a sanity test and measured by a benchmark:
 
-1. **Warm beats cold by >= 10x.** A 15-spec corpus over five models is
-   run cold into a content-addressed store, then re-run warm: every
-   artifact is served from disk byte-identically instead of recomputed,
-   collapsing batch latency to fingerprint + read time.
+1. **A warm store answers within its budget per spec.** A 24-spec
+   corpus over eight models is run cold into a content-addressed store,
+   then re-run warm: every artifact is served from disk byte-identically
+   instead of recomputed, collapsing batch latency to fingerprint + read
+   time. The fastest of ``WARM_PASSES`` warm re-runs, divided by the
+   spec count, stays within ``WARM_BUDGET_MS_PER_SPEC``. The budget
+   bounds the warm path itself: the cold-over-warm ratio this bench used
+   to floor at 10x fell whenever the cold batch got faster, with nothing
+   on the warm path regressed. The ratio is still printed.
 2. **Processes beat the serial loop on cold multi-model batches (>= 4
    cores).** The engine is pure Python, so only separate processes run
    it in parallel: the process backend rebuilds each model in a worker
@@ -37,6 +42,17 @@ def chain_text(name: str, length: int, capacity: int) -> str:
 #: grouped-bar structure of the speedup assertion: with G groups and W
 #: workers the parallel makespan is ceil(G/W) rounds of ~equal cost
 SPEEDUP_FLOOR = 1.8
+
+#: mean warm-store cost per spec, in ms, of the fastest of
+#: ``WARM_PASSES`` warm re-runs of the corpus (workbench set-up,
+#: fingerprints and store reads). Readings on a 2-vCPU VM whose speed
+#: swings up to 2x: 0.92-1.45 over five runs of the commit before the
+#: budget, 0.94-1.69 over ten runs of the commit that set it. The budget
+#: leaves 1.5x over the slowest of them; a warm path three times slower
+#: read 2.70-3.22, and one that recomputes instead of reading the store
+#: 15.3-15.7.
+WARM_BUDGET_MS_PER_SPEC = 2.5
+WARM_PASSES = 5
 
 
 #: eight distinct pipelines of near-equal analysis cost (~0.8 s per
@@ -88,19 +104,23 @@ def run_cold(backend: str, workers: int) -> tuple[float, list]:
 
 
 class TestFarmContract:
-    def test_warm_store_at_least_10x_faster(self, tmp_path):
+    def test_warm_store_within_its_budget_per_spec(self, tmp_path):
         store = ArtifactStore(tmp_path / "farm")
         run_with_store(None)  # warm-up: parser tables, imports
         cold_s, cold = run_with_store(store)
-        warm_s, warm = run_with_store(store)
+        passes = [run_with_store(store) for _ in range(WARM_PASSES)]
+        warm_s = min(seconds for seconds, _results in passes)
         assert all(result.ok for result in cold)
         assert not any(result.cached for result in cold)
-        assert all(result.cached for result in warm)
-        assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
-        speedup = cold_s / warm_s
-        print(f"\ncold: {cold_s:.3f}s  warm: {warm_s:.3f}s  "
-              f"speedup: {speedup:.1f}x")
-        assert speedup >= 10.0
+        expected = [r.to_json() for r in cold]
+        for _seconds, warm in passes:
+            assert all(result.cached for result in warm)
+            assert [r.to_json() for r in warm] == expected
+        per_spec_ms = warm_s * 1000 / len(cold)
+        print(f"\ncold: {cold_s:.3f}s  warm: {warm_s:.3f}s "
+              f"({per_spec_ms:.2f}ms/spec)  "
+              f"speedup: {cold_s / warm_s:.1f}x")
+        assert per_spec_ms <= WARM_BUDGET_MS_PER_SPEC
 
     def test_artifacts_identical_across_backends_and_temperature(
             self, tmp_path):

@@ -167,13 +167,11 @@ in every ``--json`` payload as ``"version"``) ties any artifact back to
 the build that produced it.
 """
 
-from importlib.metadata import PackageNotFoundError, version as _version
-
 from repro import errors
 
-try:  # single source of truth: the installed package metadata
-    __version__ = _version("repro-moccml")
-except PackageNotFoundError:  # running off a source checkout (PYTHONPATH)
-    __version__ = "1.3.0"
+#: the one declaration of the engine version: ``pyproject.toml`` reads
+#: it at install time, and store keys hash it, so a bump in the source
+#: changes them even under a stale install
+__version__ = "1.4.0"
 
 __all__ = ["errors", "__version__"]

@@ -860,10 +860,14 @@ def build_parser() -> argparse.ArgumentParser:
     checker.add_argument("--strategy", choices=PROPERTY_STRATEGIES,
                          help="checking backend: explicit exploration "
                               "(three-valued on truncation), symbolic "
-                              "fixpoints on the BDD relation, or auto")
+                              "fixpoints on the BDD relation, or auto "
+                              "(the default: explicit first, and only an "
+                              "UNKNOWN goes on to the fixpoint)")
     checker.add_argument("--max-states", type=int,
-                         help="explicit-strategy state budget; exceeding "
-                              "it yields the UNKNOWN verdict")
+                         help="state budget of the explicit check, also "
+                              "auto's first attempt; exceeding it yields "
+                              "UNKNOWN (explicit) or the symbolic fixpoint "
+                              "(auto)")
     _add_trace(checker)
     checker.set_defaults(handler=cmd_check)
 

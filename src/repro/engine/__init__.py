@@ -130,13 +130,15 @@ cost, and about what a bounded budget can soundly conclude:
     constraint's local state space is unbounded.
 
 ``"auto"``
-    Symbolic for models with at least
-    :data:`~repro.engine.ctl.AUTO_EVENT_THRESHOLD` events, with a
-    transparent fallback to explicit when the model is not finitely
-    encodable; on smaller models it escalates to symbolic whenever the
-    explicit verdict comes back ``UNKNOWN``. Use this when batching
-    heterogeneous models — it is the default of ``repro check`` and
-    ``CheckSpec``.
+    Explicit first, within the spec's own ``max_states``/``max_depth``
+    budget: a definitive verdict is returned as is, whatever the
+    model's size. Only an ``UNKNOWN`` goes on to the symbolic fixpoint,
+    and only when the encodability predictor allows it; a model that
+    cannot be finitely encoded keeps the ``UNKNOWN``, with that reason.
+    The budget is the caller's statement of how much explicit work to
+    spend, so a space beyond it pays that much before it escalates. Use
+    this when batching heterogeneous models — it is the default of
+    ``repro check`` and ``CheckSpec``.
 
 Tuning the symbolic backend — the clustered relation and reordering
 ===================================================================

@@ -73,10 +73,6 @@ __all__ = [
 #: strategies accepted by :func:`check`
 PROPERTY_STRATEGIES = ("explicit", "symbolic", "auto")
 
-#: ``auto`` checks a model with at least this many events symbolically
-#: — below it, explicit search wins on setup cost.
-AUTO_EVENT_THRESHOLD = 10
-
 
 class Verdict(enum.Enum):
     """Three-valued outcome of a property check.
@@ -1341,9 +1337,10 @@ def check(model, prop: Prop | str, strategy: str = "auto",
     a too-small budget yields ``UNKNOWN``, never an unsound verdict);
     ``"symbolic"`` computes the exact reachable set by fixpoint
     iteration and answers definitively, independent of the budgets;
-    ``"auto"`` picks symbolic for large models, uses it to resolve an
-    explicit ``UNKNOWN`` on small ones, and falls back to explicit when
-    the model cannot be finitely encoded.
+    ``"auto"`` checks explicitly within the same budgets, returns a
+    definitive verdict as is, and hands only an ``UNKNOWN`` to the
+    symbolic fixpoint — unless the model cannot be finitely encoded,
+    in which case the ``UNKNOWN`` stands with that reason.
     """
     if isinstance(prop, str):
         prop = parse_property(prop)
@@ -1390,18 +1387,11 @@ def _check_dispatch(model, prop: Prop, strategy: str,
         return explicit()
     if strategy == "symbolic":
         return symbolic()
-    # auto: the static encodability predictor routes up front; the
-    # SymbolicEncodingError handlers stay as the safety net for
+    # auto: explicit within the caller's budget; only an UNKNOWN goes
+    # on to the fixpoint, when the static encodability predictor allows
+    # it. The SymbolicEncodingError handler is the safety net for
     # predictor misses (counted in the predictor telemetry)
     from repro.engine.encodability import is_encodable, record_safety_net
-    if len(model.events) >= AUTO_EVENT_THRESHOLD:
-        if not is_encodable(model):
-            return explicit()
-        try:
-            return symbolic()
-        except SymbolicEncodingError:
-            record_safety_net()
-            return explicit()
     result = explicit()
     if result.verdict is Verdict.UNKNOWN:
         if not is_encodable(model):

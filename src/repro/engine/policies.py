@@ -7,7 +7,8 @@ that choice for simulation purposes:
 * :class:`RandomPolicy` — uniform choice, seeded for reproducibility;
 * :class:`AsapPolicy` — as-soon-as-possible: a maximal step (greatest
   number of simultaneous events), the natural choice for observing the
-  available parallelism;
+  available parallelism. It reads the step off the step formula's BDD
+  in one walk (``max_step``) instead of enumerating the candidates;
 * :class:`MinimalPolicy` — a minimal non-empty step, serializing as much
   as possible;
 * :class:`PriorityPolicy` — weighted choice by per-event priorities.
@@ -82,31 +83,26 @@ class RandomPolicy(SchedulingPolicy):
 class AsapPolicy(SchedulingPolicy):
     """A maximal step: as many events as the constraints allow.
 
-    Ties are broken deterministically, so simulations are reproducible,
-    but the two ways of finding the step break them differently. Up to
-    *symbolic_threshold* events the candidates are enumerated, and the
-    step whose sorted event names form the greatest list wins: with the
-    exclusive pairs ``e0|e1`` and ``e2|e3`` that is ``{e1, e3}``. On
-    wider models the step is extracted symbolically from the BDD instead
-    of enumerating the (exponentially many) candidates, and that walk
-    takes the true branch first at every event, in the model's event
-    order: ``{e0, e2}`` there.
+    :meth:`choose_from_model` extracts the step from the BDD of the
+    step formula (:meth:`~repro.engine.execution_model.ExecutionModel.max_step`)
+    instead of enumerating the (exponentially many) candidates. Ties
+    are broken deterministically, so simulations are reproducible: the
+    walk takes the true branch first at every event, in the model's
+    event order — with the exclusive pairs ``e0|e1`` and ``e2|e3`` the
+    step is ``{e0, e2}``. :meth:`choose` picks among a given candidate
+    list instead, and breaks ties toward the greatest sorted list of
+    event names (``{e1, e3}`` there).
     """
 
     name = "asap"
     yields_acceptable_steps = True
-
-    def __init__(self, symbolic_threshold: int = 20):
-        self.symbolic_threshold = symbolic_threshold
 
     def choose(self, candidates, step_index):
         self._require(candidates)
         return max(candidates, key=lambda step: (len(step), sorted(step)))
 
     def choose_from_model(self, model, step_index):
-        if len(model.events) > self.symbolic_threshold:
-            return model.max_step()
-        return super().choose_from_model(model, step_index)
+        return model.max_step()
 
 
 class MinimalPolicy(SchedulingPolicy):

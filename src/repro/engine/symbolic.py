@@ -672,7 +672,7 @@ def symbolic_reachable(model, include_empty: bool = False) -> ReachableSet:
     symbolic kernel, so clones and later symbolic checks share them.
     Raises :class:`~repro.errors.SymbolicEncodingError` when the model
     cannot be finitely encoded (:func:`~repro.engine.explorer.explore`
-    needs no encoding, and ``check(strategy="auto")`` falls back to it).
+    needs no encoding, and ``check(strategy="auto")`` starts with it).
     """
     system = model.kernel.transition_system(model)
     return system.reachable_set(include_empty=include_empty)

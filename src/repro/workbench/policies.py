@@ -63,7 +63,7 @@ def _is_int(value) -> bool:
 #: built-in policy -> keyword -> (test, what a value must be): every
 #: keyword a built-in policy mapping may carry, with its JSON type
 POLICY_KEYWORDS: dict[str, dict[str, tuple[Callable, str]]] = {
-    "asap": {"symbolic_threshold": (_is_int, "an integer")},
+    "asap": {},
     "minimal": {},
     "random": {"seed": (_is_int, "an integer")},
     "priority": {"weights": (

@@ -145,7 +145,6 @@ def _execute_explore(spec: RunSpec, handle: ModelHandle) -> dict:
             model, max_states=spec.max_states, max_depth=spec.max_depth,
             include_empty=spec.include_empty)
     data = {
-        "strategy": "explicit",  # constant: keeps artifacts byte-identical
         "summary": space.summary(),
         "parallelism_histogram": {
             str(size): count

@@ -26,8 +26,10 @@ from repro.engine.ctl import (
     parse_property,
     replay_steps,
 )
+from repro.engine.equivalence import battery_texts
 from repro.errors import EngineError, ParseError
 from repro.sdf import SdfBuilder, weave_sdf
+from tests.engine.test_symbolic_equivalence import CORPUS
 
 
 def chain_model(length=4, capacity=2):
@@ -296,8 +298,8 @@ class TestAutoStrategy:
         assert result.verdict is Verdict.HOLDS
 
     def test_unknown_escalates_to_symbolic(self):
-        # 2 events < AUTO threshold but the budget truncates: auto
-        # resolves the UNKNOWN symbolically
+        # the budget truncates the explicit check: auto resolves the
+        # UNKNOWN symbolically
         model = ExecutionModel(
             ["a", "b"],
             [PrecedesRuntime("a", "b", bound=6),
@@ -315,9 +317,31 @@ class TestAutoStrategy:
         assert result.strategy == "explicit"
         assert result.verdict is Verdict.HOLDS  # witnessed despite budget
 
-    def test_large_model_goes_symbolic(self):
-        result = check(chain_model(4), "AG !deadlock", strategy="auto")
-        assert result.strategy == "symbolic"
+    @pytest.mark.parametrize("max_states", [10_000, 3])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_explicit_document_unless_unknown(self, name, max_states):
+        # one route whatever the model's size: the explicit document
+        # when it is definitive, otherwise the symbolic one
+        make = CORPUS[name]
+        explicit_model, auto_model, symbolic_model = make(), make(), make()
+        for text in battery_texts(explicit_model):
+            explicit = check(explicit_model, text, strategy="explicit",
+                             max_states=max_states).to_doc()
+            auto = check(auto_model, text, strategy="auto",
+                         max_states=max_states).to_doc()
+            if explicit["verdict"] != "unknown":
+                assert auto == explicit, text
+            else:
+                assert auto == check(symbolic_model, text,
+                                     strategy="symbolic").to_doc(), text
+
+    def test_large_model_answered_explicitly_compiles_nothing(self):
+        model = chain_model(4)
+        assert len(model.events) >= 10
+        result = check(model, "AG !deadlock", strategy="auto")
+        assert result.strategy == "explicit"
+        assert result.verdict is Verdict.HOLDS
+        assert model.kernel.cache_sizes()["transition_systems"] == 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(EngineError, match="strategy"):

@@ -22,6 +22,7 @@ from repro.engine import (
     simulate_model,
     simulated_throughput,
 )
+from repro.engine.policies import CallbackPolicy
 from repro.errors import EngineError
 from repro.moccml.semantics import AutomatonRuntime
 from repro.moccml.semantics.runtime import CompositeRuntime, FormulaRuntime
@@ -217,12 +218,13 @@ class TestDriversOnTheKernel:
         second = explore(model, max_states=1000)
         assert first.to_json() == second.to_json()
 
-    def test_simulation_matches_symbolic_and_enumerated_asap(self):
-        wide = simulate_model(self.model(),
-                              AsapPolicy(symbolic_threshold=0), 10)
-        narrow = simulate_model(self.model(),
-                                AsapPolicy(symbolic_threshold=99), 10)
-        assert wide.trace.steps == narrow.trace.steps
+    def test_asap_walk_matches_the_candidate_list_choice(self):
+        # the maximal step is unique at every state here, so the BDD
+        # walk and a choice among the enumerated candidates agree
+        walked = simulate_model(self.model(), AsapPolicy(), 10)
+        listed = simulate_model(self.model(),
+                                CallbackPolicy(AsapPolicy().choose), 10)
+        assert walked.trace.steps == listed.trace.steps
 
     def test_simulated_throughput_leaves_model_untouched(self):
         model = self.model()

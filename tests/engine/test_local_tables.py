@@ -338,7 +338,6 @@ def recorded_trace(make):
 
 POLICIES = {
     "asap": lambda make: AsapPolicy(),
-    "asap-symbolic": lambda make: AsapPolicy(symbolic_threshold=0),
     "minimal": lambda make: MinimalPolicy(),
     "random": lambda make: RandomPolicy(seed=3),
     "priority": lambda make: PriorityPolicy(

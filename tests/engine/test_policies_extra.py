@@ -10,6 +10,7 @@ from repro.engine import (
     ReplayPolicy,
     simulate_model,
 )
+from repro.engine.policies import CallbackPolicy
 from repro.errors import EngineError
 from repro.moccml.semantics.runtime import FormulaRuntime
 from repro.sdf import SdfBuilder, weave_sdf
@@ -86,8 +87,9 @@ class TestObservers:
 
 
 class TestSymbolicAsap:
-    def test_fast_path_matches_enumeration_on_maximality(self):
-        # same model driven with both thresholds: step cardinalities agree
+    def test_bdd_walk_matches_enumeration_on_maximality(self):
+        # the same model driven by the BDD walk and by a choice among
+        # the enumerated candidates: step cardinalities agree
         builder = SdfBuilder("chain")
         for index in range(4):
             builder.agent(f"a{index}")
@@ -97,10 +99,9 @@ class TestSymbolicAsap:
 
         enumerating = simulate_model(
             weave_sdf(model).execution_model,
-            AsapPolicy(symbolic_threshold=10_000), 15)
+            CallbackPolicy(AsapPolicy().choose), 15)
         symbolic = simulate_model(
-            weave_sdf(model).execution_model,
-            AsapPolicy(symbolic_threshold=0), 15)
+            weave_sdf(model).execution_model, AsapPolicy(), 15)
         enum_sizes = [len(step) for step in enumerating.trace]
         symb_sizes = [len(step) for step in symbolic.trace]
         assert enum_sizes == symb_sizes
@@ -124,22 +125,20 @@ class TestSymbolicAsap:
         best = max(engine_model.acceptable_steps(), key=len)
         assert len(step) == len(best)
 
-    def test_tie_breaks_of_both_paths(self):
+    def test_tie_break_is_the_bdd_walk(self):
         # three independent exclusive pairs: eight maximal steps of size 3
         events = [f"e{index}" for index in range(6)]
         pairs = [FormulaRuntime(f"x{index}", Not(And(
             Var(f"e{2 * index}"), Var(f"e{2 * index + 1}"))))
             for index in range(3)]
         model = ExecutionModel(events, pairs)
-        # enumerating: the greatest sorted list of event names
-        enumerating = frozenset({"e1", "e3", "e5"})
-        # symbolic: the BDD's high branch first, in event order
-        symbolic = frozenset({"e0", "e2", "e4"})
-        assert AsapPolicy().choose_from_model(model, 0) == enumerating
-        assert AsapPolicy(symbolic_threshold=0).choose_from_model(
-            model, 0) == symbolic
-        for policy, expected in ((AsapPolicy(), enumerating),
-                                 (AsapPolicy(symbolic_threshold=0),
-                                  symbolic)):
-            run = simulate_model(model.clone(), policy, 1)
-            assert run.trace.steps == [expected]
+        # one path on every model: the BDD's high branch first, in
+        # event order
+        walked = frozenset({"e0", "e2", "e4"})
+        assert AsapPolicy().choose_from_model(model, 0) == walked
+        run = simulate_model(model.clone(), AsapPolicy(), 1)
+        assert run.trace.steps == [walked]
+        # the candidate-list API keeps its own tie-break: the greatest
+        # sorted list of event names
+        assert AsapPolicy().choose(model.acceptable_steps(), 0) == \
+            frozenset({"e1", "e3", "e5"})

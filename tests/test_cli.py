@@ -492,20 +492,42 @@ class TestVersion:
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == repro.__version__
 
-    def test_fallback_version_matches_pyproject(self):
-        # the source-checkout fallback in repro/__init__.py must track
-        # the single declared version in pyproject.toml (3.10-compatible
-        # regex parse; tomllib only exists from 3.11)
+    def test_pyproject_reads_the_version_from_the_source(self):
+        # one declaration: pyproject.toml takes its version from
+        # repro.__version__ (3.10-compatible regex parse; tomllib only
+        # exists from 3.11), so no second literal can fall behind
         import re
         from pathlib import Path
 
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(),
-                             re.MULTILINE).group(1)
-        source = (Path(__file__).resolve().parents[1] / "src" / "repro"
-                  / "__init__.py").read_text()
-        fallback = re.search(r'__version__ = "([^"]+)"', source).group(1)
-        assert fallback == declared
+        pyproject = (Path(__file__).resolve().parents[1]
+                     / "pyproject.toml").read_text()
+        assert re.search(r'^dynamic = \["version"\]', pyproject,
+                         re.MULTILINE)
+        assert re.search(
+            r'^version = \{ attr = "repro.__version__" \}', pyproject,
+            re.MULTILINE)
+        assert not re.search(r'^version = "', pyproject, re.MULTILINE)
+
+    def test_stale_install_metadata_is_not_the_version(self):
+        # an install made before a version bump keeps the old metadata;
+        # the version (and so every store key) must still follow the
+        # source
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parents[1]
+        script = ("import importlib.metadata as metadata\n"
+                  "metadata.version = lambda name: '0.0.0-stale'\n"
+                  "import repro\n"
+                  "print(repro.__version__)\n")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == repro.__version__ != "0.0.0-stale"
 
 
 class TestExploreStrategy:
@@ -520,10 +542,11 @@ class TestExploreStrategy:
         compiled = model.kernel.transition_system(model).to_statespace()
         assert doc["data"]["statespace"] == json.loads(compiled.to_json())
 
-    def test_strategy_recorded_in_json(self, app_file, capsys):
+    def test_no_strategy_in_json(self, app_file, capsys):
+        # one path, so neither the spec nor the payload names one
         assert main(["explore", app_file, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["data"]["strategy"] == "explicit"
+        assert "strategy" not in doc["data"]
         assert "strategy" not in doc["spec"]
 
     def test_strategy_flag_is_gone(self, app_file, capsys):

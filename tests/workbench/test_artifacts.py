@@ -65,6 +65,11 @@ BAD_RUNS = [
      {"kind": "simulate",
       "policy": {"name": "priority", "weights": {"src.start": None}}},
      "weights"),
+    # ASAP has one path: its retired threshold is refused at any value
+    ("asap-threshold-is-retired",
+     {"kind": "simulate",
+      "policy": {"name": "asap", "symbolic_threshold": 0}},
+     "symbolic_threshold"),
     ("asap-threshold-is-a-string",
      {"kind": "simulate",
       "policy": {"name": "asap", "symbolic_threshold": "x"}},
@@ -379,8 +384,8 @@ class TestUniformReports:
 
 
 class TestExploreStrategySpec:
-    """Exploration has one path: an explore spec carries no strategy,
-    and its payload keeps the constant ``"strategy": "explicit"``."""
+    """Exploration has one path: neither an explore spec nor its
+    payload carries a strategy."""
 
     def test_strategy_is_refused(self):
         with pytest.raises(TypeError):
@@ -399,7 +404,7 @@ class TestExploreStrategySpec:
         model = workbench.handle("demo").execution_model
         compiled = model.kernel.transition_system(model).to_statespace()
         assert explored.data["statespace"] == json.loads(compiled.to_json())
-        assert explored.data["strategy"] == "explicit"
+        assert "strategy" not in explored.data
 
     def test_result_doc_carries_version(self, workbench):
         import repro

@@ -65,6 +65,7 @@ class TestRegistry:
         ({"name": "priority", "weights": {"a": "x"}}, "weights"),
         ({"name": "priority", "weights": {"a": None}}, "weights"),
         ({"name": "priority", "weights": ["a"]}, "weights"),
+        ({"name": "asap", "symbolic_threshold": 0}, "symbolic_threshold"),
         ({"name": "asap", "symbolic_threshold": "x"}, "symbolic_threshold"),
         ({"name": "asap", "symbolic_threshold": None},
          "symbolic_threshold"),
