@@ -9,6 +9,8 @@ Fails (exit 1) when the fresh report regresses against the baseline:
 
 * a benchmark file that was ``ok`` in the baseline now fails/times out,
 * a benchmark file disappeared entirely,
+* a benchmark the baseline holds is no longer measured by a fresh run
+  of its file,
 * a benchmark's mean time grew by more than ``--factor`` (default 4 —
   CI runners are noisy, this gate is for order-of-magnitude breakage,
   the committed trend line is for everything subtler) *and* by more
@@ -69,7 +71,7 @@ def compare(baseline: dict, fresh: dict, factor: float, floor: float) -> list[st
         for bench_name, base_bench in sorted(base_benches.items()):
             fresh_bench = fresh_benches.get(bench_name)
             if fresh_bench is None:
-                print(f"note: {bench_name} no longer measured")
+                problems.append(f"{name}: {bench_name} is no longer measured")
                 continue
             base_mean = base_bench.get("mean_s")
             fresh_mean = fresh_bench.get("mean_s")

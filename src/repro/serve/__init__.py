@@ -33,6 +33,16 @@ and ``repro submit`` load a document through the same
 :func:`~repro.serve.client.run_local`, so all three paths give the
 same bytes.
 
+**Transport** — HTTP/1.1 with keep-alive: a client sends its next
+request on the connection it already holds (:mod:`repro.serve.client`
+keeps one per thread). A ``/run`` reply is a ``Transfer-Encoding:
+chunked`` body, one NDJSON envelope per chunk. A request line that says
+HTTP/1.0 gets the same envelopes unframed, ended by the server closing
+the connection. Every answer sent before the request body was read
+whole (a bad or oversized ``Content-Length``, a chunked request body,
+an unreadable body, an unknown route) closes the connection, so an
+unread body byte is never parsed as a next request.
+
 **Response** — a stream of NDJSON envelopes, one per completed run, in
 completion order::
 
@@ -56,7 +66,10 @@ the problem, with status 400 (or 503 while draining), and counts in
 ``GET /healthz`` answers liveness (status, version, in-flight count);
 ``GET /metrics`` answers the full observability document (counters,
 latency histograms with p50/p90/p99, cache hit rates, live BDD-node
-gauges — see :mod:`repro.serve.metrics`).
+gauges — see :mod:`repro.serve.metrics`). Its ``connections`` counter
+counts the TCP connections the server accepted, so connection reuse
+shows on a running server: one client thread sending ten requests
+counts one.
 
 Eviction and drain semantics
 ----------------------------
@@ -70,9 +83,13 @@ never evicts under a running analysis — bounds may overshoot
 transiently instead of deadlocking.
 
 On SIGTERM/SIGINT the server **drains**: the listener stops accepting,
-new ``/run`` requests get 503, in-flight requests run to completion and
-their handler threads are joined, every kernel is evicted, and the
-final metrics snapshot is logged. No request is ever killed mid-run.
+new ``/run`` requests get 503, idle kept-alive connections are closed at
+once, in-flight requests run to completion and their handler threads
+are joined, every kernel is evicted, and the final metrics snapshot is
+logged. No request is ever killed mid-run. A client whose kept
+connection a drain closed retries once on a fresh connection, which a
+drained server refuses, so :func:`~repro.serve.client.submit_or_local`
+runs the document locally.
 """
 
 from repro.serve.client import (fetch_metrics, ping, run_local, submit,

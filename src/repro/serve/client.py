@@ -9,28 +9,113 @@ to local execution when no server is reachable. Because results are
 canonical documents on both paths, callers cannot tell (byte-wise)
 where an analysis ran.
 
-Everything here is stdlib-only (``urllib``), matching the server side.
+Everything here is stdlib-only (``http.client``), matching the server
+side. Each thread keeps one HTTP/1.1 connection, to the server it used
+last, and sends its next request there; a call's *timeout* applies to
+that call. A connection whose request failed at any point is closed,
+never reused. A kept connection the server closed before answering (an
+idle timeout, a drain, a restart) is retried once on a fresh one: a run
+is a pure function of its document, and a store write is idempotent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
-import urllib.error
-import urllib.request
+import threading
 
 from repro.serve.state import ServeError
 
+#: per thread, ``(address, connection)`` of the kept connection; a call
+#: takes it out and puts it back only once its response was read whole
+_kept = threading.local()
 
-def _endpoint(server: str, path: str) -> str:
-    base = server if "://" in server else f"http://{server}"
-    return base.rstrip("/") + path
+
+class _Connection(http.client.HTTPConnection):
+    """A connection that closes itself once dropped, as a thread's kept
+    one is when the thread ends."""
+
+    def __del__(self):
+        self.close()
+
+
+def _split(server: str) -> tuple[str, str]:
+    """``(host:port, path prefix)`` of a server base URL
+    (``host:port`` or ``http://host:port[/prefix]``)."""
+    address, _, prefix = server.split("://", 1)[-1].partition("/")
+    return address, ("/" + prefix).rstrip("/")
+
+
+def _take(address: str) -> _Connection | None:
+    """This thread's kept connection if it goes to *address*; one to
+    another server is dropped, which closes it."""
+    held, _kept.held = getattr(_kept, "held", None), None
+    return held[1] if held and held[0] == address else None
+
+
+def _call(server: str, method: str, path: str, body: bytes | None,
+          timeout: float | None, read):
+    """Send one request to *server* on this thread's kept connection
+    and return ``read(response)``. Transport failures raise ``OSError``;
+    a reply ``http.client`` cannot parse raises :class:`ServeError`."""
+    address, prefix = _split(server)
+    headers = {"Content-Type": "application/json"} if body else {}
+    connection = _take(address)
+    kept = False
+    try:
+        while True:
+            fresh = connection is None
+            if fresh:
+                connection = _Connection(address, timeout=timeout)
+            else:
+                connection.sock.settimeout(timeout)
+            try:
+                connection.request(method, prefix + path, body=body,
+                                   headers=headers)
+                response = connection.getresponse()
+                break
+            except ConnectionError:
+                if fresh:
+                    raise
+                # closed before any response byte: one fresh retry
+                connection.close()
+                connection = None
+        value = read(response)
+        kept = True
+    except OSError:  # RemoteDisconnected is an HTTPException too
+        raise
+    except http.client.HTTPException as exc:
+        raise ServeError(f"unreadable reply from {server}: "
+                         f"{exc!r}") from exc
+    finally:
+        if kept and connection.sock:
+            _kept.held = (address, connection)
+        elif connection is not None:
+            connection.close()
+    return value
+
+
+def _lines(response):
+    """The complete lines of a streamed *response*, up to its end or to
+    the point where the connection was cut."""
+    try:
+        for line in response:
+            if not line.endswith(b"\n"):
+                return
+            yield line
+    except http.client.IncompleteRead:
+        return
 
 
 def _get_json(server: str, path: str, timeout: float) -> dict:
-    with urllib.request.urlopen(_endpoint(server, path),
-                                timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+    def read(response) -> dict:
+        payload = response.read()
+        if response.status != 200:
+            raise ServeError(f"GET {path} answered {response.status}")
+        return json.loads(payload.decode("utf-8"))
+
+    return _call(server, "GET", path, None, timeout, read)
 
 
 def ping(server: str, timeout: float = 5.0) -> dict | None:
@@ -38,7 +123,7 @@ def ping(server: str, timeout: float = 5.0) -> dict | None:
     (connection refused, timeout, non-200)."""
     try:
         return _get_json(server, "/healthz", timeout)
-    except (urllib.error.URLError, OSError, ValueError):
+    except (OSError, ValueError, ServeError):
         return None
 
 
@@ -56,33 +141,32 @@ def submit(document, server: str, timeout: float | None = None,
     envelope arrives — the streaming mirror of
     :meth:`Workbench.run_many`'s hook. Each result's ``cached`` flag
     carries the server's store-hit verdict (transport metadata; it
-    never appears in the canonical document). Raises
-    :class:`ServeError` when the server rejects the request or the
-    stream ends early, :class:`urllib.error.URLError` (or ``OSError``)
-    when the server is unreachable — callers that want a fallback use
-    :func:`submit_or_local`.
+    never appears in the canonical document).
+
+    Raises:
+        ServeError: the server rejected the request (the message names
+            the status and the server's ``error``), or the stream ended
+            early, failed mid-stream or could not be parsed.
+        OSError: the server is unreachable — the connection was
+            refused, reset, or closed before any response byte (also
+            on the one retry of a kept connection), or *timeout* ran
+            out. Callers that want a fallback use
+            :func:`submit_or_local`.
     """
     from repro.workbench.artifacts import RunResult
 
-    payload = json.dumps(document).encode("utf-8")
-    request = urllib.request.Request(
-        _endpoint(server, "/run"), data=payload,
-        headers={"Content-Type": "application/json"}, method="POST")
-    try:
-        response = urllib.request.urlopen(request, timeout=timeout)
-    except urllib.error.HTTPError as exc:
-        try:
-            detail = json.loads(exc.read().decode("utf-8"))["error"]
-        except Exception:
-            detail = exc.reason
-        raise ServeError(
-            f"server rejected the request ({exc.code}): {detail}"
-        ) from exc
-
-    results: dict[int, object] = {}
-    summary = None
-    with response:
-        for line in response:
+    def read(response) -> list:
+        if response.status != 200:
+            payload = response.read()
+            try:
+                detail = json.loads(payload.decode("utf-8"))["error"]
+            except Exception:
+                detail = response.reason
+            raise ServeError(f"server rejected the request "
+                             f"({response.status}): {detail}")
+        results: dict[int, object] = {}
+        summary = None
+        for line in _lines(response):
             if not line.strip():
                 continue
             envelope = json.loads(line.decode("utf-8"))
@@ -97,16 +181,21 @@ def submit(document, server: str, timeout: float | None = None,
             results[envelope["index"]] = result
             if on_result is not None:
                 on_result(envelope["index"], result)
-    if summary is None:
-        raise ServeError(
-            "result stream ended without a summary (connection lost "
-            "or server died mid-request)")
-    expected = summary["runs"]
-    if len(results) != expected or set(results) != set(range(expected)):
-        raise ServeError(
-            f"result stream is incomplete: got {len(results)} of "
-            f"{expected} results")
-    return [results[index] for index in range(expected)]
+        if summary is None:
+            raise ServeError(
+                "result stream ended without a summary (connection lost "
+                "or server died mid-request)")
+        response.read()  # the end of the chunked body
+        expected = summary["runs"]
+        if len(results) != expected or \
+                set(results) != set(range(expected)):
+            raise ServeError(
+                f"result stream is incomplete: got {len(results)} of "
+                f"{expected} results")
+        return [results[index] for index in range(expected)]
+
+    payload = json.dumps(document).encode("utf-8")
+    return _call(server, "POST", "/run", payload, timeout, read)
 
 
 def submit_or_local(document, server: str | None = None, store=None,
@@ -126,7 +215,7 @@ def submit_or_local(document, server: str | None = None, store=None,
         except ServeError as exc:
             if "draining" not in str(exc):
                 raise
-        except (urllib.error.URLError, OSError):
+        except OSError:
             pass
     results = run_local(document, store=store, workers=workers,
                         backend=backend, on_result=on_result)

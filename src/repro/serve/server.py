@@ -9,10 +9,11 @@ Two layers, deliberately separable:
   semaphore (``workers`` concurrent requests; extras queue). One
   request document in, a stream of result envelopes out — tests and
   the soak suite drive this layer directly, no sockets involved.
-* :class:`ReproServer` + :func:`serve` — a threaded stdlib HTTP
+* :class:`ReproServer` + :func:`serve` — a threaded stdlib HTTP/1.1
   front-end (``http.server.ThreadingHTTPServer``; no third-party
   dependencies) exposing ``POST /run``, ``GET /healthz`` and
-  ``GET /metrics``, with graceful drain on SIGTERM.
+  ``GET /metrics`` on kept-alive connections, with graceful drain on
+  SIGTERM.
 
 The wire protocol is the batch document the offline toolchain already
 speaks (see :mod:`repro.serve`): request bodies are
@@ -22,17 +23,22 @@ documents must be inline — the server never reads model files off its
 own disk on a request's behalf.
 
 The transport trusts no client with its threads or memory. A ``POST
-/run`` whose ``Content-Length`` is negative or not an integer is
-answered 400, and one declaring more than :data:`MAX_BODY_BYTES` is
-answered 413, both before any body byte is read. Every connection
-carries a 600 s socket timeout (``_Handler.timeout``), so a client that
-stalls mid-body is answered 400 and cannot pin a handler thread, or the
-SIGTERM drain waiting on it, forever.
+/run`` whose ``Content-Length`` is negative or not an integer, or that
+sends a ``Transfer-Encoding`` instead, is answered 400 (411), and one
+declaring more than :data:`MAX_BODY_BYTES` is answered 413, all before
+any body byte is read. Every answer sent before the request body was
+read whole closes the connection, so no unread body byte is ever parsed
+as a next request. Every connection carries a 600 s socket timeout
+(``_Handler.timeout``), so a client that stalls mid-body is answered
+400 and cannot pin a handler thread forever, and an idle kept-alive
+connection holds its handler thread for at most that long. A drain
+closes idle connections at once and waits only on requests in flight.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -238,14 +244,19 @@ class AnalysisService:
 # ---------------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
-    # HTTP/1.0 + connection-close framing: NDJSON streams need no
-    # Content-Length up front and no chunked encoding machinery
-    protocol_version = "HTTP/1.0"
+    # HTTP/1.1: a connection is kept alive between requests, and a
+    # ``/run`` stream is a chunked body, one NDJSON envelope per chunk;
+    # an HTTP/1.0 request gets a stream that ends when the connection
+    # closes
+    protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{repro.__version__}"
     #: per-connection socket timeout (``StreamRequestHandler.setup``
-    #: applies it) so a stalled client cannot pin a handler thread, and
-    #: the drain joining it, forever
+    #: applies it) so a stalled client or an idle kept-alive connection
+    #: cannot pin a handler thread, and the drain joining it, forever
     timeout = 600
+    #: TCP_NODELAY: without it each reply on a kept-alive connection
+    #: waits out the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         if getattr(self.server, "verbose", False):
@@ -255,25 +266,54 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> AnalysisService:
         return self.server.service
 
-    def _send_json(self, status: int, document: dict) -> None:
+    def setup(self):
+        super().setup()
+        self.service.metrics.count("connections")
+
+    def handle(self):
+        # the stdlib loop, except that the wait for each request line
+        # is one a drain can cut short
+        self.close_connection = False
+        while not self.close_connection and \
+                self.server._await_request(self):
+            self.handle_one_request()
+
+    def _send_json(self, status: int, document: dict,
+                   close: bool = False) -> None:
         payload = (canonical_json(document) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close:  # sets ``close_connection``
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a ``POST /run`` whose body was not read whole, and
+        close the connection: its unread bytes are no next request."""
+        self.service.metrics.count("requests_failed")
+        self._send_json(status, {"error": message}, close=True)
+
     def do_GET(self):
+        # a GET that declares a body is answered without reading it
+        close = "Content-Length" in self.headers or \
+            "Transfer-Encoding" in self.headers
         if self.path == "/healthz":
-            self._send_json(200, self.service.healthz())
+            self._send_json(200, self.service.healthz(), close)
         elif self.path == "/metrics":
-            self._send_json(200, self.service.metrics_doc())
+            self._send_json(200, self.service.metrics_doc(), close)
         else:
-            self._send_json(404, {"error": f"no route {self.path!r}"})
+            self._send_json(404, {"error": f"no route {self.path!r}"},
+                            close)
 
     def do_POST(self):
         if self.path != "/run":
-            self._send_json(404, {"error": f"no route {self.path!r}"})
+            self._send_json(404, {"error": f"no route {self.path!r}"},
+                            close=True)
+            return
+        if "Transfer-Encoding" in self.headers:
+            self._refuse(411, "a request body needs a Content-Length")
             return
         declared = self.headers.get("Content-Length", "0")
         try:
@@ -281,36 +321,38 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0:
-            self.service.metrics.count("requests_failed")
-            self._send_json(400, {"error": f"bad Content-Length "
-                                           f"{declared!r}"})
+            self._refuse(400, f"bad Content-Length {declared!r}")
             return
         if length > MAX_BODY_BYTES:
-            self.service.metrics.count("requests_failed")
-            self._send_json(413, {"error": f"request body of {length} "
-                                           f"bytes exceeds the "
-                                           f"{MAX_BODY_BYTES}-byte limit"})
+            self._refuse(413, f"request body of {length} bytes exceeds "
+                              f"the {MAX_BODY_BYTES}-byte limit")
             return
         try:
             document = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, OSError) as exc:  # a timeout is an OSError
-            self.service.metrics.count("requests_failed")
-            self._send_json(400, {"error": f"unreadable request: {exc}"})
+            self._refuse(400, f"unreadable request: {exc}")
             return
 
+        chunked = self.request_version != "HTTP/1.0"
         headers_sent = False
 
-        def emit(envelope: dict) -> None:
+        def emit(envelope: dict, last: bool = False) -> None:
             nonlocal headers_sent
+            line = (canonical_json(envelope) + "\n").encode("utf-8")
+            if chunked:
+                line = b"%x\r\n%s\r\n%s" % (len(line), line,
+                                             b"0\r\n\r\n" if last else b"")
             if not headers_sent:
                 self.send_response(200)
                 self.send_header("Content-Type",
                                  "application/x-ndjson")
+                if chunked:
+                    self.send_header("Transfer-Encoding", "chunked")
+                else:  # the stream ends when the connection does
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 headers_sent = True
-            self.wfile.write(
-                (canonical_json(envelope) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            self.wfile.write(line)
 
         try:
             summary = self.service.handle_request(document, emit)
@@ -323,14 +365,15 @@ class _Handler(BaseHTTPRequestHandler):
             status = 503 if isinstance(exc, ServeError) \
                 and "draining" in str(exc) else 400
             if headers_sent:  # too late for a status line
-                emit({"serve": PROTOCOL, "error": str(exc)})
+                emit({"serve": PROTOCOL, "error": str(exc)}, last=True)
             else:
                 self._send_json(status, {"error": str(exc)})
             return
         except (BrokenPipeError, ConnectionResetError, TimeoutError):
             self.service.metrics.count("requests_failed")
+            self.close_connection = True
             return  # client went away or stalled mid-stream
-        emit(summary)
+        emit(summary, last=True)
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -339,6 +382,9 @@ class ReproServer(ThreadingHTTPServer):
     ``daemon_threads`` stays False and ``block_on_close`` True — the
     stdlib then *joins* every in-flight handler thread during
     ``server_close()``, which is exactly the drain semantics we want.
+    A handler thread lives as long as its connection; :meth:`drain`
+    closes the idle ones first, so the join waits only on requests in
+    flight.
     """
 
     daemon_threads = False
@@ -349,7 +395,41 @@ class ReproServer(ThreadingHTTPServer):
         self.service = service
         self.verbose = verbose
         self._serve_thread: threading.Thread | None = None
+        #: sockets whose handler waits for a request line, and whether
+        #: a drain has closed them (no handler waits after that)
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
         super().__init__(address, _Handler)
+
+    def _await_request(self, handler: _Handler) -> bool:
+        """Wait for the first byte of *handler*'s next request. False
+        when the client closed, the socket timeout ran out or a drain
+        closed the idle connection."""
+        connection = handler.connection
+        with self._idle_lock:
+            if self._closing:
+                return False
+            self._idle.add(connection)
+        try:
+            arrived = bool(handler.rfile.peek(1))
+        except OSError:  # the socket timeout, a reset
+            arrived = False
+        with self._idle_lock:
+            if connection not in self._idle:  # a drain closed it
+                return False
+            self._idle.discard(connection)
+        return arrived
+
+    def _close_idle(self) -> None:
+        with self._idle_lock:
+            self._closing = True
+            for connection in self._idle:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client closed it first
+            self._idle.clear()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -367,11 +447,12 @@ class ReproServer(ThreadingHTTPServer):
         return self
 
     def drain(self) -> dict:
-        """Graceful stop: refuse new work, finish in-flight requests,
-        join handler threads, release kernels. Returns the drain-time
-        metrics report."""
+        """Graceful stop: refuse new work, close idle connections,
+        finish in-flight requests, join handler threads, release
+        kernels. Returns the drain-time metrics report."""
         self.service.begin_drain()
         self.shutdown()           # stops the accept loop
+        self._close_idle()        # their handler threads return now
         self.server_close()       # joins in-flight handler threads
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=30)

@@ -289,9 +289,6 @@ class TestNonEncodableModels:
 
     def test_auto_falls_back_to_explicit(self):
         model = self.make_unbounded()
-        # force auto past the event threshold by padding free events
-        for index in range(12):
-            model.add_event(f"pad{index}")
         result = ctl.check(model, "AG !deadlock", strategy="auto",
                            max_states=50)
         assert result.strategy == "explicit"

@@ -1,11 +1,16 @@
-"""The client: local fallback, document splitting, endpoint handling."""
+"""The client: local fallback, document splitting, endpoint handling,
+kept connections."""
 
+import http.client
+import json
 import os
+import socket
+import threading
 
 import pytest
 
-from repro.serve import ServeError, ping, run_local, serve, \
-    split_document, submit_or_local
+from repro.serve import ServeError, fetch_metrics, ping, run_local, serve, \
+    split_document, submit, submit_or_local
 
 CHAIN = """
 application client_chain {
@@ -106,6 +111,92 @@ class TestFallback:
         from_local, _ = submit_or_local(document(), server=DEAD)
         assert [r.to_json() for r in from_server] == \
             [r.to_json() for r in from_local]
+
+
+def one_reply_server(reply: bytes) -> str:
+    """The URL of a listener that reads one request, answers it with
+    *reply* and closes the connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener, listener.accept()[0] as connection:
+            received = b""
+            while b"\r\n\r\n" not in received:
+                received += connection.recv(65536)
+            head, _, body = received.partition(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length:")[1]
+                         .split(b"\r\n")[0])
+            while len(body) < length:
+                body += connection.recv(65536)
+            connection.sendall(reply)
+
+    threading.Thread(target=answer, daemon=True).start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+
+CHUNKED = (b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+           b"Transfer-Encoding: chunked\r\n\r\n")
+
+
+def cut_reply(cut: str) -> bytes:
+    """A ``/run`` reply to :func:`document` that stops at *cut*."""
+    [result] = run_local(document())
+    envelope = (json.dumps({"serve": 1, "index": 0, "cached": False,
+                            "result": result.to_doc()}) + "\n").encode()
+    chunk = b"%x\r\n" % len(envelope) + envelope + b"\r\n"
+    return {"after-the-head": CHUNKED,
+            "after-an-envelope": CHUNKED + chunk,
+            "mid-envelope": CHUNKED + chunk[:40],
+            "mid-envelope-close-delimited":
+                b"HTTP/1.0 200 OK\r\n\r\n" + envelope[:40]}[cut]
+
+
+class TestKeptConnection:
+    def test_dead_server_falls_back_on_every_call(self):
+        for _ in range(2):
+            results, origin = submit_or_local(document(), server=DEAD)
+            assert origin == "local"
+            assert results[0].ok
+
+    def test_restarted_server_is_reached_after_one_retry(self,
+                                                         monkeypatch):
+        first = serve(port=0).start()
+        submit(document(), first.url)  # this thread keeps a connection
+        port = first.server_address[1]
+        first.drain()  # and the server closes it
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counted(self):
+            connects.append(self.port)
+            connect(self)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+        with serve(port=port).start() as second:
+            assert second.url == first.url
+            results, origin = submit_or_local(document(),
+                                              server=second.url)
+            assert origin == "server"
+            assert results[0].ok
+            assert connects == [port]
+            assert fetch_metrics(second.url)["counters"][
+                "connections"] == 1
+
+    @pytest.mark.parametrize("cut", [
+        "after-the-head", "after-an-envelope", "mid-envelope",
+        "mid-envelope-close-delimited"])
+    def test_stream_cut_mid_reply_is_a_serve_error(self, cut):
+        seen = []
+        with pytest.raises(ServeError, match="without a summary"):
+            submit(document(), one_reply_server(cut_reply(cut)),
+                   timeout=10,
+                   on_result=lambda index, result: seen.append(index))
+        assert seen == ([0] if cut == "after-an-envelope" else [])
+
+    def test_bad_chunk_framing_is_a_serve_error(self):
+        with pytest.raises(ServeError):
+            submit(document(), one_reply_server(CHUNKED + b"zz\r\n"),
+                   timeout=10)
 
 
 class TestRunLocal:

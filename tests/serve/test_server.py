@@ -1,6 +1,7 @@
 """The HTTP server: round-trip byte-identity, error paths, store
 write-through, concurrency, and drain semantics."""
 
+import http.client
 import json
 import socket
 import threading
@@ -257,7 +258,7 @@ class TestUntrustedLength:
         with raw_post(server, b"Content-Length: " + declared
                       + b"\r\n\r\n") as connection:
             assert status_line(connection).startswith(
-                b"HTTP/1.0 " + status)
+                b"HTTP/1.1 " + status)
         counters = fetch_metrics(server.url)["counters"]
         assert counters["requests_failed"] == 1
         assert counters["requests"] == 0  # nothing was executed
@@ -292,8 +293,157 @@ class TestStalledClient:
             thread.join(timeout=10)
             assert not thread.is_alive()
             # the timed-out body read is answered like any unreadable one
-            assert status_line(connection).startswith(b"HTTP/1.0 400")
+            assert status_line(connection).startswith(b"HTTP/1.1 400")
         assert report["counters"]["requests_failed"] == 1
+
+
+def read_to_close(server, data: bytes) -> bytes:
+    """Everything the server sends back for *data* on one connection,
+    up to the server closing it."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as connection:
+        connection.sendall(data)
+        with connection.makefile("rb") as reply:
+            return reply.read()
+
+
+def post(path: str, body: bytes, version: bytes = b"HTTP/1.1",
+         headers: bytes = b"") -> bytes:
+    return (b"POST " + path.encode() + b" " + version + b"\r\n" + headers
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+#: a request pipelined behind one the server answers unread
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestKeepAlive:
+    def test_one_thread_sends_every_request_on_one_connection(self,
+                                                             server):
+        for _ in range(10):
+            submit(document(), server.url)
+        counters = fetch_metrics(server.url)["counters"]
+        assert counters["requests"] == 10
+        assert counters["connections"] == 1
+
+    def test_each_thread_keeps_its_own_connection(self, server):
+        threads = [threading.Thread(target=submit,
+                                    args=(document(), server.url))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        # this thread's fetch opens the third
+        counters = fetch_metrics(server.url)["counters"]
+        assert counters["requests"] == 2
+        assert counters["connections"] == 3
+
+    def test_drain_closes_an_idle_kept_connection_at_once(self):
+        assert _Handler.timeout == 600
+        server = serve(port=0).start()
+        host, port = server.server_address[:2]
+        client = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            client.request("GET", "/healthz")
+            assert client.getresponse().read()
+            thread = threading.Thread(target=server.drain)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            client.close()
+
+    def test_http11_stream_is_one_chunk_per_envelope(self, server):
+        reply = read_to_close(server, post(
+            "/run", json.dumps(document()).encode(),
+            headers=b"Connection: close\r\n"))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"Transfer-Encoding: chunked" in head
+        envelopes = []
+        while True:
+            size, _, body = body.partition(b"\r\n")
+            chunk, body = body[:int(size, 16)], body[int(size, 16) + 2:]
+            if not chunk:
+                break
+            assert chunk.count(b"\n") == 1 and chunk.endswith(b"\n")
+            envelopes.append(json.loads(chunk))
+        assert body == b""
+        assert len(envelopes) == 5 and envelopes[-1]["done"] is True
+
+    def test_http10_stream_ends_with_the_connection(self, server):
+        reply = read_to_close(server, post(
+            "/run", json.dumps(document()).encode(), b"HTTP/1.0"))
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Transfer-Encoding" not in head
+        envelopes = [json.loads(line) for line in body.splitlines()]
+        assert len(envelopes) == 5 and envelopes[-1]["done"] is True
+        assert [result.to_doc() for result in run_local(document())] == \
+            [envelope["result"] for envelope in sorted(
+                envelopes[:-1], key=lambda envelope: envelope["index"])]
+
+
+def read_response(reply) -> bytes:
+    """The head of the one response read off the file *reply*; its
+    ``Content-Length`` body is read too."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        head += reply.readline()
+    length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+    assert len(reply.read(length)) == length
+    return head
+
+
+class TestUnreadBodyClosesTheConnection:
+    """An answer sent before the request body was read whole closes the
+    connection: the pipelined request behind it is never parsed out of
+    the unread body."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (b"POST /run HTTP/1.1\r\nContent-Length: -1\r\n\r\n" + HEALTHZ,
+         b"400"),
+        (b"POST /run HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (MAX_BODY_BYTES + 1) + HEALTHZ, b"413"),
+        (b"POST /run HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         + b"%x\r\n" % len(HEALTHZ) + HEALTHZ + b"\r\n0\r\n\r\n", b"411"),
+        (post("/nope", HEALTHZ), b"404"),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % len(HEALTHZ) + HEALTHZ, b"200"),
+    ], ids=["bad-length", "oversized-length", "chunked-body",
+            "unknown-route", "get-with-a-body"])
+    def test_pipelined_request_is_not_parsed(self, server, request_bytes,
+                                            status):
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as connection:
+            connection.sendall(request_bytes)
+            with connection.makefile("rb") as reply:
+                assert read_response(reply).startswith(
+                    b"HTTP/1.1 " + status)
+                assert reply.read() == b""  # and the server closed
+        assert ping(server.url)["status"] == "ok"
+
+    def test_rest_of_a_stalled_body_is_not_parsed(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        with serve(port=0).start() as server:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port),
+                                          timeout=5) as connection:
+                connection.sendall(b"POST /run HTTP/1.1\r\nContent-Length: "
+                                   b"%d\r\n\r\n{" % (1 + len(HEALTHZ)))
+                with connection.makefile("rb") as reply:
+                    # answered once the body read timed out
+                    assert read_response(reply).startswith(
+                        b"HTTP/1.1 400")
+                    try:  # the declared body's last bytes, sent late
+                        connection.sendall(HEALTHZ)
+                        rest = reply.read()
+                    except ConnectionError:
+                        rest = b""
+                    assert rest == b""
+            assert fetch_metrics(server.url)["counters"][
+                "requests_failed"] == 1
 
 
 class TestIntrospection:
