@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro import obs
@@ -49,8 +50,48 @@ from repro.boolalg.expr import (
 )
 
 
+@dataclass(slots=True)
+class Memo:
+    """A row of a memo owner's ``MEMOS`` table, keyed by the name
+    ``cache_sizes()`` reports: the memo's attribute, the entry count
+    past which it is trimmed (read by each trim, and by an LRU when it
+    is made) and whether a compiled system's reorder roots hold its
+    node ids. Lower a cap by patching the row in place."""
+
+    attr: str
+    cap: int
+    roots: bool = False
+
+
+class _PerSet(dict):
+    """A memo of inner memos, one per level or variable set; its length
+    counts their entries."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return sum(map(len, self.values()))
+
+
+class _MaxModelMemo(dict):
+    """One variable set's :meth:`Bdd.max_true_model` memo, ``{node:
+    (score, value, child)}``, with its *names* and levels' *position*."""
+
+    __slots__ = ("names", "position")
+
+
 class Bdd:
     """A BDD manager with a dynamic (siftable) variable order."""
+
+    #: the operation memos: each is dropped whole past its cap (an inner
+    #: memo as soon as one call grows it past), but ``expr`` is an LRU.
+    #: The node table is no memo: node ids must stay valid.
+    MEMOS = {"ite": Memo("_ite_cache", 1_000_000),
+             "expr": Memo("_expr_cache", 50_000),
+             "exists": Memo("_exists_cache", 500_000),
+             "and_exists": Memo("_andex_cache", 500_000),
+             "max_model": Memo("_max_model_cache", 500_000),
+             "not": Memo("_not_cache", 1_000_000)}
 
     def __init__(self, order: Iterable[str] | None = None):
         #: node storage: index -> (level, low, high); levels 0.. for
@@ -67,28 +108,24 @@ class Bdd:
         #: ``_not_cache[¬f] == f`` — makes repeated complements O(1) and
         #: feeds the ite complement-argument normalization.
         self._not_cache: dict[int, int] = {}
-        #: cross-call existential-quantification memo keyed
-        #: ``(node, frozen level-set)`` — invalidated on reorder, since
-        #: the level sets are positional.
-        #: one inner ``{node: result}`` memo per quantified level set —
-        #: the nesting keeps the hot-path key a bare int.
-        self._exists_cache: dict[frozenset[int], dict[int, int]] = {}
+        #: cross-call existential-quantification memo: one inner
+        #: ``{node: result}`` memo per quantified level set — the
+        #: nesting keeps the hot-path key a bare int. Level-keyed, so
+        #: invalidated on reorder, as are the next two.
+        self._exists_cache: _PerSet = _PerSet()
         #: fused relational-product memo for :meth:`and_exists`: one
         #: inner memo per level set, keyed ``(f << 32) | g`` with the
-        #: commutative operands id-ordered — level-keyed, so
-        #: invalidated on reorder.
-        self._andex_cache: dict[frozenset[int], dict[int, int]] = {}
-        #: cross-call :meth:`max_true_model` memo: per variable set (the
-        #: tuple a caller passed), its names, the position of each of
-        #: their levels, and ``{node: (score, value, child)}`` — level-
-        #: keyed, so invalidated on reorder.
-        self._max_model_cache: dict[tuple[str, ...], tuple] = {}
-        #: from_expr memo — a *bounded* LRU: expression objects can be
-        #: created in unbounded numbers by long-running sessions (every
-        #: clone/discard cycle of a stateful model contributes fresh
-        #: formulas), so entries whose expressions are no longer in use
-        #: must eventually be evicted rather than pinned forever.
+        #: commutative operands id-ordered.
+        self._andex_cache: _PerSet = _PerSet()
+        #: cross-call :meth:`max_true_model` memo, per variable set
+        self._max_model_cache: _PerSet = _PerSet()
+        #: from_expr memo — an LRU: every clone/discard cycle of a
+        #: stateful model contributes fresh formulas, which must be
+        #: evicted once unused rather than pinned forever.
         self._expr_cache: OrderedDict[BExpr, int] = OrderedDict()
+        #: (memo, its row) in ``MEMOS`` order, bound once for the trim
+        self._memos = tuple((getattr(self, row.attr), row)
+                            for row in self.MEMOS.values())
         self._order: list[str] = []
         self._levels: dict[str, int] = {}
         #: node ids per level (dead ids included — the table is
@@ -114,19 +151,6 @@ class Bdd:
         self.one = self._make_terminal()
         for name in order or []:
             self.declare(name)
-
-    #: soft bound on the ite cache; exceeding it drops it (the node
-    #: table itself is never dropped — node ids must stay valid).
-    _CACHE_LIMIT = 1_000_000
-
-    #: soft bound on the cross-call exists cache, dropped wholesale like
-    #: the ite cache when exceeded.
-    _EXISTS_CACHE_LIMIT = 500_000
-
-    #: hard bound on the from_expr memo: least-recently-used entries are
-    #: evicted one by one, so the memo stays bounded across arbitrarily
-    #: many clone/discard cycles while hot formulas stay cached.
-    _EXPR_CACHE_LIMIT = 50_000
 
     #: one variable's sift is cut short once the live node count grows
     #: past this factor of the count that sift started from.
@@ -285,16 +309,9 @@ class Bdd:
         return len(seen)
 
     def cache_sizes(self) -> dict[str, int]:
-        """Current operation-cache sizes (introspection/tests)."""
-        return {"ite": len(self._ite_cache), "expr": len(self._expr_cache),
-                "exists": sum(map(len, self._exists_cache.values())),
-                "and_exists": sum(map(len, self._andex_cache.values())),
-                "max_model": self._max_model_size(),
-                "not": len(self._not_cache)}
-
-    def _max_model_size(self) -> int:
-        return sum(len(best) for _names, _positions, best
-                   in self._max_model_cache.values())
+        """Entries per operation memo, by its ``MEMOS`` name."""
+        return {name: len(getattr(self, row.attr))
+                for name, row in self.MEMOS.items()}
 
     def cache_stats(self) -> dict[str, dict[str, float]]:
         """Hit/miss counters and hit rates per operation cache."""
@@ -308,34 +325,21 @@ class Bdd:
                 "not": bucket(self._not_hits, self._not_misses)}
 
     def clear_operation_caches(self) -> None:
-        """Drop the ite, negation, exists, max-model and expression
-        caches.
+        """Drop every operation memo.
 
         Node ids remain valid (the unique table is untouched); only the
         memoized operation results are released. Safe at any time — the
         caches are a pure accelerator — and mandatory after a reorder,
         where the level-keyed exists entries go stale.
         """
-        self._ite_cache.clear()
-        self._not_cache.clear()
-        self._exists_cache.clear()
-        self._andex_cache.clear()
-        self._max_model_cache.clear()
-        self._expr_cache.clear()
+        for memo, _row in self._memos:
+            memo.clear()
 
     def _trim_caches(self) -> None:
-        if len(self._ite_cache) > self._CACHE_LIMIT:
-            self._ite_cache.clear()
-        if sum(map(len, self._exists_cache.values())) \
-                > self._EXISTS_CACHE_LIMIT:
-            self._exists_cache.clear()
-        if sum(map(len, self._andex_cache.values())) \
-                > self._EXISTS_CACHE_LIMIT:
-            self._andex_cache.clear()
-        if self._max_model_size() > self._EXISTS_CACHE_LIMIT:
-            self._max_model_cache.clear()
-        while len(self._expr_cache) > self._EXPR_CACHE_LIMIT:
-            self._expr_cache.popitem(last=False)
+        """Drop each memo grown past its cap."""
+        for memo, row in self._memos:
+            if len(memo) > row.cap:
+                memo.clear()
 
     # -- core operations -----------------------------------------------------------
 
@@ -522,7 +526,7 @@ class Bdd:
             return node
         result = self._exists_levels(node, levels)
         cache = self._exists_cache.get(levels)
-        if cache is not None and len(cache) > self._EXISTS_CACHE_LIMIT:
+        if cache is not None and len(cache) > self.MEMOS["exists"].cap:
             cache.clear()
         return result
 
@@ -625,7 +629,7 @@ class Bdd:
             return result
 
         result = walk(f, g)
-        if len(cache) > self._EXISTS_CACHE_LIMIT:
+        if len(cache) > self.MEMOS["and_exists"].cap:
             cache.clear()
         return result
 
@@ -906,6 +910,8 @@ class Bdd:
             return cached
         result = self._compile(expr)
         self._expr_cache[expr] = result
+        while len(self._expr_cache) > self.MEMOS["expr"].cap:
+            self._expr_cache.popitem(last=False)
         self._trim_caches()
         return result
 
@@ -1044,15 +1050,15 @@ class Bdd:
         if node == self.zero:
             return None
         key = tuple(over)
-        context = self._max_model_cache.get(key)
-        if context is None:
-            names = list(dict.fromkeys(key))
-            for name in names:
+        best = self._max_model_cache.get(key)
+        if best is None:
+            best = self._max_model_cache[key] = _MaxModelMemo()
+            best.names = list(dict.fromkeys(key))
+            for name in best.names:
                 self.declare(name)
-            levels = sorted(self._levels[name] for name in names)
-            context = self._max_model_cache[key] = (
-                names, {level: i for i, level in enumerate(levels)}, {})
-        names, position_of, best = context
+            levels = sorted(self._levels[name] for name in best.names)
+            best.position = {level: i for i, level in enumerate(levels)}
+        names, position_of = best.names, best.position
         total = len(position_of)
         nodes = self._nodes
         zero = self.zero
@@ -1095,7 +1101,7 @@ class Bdd:
             _score, value, child = best[current]
             model[self._order[nodes[current][0]]] = value
             current = child
-        if len(best) > self._EXISTS_CACHE_LIMIT:
+        if len(best) > self.MEMOS["max_model"].cap:
             best.clear()
         return model
 

@@ -177,13 +177,14 @@ manager's ``reorder_count`` and is rebuilt after a sift, and the
 manager drops its ``max_true_model`` memo with its other level-keyed
 caches.
 
-Explicit stepping has no settings. Its memos are class constants on
-:class:`~repro.engine.tables.TableStepper` (``CONJ_CACHE_SIZE``,
-``STEPS_CACHE_SIZE``, ``TOUCH_CACHE_SIZE``, ``MODELS_CACHE_SIZE``),
-each bounded, listed by ``SymbolicKernel.cache_sizes()`` and dropped by
-``SymbolicKernel.clear()``. A successor steps only the constraints its
-step names, plus those that do not stutter at the state, so on
-torus(5,5) (175 constraints) an edge reads about 16 tables, not 175.
+Explicit stepping has no settings. Each memo is one row of its owner's
+``MEMOS`` table (``Bdd``, ``TableStepper`` and the ``SymbolicKernel``
+and ``TransitionSystem`` tables extending it): its name, attribute,
+cap and whether it holds reorder roots. ``cache_sizes()``, the trims,
+``clear()`` and ``_reorder_roots()`` loop over the tables. A successor
+steps only the constraints its step names, plus those that do not
+stutter at the state, so on torus(5,5) (175 constraints) an edge reads
+about 16 tables, not 175.
 
 Property syntax, worked example
 ===============================

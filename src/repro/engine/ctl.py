@@ -879,11 +879,6 @@ class _SymbolicChecker:
         can_step = system.can_step_node(include_empty)
         self.dead = bdd.apply_and(reach, bdd.apply_not(can_step))
         self._memo: dict[Prop, int] = {}
-        #: distance-gauge onion rings still referenced by live gauge
-        #: closures (witness extraction) — kept as reorder roots for the
-        #: checker's lifetime so a mid-extraction reorder cannot
-        #: invalidate them
-        self._ring_pins: list[int] = []
         #: atom-evaluation notes (possible typos), keyed by atom
         self.notes: dict[Prop, str] = {}
 
@@ -891,10 +886,7 @@ class _SymbolicChecker:
         """Node ids this checker holds — reported to the transition
         system's reorder-roots sweep through the ``analysis_cache``
         protocol (see :meth:`TransitionSystem._reorder_roots`)."""
-        roots = [self.universe, self.dead]
-        roots.extend(self._memo.values())
-        roots.extend(self._ring_pins)
-        return roots
+        return [self.universe, self.dead, *self._memo.values()]
 
     def _pre(self, node: int) -> int:
         return self._restrict(self.system.preimage(node, self.include_empty))
@@ -1036,18 +1028,18 @@ class _SymbolicChecker:
         fixpoint's onion rings: ring *i* is the set of states at
         distance ≤ *i*, each ring one preimage. Probing a state is a
         linear-in-depth sequence of O(bits) BDD evaluations — no
-        concrete state is ever enumerated."""
+        concrete state is ever enumerated. The rings are passed to each
+        safe point as iterates in flight; none runs while the gauge is
+        read (:func:`_reach_walk` only steps and probes)."""
         bdd = self.system.bdd
         rings = [target]
-        self._ring_pins.append(target)
         while True:
             grown = bdd.apply_or(
                 rings[-1], bdd.apply_and(via, self._pre(rings[-1])))
             if grown == rings[-1]:
                 break
             rings.append(grown)
-            self._ring_pins.append(grown)
-            self.system._maybe_reorder(via)
+            self.system._maybe_reorder(via, *rings)
 
         def gauge(state):
             assignment = self.system.encode_assignment(state)
@@ -1282,6 +1274,8 @@ def _symbolic_checker(system, include_empty: bool) -> _SymbolicChecker:
     checker = system.analysis_cache.get(key)
     if checker is None:
         checker = _SymbolicChecker(system, include_empty=include_empty)
+        if len(system.analysis_cache) >= system.MEMOS["analyses"].cap:
+            system.analysis_cache.clear()
         system.analysis_cache[key] = checker
     return checker
 

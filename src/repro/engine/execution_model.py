@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Sequence
 
-from repro.boolalg.bdd import Bdd
+from repro.boolalg.bdd import Bdd, Memo
 from repro.boolalg.expr import And, BExpr
 from repro.engine.tables import (
     _MISSING,
@@ -66,25 +66,25 @@ class SymbolicKernel(TableStepper):
       constraint slot, which explicit exploration and simulation step
       through (:meth:`table_view`) instead of re-running the runtimes.
 
-    All caches but the tables are bounded LRUs; the tables grow with
-    what has been explored. The kernel is a pure accelerator and can be
-    dropped at any time (:meth:`ExecutionModel.clear_caches`).
+    All caches but the tables are rows of :attr:`MEMOS` or
+    ``Bdd.MEMOS``, each bounded; the tables grow with what has been
+    explored. The kernel is a pure accelerator and can be dropped at
+    any time (:meth:`ExecutionModel.clear_caches`).
     """
 
-    #: compiled transition systems are heavyweight (own BDD manager);
-    #: keep only a few, keyed by the configuration they were built from
-    TRANSITION_SYSTEM_CACHE_SIZE = 4
-    #: explored state spaces kept for repeated analyses (the property
-    #: checker's explicit backend) — also heavyweight, also few
-    EXPLORED_SPACE_CACHE_SIZE = 4
+    #: the stepping memos, plus two heavyweight LRUs: each system owns a
+    #: manager, and each space is the property checker's explicit backend
+    MEMOS = {**TableStepper.MEMOS,
+             "transition_systems": Memo("_ts_cache", 4),
+             "explored_spaces": Memo("_space_cache", 4)}
 
     def __init__(self, events: Iterable[str],
                  constraints: Sequence[ConstraintRuntime]):
         events = tuple(events)
         super().__init__(Bdd(order=events), events, [],
                          _constraint_order(constraints))
-        self._ts_cache = _LruCache(self.TRANSITION_SYSTEM_CACHE_SIZE)
-        self._space_cache = _LruCache(self.EXPLORED_SPACE_CACHE_SIZE)
+        self._ts_cache = _LruCache(self.MEMOS["transition_systems"].cap)
+        self._space_cache = _LruCache(self.MEMOS["explored_spaces"].cap)
 
     def table_view(self, model: "ExecutionModel") -> CompiledStateView:
         """A table-driven working view of *model*'s current configuration
@@ -162,30 +162,18 @@ class SymbolicKernel(TableStepper):
         return space
 
     def cache_sizes(self) -> dict[str, int]:
-        enumeration = self._enumeration  # one read: a run may reset it
-        return {
-            "conjunctions": len(self._conj_cache),
-            "steps": len(self._steps_cache),
-            "max_steps": len(self._max_step_cache),
-            "touches": len(self._touches),
-            "models": 0 if enumeration is None else len(enumeration[3]),
-            "max_model": self.bdd.cache_sizes()["max_model"],
-            "transition_systems": len(self._ts_cache),
-            "explored_spaces": len(self._space_cache),
-            "local_tables": len(self.tables),
-            "local_states": sum(table.n_states for table in self.tables),
-            "bdd_nodes": self.bdd.node_count(),
-        }
+        """Entries per memo, plus the tables and the manager's nodes."""
+        return {**super().cache_sizes(),
+                "max_model": self.bdd.cache_sizes()["max_model"],
+                "local_tables": len(self.tables),
+                "local_states": sum(table.n_states for table in self.tables),
+                "bdd_nodes": self.bdd.node_count()}
 
     def clear(self) -> None:
         """Drop every cached result and local table (the manager itself
         survives)."""
-        self._conj_cache.clear()
-        self._steps_cache.clear()
-        self._max_step_cache.clear()
-        self._enumeration = None
-        self._ts_cache.clear()
-        self._space_cache.clear()
+        for row in self.MEMOS.values():
+            getattr(self, row.attr).clear()
         self._adopt([])
         self.bdd.clear_operation_caches()
 

@@ -85,21 +85,15 @@ class AsapPolicy(SchedulingPolicy):
 
     :meth:`choose_from_model` extracts the step from the BDD of the
     step formula (:meth:`~repro.engine.execution_model.ExecutionModel.max_step`)
-    instead of enumerating the (exponentially many) candidates. Ties
-    are broken deterministically, so simulations are reproducible: the
-    walk takes the true branch first at every event, in the model's
-    event order — with the exclusive pairs ``e0|e1`` and ``e2|e3`` the
-    step is ``{e0, e2}``. :meth:`choose` picks among a given candidate
-    list instead, and breaks ties toward the greatest sorted list of
-    event names (``{e1, e3}`` there).
+    instead of enumerating the (exponentially many) candidates; it is
+    the policy's only way to choose. Ties are broken deterministically,
+    so simulations are reproducible: the walk takes the true branch
+    first at every event, in the model's event order — with the
+    exclusive pairs ``e0|e1`` and ``e2|e3`` the step is ``{e0, e2}``.
     """
 
     name = "asap"
     yields_acceptable_steps = True
-
-    def choose(self, candidates, step_index):
-        self._require(candidates)
-        return max(candidates, key=lambda step: (len(step), sorted(step)))
 
     def choose_from_model(self, model, step_index):
         return model.max_step()

@@ -63,8 +63,9 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
-from repro.boolalg.bdd import Bdd
-from repro.engine.tables import CompiledStateView, LocalTable, TableStepper
+from repro.boolalg.bdd import Bdd, Memo
+from repro.engine.tables import (CompiledStateView, LocalTable,
+                                 TableStepper, _LruCache)
 from repro.errors import EngineError, SymbolicEncodingError
 
 #: local-closure guard rails: alphabets wider than this would make the
@@ -141,6 +142,18 @@ def _constraint_order(constraints: Sequence) -> list[int]:
     return order
 
 
+def _node_ids(held) -> Iterator[int]:
+    """The node ids in *held*: an int, a list or tuple's items', none in
+    a name, and those any other value lists by ``reorder_roots()``."""
+    if isinstance(held, int):
+        yield held
+    elif isinstance(held, (list, tuple)):
+        for item in held:
+            yield from _node_ids(item)
+    elif not isinstance(held, str):
+        yield from held.reorder_roots()
+
+
 class TransitionSystem(TableStepper):
     """The BDD-encoded transition relation of one execution model.
 
@@ -155,6 +168,13 @@ class TransitionSystem(TableStepper):
     :class:`~repro.engine.tables.TableStepper` — what concretization
     and witness walks step through.
     """
+
+    #: the stepping memos, plus the schedules, the reachable sets and the
+    #: evaluators higher layers park (the CTL checker drops them past its cap)
+    MEMOS = {**TableStepper.MEMOS,
+             "schedules": Memo("_schedule_cache", 4, roots=True),
+             "reachable_sets": Memo("_reachable_cache", 2, roots=True),
+             "analyses": Memo("analysis_cache", 2, roots=True)}
 
     def __init__(self, model):
         obs.count("symbolic.compiles")
@@ -175,16 +195,14 @@ class TransitionSystem(TableStepper):
         self._compile_relation()
         self.initial_ids: tuple[int, ...] = tuple(0 for _ in self.tables)
         self.initial_node = self._encode_state(self.initial_ids)
-        self._guard_cache: dict[bool, int] = {}
-        self._cluster_chain_cache: dict[bool, list[int]] = {}
-        self._schedule_cache: dict[tuple[bool, bool], tuple] = {}
-        self._reachable_cache: dict[bool, "ReachableSet"] = {}
+        self._schedule_cache = _LruCache(self.MEMOS["schedules"].cap)
+        self._reachable_cache = _LruCache(self.MEMOS["reachable_sets"].cap)
         #: image/preimage invocation counters (engine telemetry)
         self.image_count = 0
         self.preimage_count = 0
         #: scratch space for higher analysis layers (the CTL checker
-        #: parks its reach-restricted evaluator here) — lives and dies
-        #: with the compiled system
+        #: parks its reach-restricted evaluator here), each value listing
+        #: its node ids by ``reorder_roots()``; it dies with the system
         self.analysis_cache: dict = {}
 
     # -- encoding ----------------------------------------------------------
@@ -270,31 +288,21 @@ class TransitionSystem(TableStepper):
         live set a reorder must preserve, and the sifting objective it
         minimizes.
 
-        This MUST be exhaustive: since the manager's reorder rewrites
-        only rows reachable from its roots and invalidates the rest, a
-        node id missing here is dead after the next reorder. Higher
-        analysis layers participate through the ``analysis_cache``
-        protocol (any cached object exposing ``reorder_roots()``). The
-        iterates a fixpoint loop holds in its locals are not here: the
-        loop passes them to :meth:`_maybe_reorder` as arguments.
+        The manager's reorder rewrites only rows reachable from its
+        roots and invalidates the rest, so a node id held anywhere else
+        is dead after the next reorder. The ids live in the initial
+        node, the parts, the clusters, the formula nodes and the values
+        of every memo whose :attr:`MEMOS` row says ``roots`` (a schedule
+        holds them in lists; a reachable set or a CTL checker lists them
+        by ``reorder_roots()``). The iterates a fixpoint loop holds in
+        its locals are not here: the loop passes them to
+        :meth:`_maybe_reorder` as arguments.
         """
-        roots: list[int] = [self.initial_node]
-        roots.extend(self.parts)
-        roots.extend(self._clusters)
-        for nodes in self._formula_nodes:
-            roots.extend(nodes)
-        roots.extend(self._guard_cache.values())
-        for chain in self._cluster_chain_cache.values():
-            roots.extend(chain)
-        for reachable in self._reachable_cache.values():
-            roots.append(reachable.node)
-            roots.extend(reachable.layers)
-        roots.extend(self._conj_cache.values())
-        for analysis in self.analysis_cache.values():
-            holder = getattr(analysis, "reorder_roots", None)
-            if holder is not None:
-                roots.extend(holder())
-        return roots
+        held = [self.initial_node, self.parts, self._clusters,
+                self._formula_nodes]
+        held.extend(list(getattr(self, row.attr).values())
+                    for row in self.MEMOS.values() if row.roots)
+        return list(_node_ids(held))
 
     def _maybe_reorder(self, *in_flight: int) -> None:
         """The one automatic reorder trigger, called between fixpoint
@@ -368,28 +376,6 @@ class TransitionSystem(TableStepper):
 
     # -- relation views ----------------------------------------------------
 
-    def _guard_node(self, include_empty: bool) -> int:
-        """Steps the explorer would follow: some event occurs, plus —
-        with *include_empty* — empty steps that change the configuration
-        (stuttering self-loops carry no information either way)."""
-        cached = self._guard_cache.get(include_empty)
-        if cached is not None:
-            return cached
-        bdd = self.bdd
-        some_event = bdd.zero
-        for event in self.events:
-            some_event = bdd.apply_or(some_event, bdd.var(event))
-        guard = some_event
-        if include_empty:
-            same = bdd.one
-            for cur, primed in zip(self.all_cur, self.all_primed):
-                bit_same = bdd.apply_not(
-                    bdd.apply_xor(bdd.var(cur), bdd.var(primed)))
-                same = bdd.apply_and(same, bit_same)
-            guard = bdd.apply_or(some_event, bdd.apply_not(same))
-        self._guard_cache[include_empty] = guard
-        return guard
-
     def _schedule(self, include_empty: bool,
                   backward: bool) -> tuple[list[int], list[str], list[list[str]]]:
         """The early-quantification schedule of the clustered product.
@@ -407,15 +393,25 @@ class TransitionSystem(TableStepper):
         cached = self._schedule_cache.get(key)
         if cached is not None:
             return cached
-        chain = self._cluster_chain_cache.get(include_empty)
-        if chain is None:
-            chain = [self._guard_node(include_empty)] + self._clusters
-            self._cluster_chain_cache[include_empty] = chain
+        # the guard: steps the explorer would follow — some event occurs,
+        # plus, with include_empty, empty steps that change the
+        # configuration (stuttering self-loops carry no information)
+        bdd = self.bdd
+        guard = bdd.zero
+        for event in self.events:
+            guard = bdd.apply_or(guard, bdd.var(event))
+        if include_empty:
+            same = bdd.one
+            for cur, primed in zip(self.all_cur, self.all_primed):
+                same = bdd.apply_and(same, bdd.apply_not(
+                    bdd.apply_xor(bdd.var(cur), bdd.var(primed))))
+            guard = bdd.apply_or(guard, bdd.apply_not(same))
+        chain = [guard] + self._clusters
         quantify = (self.all_primed if backward else self.all_cur) \
             + self.events
         last: dict[str, int] = {}
         for position, cluster in enumerate(chain):
-            for name in self.bdd.support(cluster):
+            for name in bdd.support(cluster):
                 last[name] = position
         upfront = [name for name in quantify if name not in last]
         ready: list[list[str]] = [[] for _ in chain]
@@ -424,7 +420,7 @@ class TransitionSystem(TableStepper):
             if position is not None:
                 ready[position].append(name)
         cached = (chain, upfront, ready)
-        self._schedule_cache[key] = cached
+        self._schedule_cache.put(key, cached)
         return cached
 
     def _clustered_product(self, seed: int, include_empty: bool,
@@ -530,7 +526,7 @@ class TransitionSystem(TableStepper):
                       nodes=bdd.size(reached) if obs.tracing_active()
                       else None)
         cached = ReachableSet(self, reached, layers)
-        self._reachable_cache[include_empty] = cached
+        self._reachable_cache.put(include_empty, cached)
         return cached
 
     # -- decoding ----------------------------------------------------------
@@ -598,6 +594,10 @@ class ReachableSet:
         self.system = system
         self.node = node
         self.layers = layers
+
+    def reorder_roots(self) -> list[int]:
+        """The node ids this set holds: itself and its layers."""
+        return [self.node, *self.layers]
 
     @property
     def depth(self) -> int:

@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Sequence
 
+from repro.boolalg.bdd import Memo
 from repro.boolalg.expr import BExpr
 from repro.errors import EngineError, SemanticsError, SymbolicEncodingError
 
@@ -271,21 +272,19 @@ class TableStepper:
     node — hash-consing makes a node id a canonical key for its boolean
     function, so any two configurations with the same acceptable steps
     share one enumeration. Per-id formula nodes are compiled on first
-    use. Every memo is bounded: an owner lives as long as its model
-    family, so unbounded dicts would grow with every exploration
-    (eviction merely costs a recompute). The conjunction, step and
-    maximal-step memos are LRUs; two more are plain dicts cleared past
-    their caps:
+    use. Every memo is a row of :attr:`MEMOS`, bounded by its cap: an
+    owner lives as long as its model family, so unbounded dicts would
+    grow with every exploration (eviction merely costs a recompute).
+    The conjunction, step and maximal-step memos are LRUs; two more are
+    plain dicts dropped whole past their caps:
 
-    * per distinct step, the slots it names with their projections
-      (:attr:`TOUCH_CACHE_SIZE` steps, equal projections shared), which
-      :meth:`successor` reads instead of intersecting the step with
-      every alphabet;
-    * per BDD node, its enumerated models, with the events in level
-      order and their positions (:attr:`MODELS_CACHE_SIZE` nodes),
-      which :meth:`steps_of` shares across conjunctions. Positions
-      follow the variable order, so the memo carries the manager's
-      ``reorder_count`` (its *epoch*) and is rebuilt after a reorder.
+    * ``touches``: per distinct step, the slots it names with their
+      projections (equal projections shared), which :meth:`successor`
+      reads instead of intersecting the step with every alphabet;
+    * ``models``: per BDD node, its enumerated models, which
+      :meth:`steps_of` shares across conjunctions. Positions follow the
+      variable order, so the memo is kept with the manager's
+      ``reorder_count`` (its *epoch*) and rebuilt after a reorder.
 
     :meth:`successor` also keeps the slots that may move on the empty
     projection at the state it last stepped from, so the edges of one
@@ -296,12 +295,13 @@ class TableStepper:
     coupled constraints side by side).
     """
 
-    CONJ_CACHE_SIZE = 8_192
-    STEPS_CACHE_SIZE = 4_096
-    #: distinct steps whose touched slots are kept; cleared past it
-    TOUCH_CACHE_SIZE = 4_096
-    #: BDD nodes whose enumerated models are kept; cleared past it
-    MODELS_CACHE_SIZE = 200_000
+    #: the stepping memos (see :class:`~repro.boolalg.bdd.Memo`); the
+    #: conjunctions hold the node ids a compiled system roots
+    MEMOS = {"conjunctions": Memo("_conj_cache", 8_192, roots=True),
+             "steps": Memo("_steps_cache", 4_096),
+             "max_steps": Memo("_max_step_cache", 4_096),
+             "touches": Memo("_touches_cache", 4_096),
+             "models": Memo("_models_cache", 200_000)}
 
     def __init__(self, bdd, events: Sequence[str],
                  tables: list[LocalTable], leaf_order: Sequence[int]):
@@ -310,12 +310,13 @@ class TableStepper:
         self._event_set = frozenset(events)
         self.leaf_order = tuple(leaf_order)
         self._adopt(tables)
-        self._conj_cache = _LruCache(self.CONJ_CACHE_SIZE)
-        self._steps_cache = _LruCache(self.STEPS_CACHE_SIZE)
-        self._max_step_cache = _LruCache(self.STEPS_CACHE_SIZE)
-        #: :meth:`_models`' memo: (reorder epoch, events in level order,
-        #: level -> position, node -> (its position, its models))
-        self._enumeration: tuple | None = None
+        self._conj_cache = _LruCache(self.MEMOS["conjunctions"].cap)
+        self._steps_cache = _LruCache(self.MEMOS["steps"].cap)
+        self._max_step_cache = _LruCache(self.MEMOS["max_steps"].cap)
+        #: :meth:`_models`' memo, node -> (its position, its models), and
+        #: the (epoch, events in level order, level -> position) of it
+        self._models_cache: dict[int, tuple] = {}
+        self._models_order: tuple = ()
 
     def _adopt(self, tables: list[LocalTable]) -> None:
         """Step through *tables* from now on."""
@@ -329,12 +330,17 @@ class TableStepper:
                 slots_of.setdefault(event, []).append(slot)
         self._slots_of = slots_of
         #: step -> (slot, table, projection) of each slot it names
-        self._touches: dict[frozenset[str], tuple] = {}
+        self._touches_cache: dict[frozenset[str], tuple] = {}
         #: one object per distinct projection the touches hold
         self._projections: dict[frozenset[str], frozenset[str]] = {}
         #: (the state :meth:`successor` last stepped from, its slots that
         #: may move on the empty projection)
         self._moving: tuple = (None, [])
+
+    def cache_sizes(self) -> dict[str, int]:
+        """Entries per memo, by its :attr:`MEMOS` name."""
+        return {name: len(getattr(self, row.attr))
+                for name, row in self.MEMOS.items()}
 
     def conjunction(self, nodes: tuple[int, ...]) -> int:
         """The conjunction of compiled constraint *nodes*, given in slot
@@ -389,22 +395,23 @@ class TableStepper:
         :class:`ValueError` when *node* reads a variable that is not an
         event.
 
-        The per-node models, the events in level order and their
-        positions are kept across calls for one variable order: the memo
-        carries the manager's ``reorder_count`` and is rebuilt when a
-        reorder moved the levels, or once it holds more than
-        :attr:`MODELS_CACHE_SIZE` nodes."""
+        The per-node models are kept across calls for one variable
+        order, with the manager's ``reorder_count``, the events in level
+        order and their positions: the memo is rebuilt when a reorder
+        moved the levels, and dropped once it holds more nodes than its
+        cap."""
         bdd = self.bdd
         rows = bdd._nodes
         zero, one = bdd.zero, bdd.one
-        memo = self._enumeration
-        if memo is None or memo[0] != bdd.reorder_count:
+        below = self._models_cache
+        if not below or self._models_order[0] != bdd.reorder_count:
             names = sorted(self.events, key=bdd.declare)
-            memo = self._enumeration = (
+            self._models_order = (
                 bdd.reorder_count, names,
-                {bdd.declare(name): index for index, name in enumerate(names)},
-                {one: (len(names), [()])})
-        _epoch, names, position, below = memo
+                {bdd.declare(name): index for index, name in enumerate(names)})
+            below.clear()
+            below[one] = (len(names), [()])
+        _epoch, names, position = self._models_order
 
         def models_of(current: int, start: int) -> list:
             """The models of *current* over the events from position
@@ -431,8 +438,8 @@ class TableStepper:
             return models
 
         models = [] if node == zero else models_of(node, 0)
-        if len(below) > self.MODELS_CACHE_SIZE:
-            self._enumeration = None
+        if len(below) > self.MEMOS["models"].cap:
+            below.clear()
         return models
 
     def max_step_of(self, node: int) -> frozenset[str] | None:
@@ -501,7 +508,7 @@ class TableStepper:
         not a proven self-loop at *ids* (:meth:`_moving_at`); every
         other slot keeps its local id, as stepping it on the empty
         projection would."""
-        touches = self._touches.get(step)
+        touches = self._touches_cache.get(step)
         if touches is None:
             touches = self._touching(step)
         successor = list(ids)
@@ -518,12 +525,12 @@ class TableStepper:
 
     def _touching(self, step: frozenset[str]) -> tuple:
         """``(slot, table, projection)`` for each slot *step* names, in
-        slot order, kept per step (steps recur across states) until
-        :attr:`TOUCH_CACHE_SIZE` distinct steps are held. Equal
-        projections are kept as one object, which holds the memo's size
-        down and lets every ``delta`` lookup reuse its cached hash."""
-        if len(self._touches) >= self.TOUCH_CACHE_SIZE:
-            self._touches.clear()
+        slot order, kept per step (steps recur across states) until the
+        ``touches`` cap of distinct steps is held. Equal projections are
+        kept as one object, which holds the memo's size down and lets
+        every ``delta`` lookup reuse its cached hash."""
+        if len(self._touches_cache) >= self.MEMOS["touches"].cap:
+            self._touches_cache.clear()
             self._projections.clear()
         slots_of = self._slots_of
         tables = self.tables
@@ -534,7 +541,7 @@ class TableStepper:
             projection = step & tables[slot].events
             touches.append((slot, tables[slot],
                             shared.setdefault(projection, projection)))
-        touches = self._touches[step] = tuple(touches)
+        touches = self._touches_cache[step] = tuple(touches)
         return touches
 
     def _moving_at(self, ids: Sequence[int]) -> list[int]:

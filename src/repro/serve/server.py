@@ -249,6 +249,10 @@ class _Handler(BaseHTTPRequestHandler):
     # an HTTP/1.0 request gets a stream that ends when the connection
     # closes
     protocol_version = "HTTP/1.1"
+    #: the version a request line the server cannot parse is answered
+    #: under: the stdlib's HTTP/0.9 default sends its error page with no
+    #: status line
+    default_request_version = "HTTP/1.0"
     server_version = f"repro-serve/{repro.__version__}"
     #: per-connection socket timeout (``StreamRequestHandler.setup``
     #: applies it) so a stalled client or an idle kept-alive connection

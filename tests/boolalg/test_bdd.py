@@ -259,24 +259,20 @@ class TestSubstitute:
 class TestExprMemoBound:
     def test_memo_is_evicted_not_pinned(self):
         bdd = Bdd()
-        limit = Bdd._EXPR_CACHE_LIMIT
+        limit = Bdd.MEMOS["expr"].cap
         total = limit + 500
         for index in range(total):
             bdd.from_expr(Or(Var(f"v{index}"), Var(f"v{index + 1}")))
             assert bdd.cache_sizes()["expr"] <= limit
         assert bdd.cache_sizes()["expr"] == limit
 
-    def test_hot_entries_survive_eviction(self):
+    def test_hot_entries_survive_eviction(self, monkeypatch):
         bdd = Bdd()
         hot = And(a, b)
         bdd.from_expr(hot)
-        original_limit = Bdd._EXPR_CACHE_LIMIT
-        try:
-            Bdd._EXPR_CACHE_LIMIT = 64
-            for index in range(200):
-                bdd.from_expr(hot)  # keep it recently used
-                bdd.from_expr(Or(Var(f"w{index}"), c))
-            assert hot in bdd._expr_cache
-            assert bdd.cache_sizes()["expr"] <= 64
-        finally:
-            Bdd._EXPR_CACHE_LIMIT = original_limit
+        monkeypatch.setattr(Bdd.MEMOS["expr"], "cap", 64)
+        for index in range(200):
+            bdd.from_expr(hot)  # keep it recently used
+            bdd.from_expr(Or(Var(f"w{index}"), c))
+        assert hot in bdd._expr_cache
+        assert bdd.cache_sizes()["expr"] <= 64

@@ -219,11 +219,14 @@ class TestDriversOnTheKernel:
         assert first.to_json() == second.to_json()
 
     def test_asap_walk_matches_the_candidate_list_choice(self):
-        # the maximal step is unique at every state here, so the BDD
-        # walk and a choice among the enumerated candidates agree
+        # the BDD walk and a choice among the enumerated candidates
+        # agree: a largest step, ties to the earliest events in model
+        # order (the walk takes the true branch first, in that order)
         walked = simulate_model(self.model(), AsapPolicy(), 10)
-        listed = simulate_model(self.model(),
-                                CallbackPolicy(AsapPolicy().choose), 10)
+        events = self.model().events
+        listed = simulate_model(self.model(), CallbackPolicy(
+            lambda candidates, _index: max(candidates, key=lambda step: (
+                len(step), [event in step for event in events]))), 10)
         assert walked.trace.steps == listed.trace.steps
 
     def test_simulated_throughput_leaves_model_untouched(self):
@@ -239,28 +242,24 @@ class TestBoundedExprMemo:
     created and discarded in bulk (dead clones' formulas must be evicted
     rather than pinned forever)."""
 
-    def test_memo_bounded_across_1k_clone_discard_cycles(self):
+    def test_memo_bounded_across_1k_clone_discard_cycles(self, monkeypatch):
         from repro.boolalg import Or, Var
         from repro.boolalg.bdd import Bdd
         model = ExecutionModel(
             ["a", "b"], [PrecedesRuntime("a", "b", bound=4)],
             name="cycles")
         kernel = model.kernel
-        original = Bdd._EXPR_CACHE_LIMIT
-        try:
-            Bdd._EXPR_CACHE_LIMIT = limit = 256
-            for cycle in range(1_000):
-                clone = model.clone()  # shares the kernel
-                clone.acceptable_steps()
-                clone.advance(frozenset({"a"}), check=False)
-                clone.acceptable_steps()
-                # a fresh formula per cycle simulates structurally new
-                # expressions flowing through the shared manager
-                kernel.bdd.from_expr(Or(Var(f"g{cycle}"), Var("a")))
-                del clone  # the dead clone must not pin its formulas
-                assert kernel.bdd.cache_sizes()["expr"] <= limit
-        finally:
-            Bdd._EXPR_CACHE_LIMIT = original
+        monkeypatch.setattr(Bdd.MEMOS["expr"], "cap", limit := 256)
+        for cycle in range(1_000):
+            clone = model.clone()  # shares the kernel
+            clone.acceptable_steps()
+            clone.advance(frozenset({"a"}), check=False)
+            clone.acceptable_steps()
+            # a fresh formula per cycle simulates structurally new
+            # expressions flowing through the shared manager
+            kernel.bdd.from_expr(Or(Var(f"g{cycle}"), Var("a")))
+            del clone  # the dead clone must not pin its formulas
+            assert kernel.bdd.cache_sizes()["expr"] <= limit
 
     def test_clear_caches_detaches_dead_kernel(self):
         model = ExecutionModel(

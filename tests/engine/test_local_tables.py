@@ -28,9 +28,12 @@ from repro.engine import (
     explore,
     simulate_model,
 )
+from repro.engine.ctl import check
+from repro.engine.equivalence import battery_texts
+from repro.engine.execution_model import SymbolicKernel
 from repro.engine.explorer import _bfs
 from repro.engine.policies import CallbackPolicy
-from repro.engine.symbolic import _close_local
+from repro.engine.symbolic import TransitionSystem, _close_local
 from repro.engine.tables import TableStepper
 from repro.errors import EngineError, SemanticsError
 from repro.moccml.semantics.runtime import ConstraintRuntime, FormulaRuntime
@@ -554,29 +557,50 @@ def random_formulas(count, seed=29):
 
 
 class TestMemoBounds:
-    """More distinct steps and conjunctions than each stepping memo
-    holds: the answers stay the brute-force enumerator's, every memo
-    stays within its cap, and ``SymbolicKernel.clear()`` empties it."""
+    """More distinct steps, conjunctions and analyses than each memo
+    holds, under a tiny cap on every row of the three memo tables: the
+    answers stay the brute-force enumerator's and the uncapped checks',
+    every memo stays within its cap, and ``SymbolicKernel.clear()``
+    empties every row of the kernel and its manager."""
 
-    CAPS = {"touches": 3, "models": 5, "max_model": 7}
+    #: one cap per row of ``Bdd.MEMOS``, ``SymbolicKernel.MEMOS`` and
+    #: ``TransitionSystem.MEMOS`` (the last two share the stepping rows)
+    CAPS = {"ite": 40, "expr": 11, "exists": 9, "and_exists": 9,
+            "max_model": 7, "not": 6, "conjunctions": 4, "steps": 4,
+            "max_steps": 4, "touches": 3, "models": 5,
+            "transition_systems": 1, "explored_spaces": 1, "schedules": 1,
+            "reachable_sets": 1, "analyses": 1}
+    SYSTEMS = ("chain3-cap2", "forkjoin")
 
     def test_memos_stay_within_their_caps(self, monkeypatch):
-        monkeypatch.setattr(TableStepper, "TOUCH_CACHE_SIZE",
-                            self.CAPS["touches"])
-        monkeypatch.setattr(TableStepper, "MODELS_CACHE_SIZE",
-                            self.CAPS["models"])
-        monkeypatch.setattr(Bdd, "_EXISTS_CACHE_LIMIT",
-                            self.CAPS["max_model"])
+        def battery(model):
+            return [check(model, text, strategy="symbolic").to_doc()
+                    for text in battery_texts(model)]
+
+        expected = {name: battery(CORPUS[name]()) for name in self.SYSTEMS}
+        tables = (Bdd.MEMOS, SymbolicKernel.MEMOS, TransitionSystem.MEMOS)
+        assert set(self.CAPS) == {name for table in tables for name in table}
+        for table in tables:
+            for name, row in table.items():
+                monkeypatch.setattr(row, "cap", self.CAPS[name])
+        peaks = dict.fromkeys(self.CAPS, 0)
+
+        def assert_within(sizes):
+            for name in peaks.keys() & sizes.keys():
+                assert sizes[name] <= self.CAPS[name], name
+                peaks[name] = max(peaks[name], sizes[name])
+
         # stateless tables that accept every step, two events each
         model = ExecutionModel(EVENTS, [
             FormulaRuntime(f"free{index}", TRUE, EVENTS[index:index + 2])
             for index in range(0, len(EVENTS), 2)])
         kernel = model.kernel
+        bdd = kernel.bdd
         view = kernel.table_view(model)
         start = view.snapshot()
-        peaks = dict.fromkeys(self.CAPS, 0)
+        kernel.transition_system(model)
         for index, formula in enumerate(random_formulas(60)):
-            node = kernel.bdd.from_expr(formula)
+            node = bdd.from_expr(formula)
             models = [frozenset(name for name, value in assignment.items()
                                 if value)
                       for assignment in iter_models(formula, EVENTS)]
@@ -586,15 +610,50 @@ class TestMemoBounds:
             largest = max(map(len, models), default=0)
             assert (step is None) == (largest == 0)
             assert step is None or (step in models and len(step) == largest)
+            quantified = EVENTS[index % 3:index % 3 + 2]
+            bdd.exists(node, quantified)
+            bdd.and_exists(node, bdd.var(EVENTS[-1]), quantified)
             view.restore(start)
             view.advance(frozenset(event for bit, event in enumerate(EVENTS)
                                    if (index + 1) >> bit & 1))
             assert view.snapshot() == start
-            sizes = kernel.cache_sizes()
-            for name, cap in self.CAPS.items():
-                assert sizes[name] <= cap, name
-                peaks[name] = max(peaks[name], sizes[name])
+            kernel.explored_space(model, max_states=1 + index % 3)
+            # the manager trims its memos at its trim points, conjoin
+            # among them
+            bdd.conjoin([node, bdd.from_expr(Not(formula))])
+            assert_within(kernel.cache_sizes())
+            assert_within(bdd.cache_sizes())
+        # compiled systems: a symbolic battery with witnesses answers as
+        # it does uncapped; a fixpoint trims nothing, so the sizes are
+        # read after a trim point
+        for name in self.SYSTEMS:
+            capped = CORPUS[name]()
+            assert battery(capped) == expected[name]
+            system = capped.kernel.transition_system(capped)
+            system.to_statespace(max_states=20, maximal_only=True)
+            system.bdd.conjoin([])
+            assert_within(system.cache_sizes())
+            assert_within(system.bdd.cache_sizes())
         assert all(peaks.values()), peaks
         kernel.clear()
-        sizes = kernel.cache_sizes()
-        assert all(sizes[name] == 0 for name in self.CAPS), sizes
+        sizes = {**kernel.cache_sizes(), **bdd.cache_sizes()}
+        assert not any(sizes[name] for name in peaks if name in sizes), sizes
+
+    def test_every_cache_attribute_is_a_row(self):
+        """Warmed by an explore, a simulation and a symbolic battery with
+        witnesses, a kernel, a compiled system and their managers hold
+        no ``*_cache`` attribute that their ``MEMOS`` table does not
+        list, and every row they list is held."""
+        model = CORPUS["forkjoin-cap2"]()
+        explore(model)
+        simulate_model(model.clone(), AsapPolicy(), 20)
+        for text in battery_texts(model):
+            check(model, text, strategy="symbolic")
+        kernel = model.kernel
+        system = kernel.transition_system(model)
+        for owner in kernel, kernel.bdd, system, system.bdd:
+            held = set(vars(owner))
+            listed = {row.attr for row in owner.MEMOS.values()}
+            assert {name for name in held if name.endswith("_cache")} \
+                <= listed, type(owner).__name__
+            assert listed <= held, type(owner).__name__

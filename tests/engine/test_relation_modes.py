@@ -161,6 +161,45 @@ class TestVerdictsSurviveReorder:
         again = symbolic_reachable(model)
         assert again.count() == count
 
+    def test_repeated_witness_checks_keep_the_roots_flat(self):
+        """A witness walk's distance-gauge rings are in-flight iterates,
+        not roots: fifty more witness checks leave the system's reorder
+        roots as the first one left them."""
+        model = CORPUS["chain3-cap2"]()
+        text = "EF occurs(a2.stop)"
+        assert check(model, text, strategy="symbolic").witness_steps
+        system = model.kernel.transition_system(model)
+        roots = len(system._reorder_roots())
+        for _ in range(50):
+            assert check(model, text, strategy="symbolic").witness_steps
+        assert len(system._reorder_roots()) == roots
+
+    @pytest.mark.parametrize("name", ["chain3-cap2", "forkjoin-cap2"])
+    def test_sift_at_every_safe_point_keeps_the_documents(self, name,
+                                                          monkeypatch):
+        """Sift at every safe point, against the system's roots plus the
+        iterates in flight (the witness gauge's rings among them): every
+        battery document, witness trace included, is the unforced one."""
+        model = CORPUS[name]()
+        texts = battery_texts(model)
+        expected = [check(model, text, strategy="symbolic").to_doc()
+                    for text in texts]
+        sifts = []
+
+        def sift(system, *in_flight):
+            # a ring that is dropped and recomputed wrongly can keep the
+            # gauge from converging: bound the run instead of hanging
+            assert len(sifts) < 200, "the safe points do not converge"
+            sifts.append(system.bdd.reorder(
+                system._reorder_roots() + list(in_flight)))
+
+        monkeypatch.setattr(symbolic.TransitionSystem, "_maybe_reorder",
+                            sift)
+        model = CORPUS[name]()
+        assert [check(model, text, strategy="symbolic").to_doc()
+                for text in texts] == expected
+        assert sifts
+
     def test_automatic_reorders_keep_the_corpus_equivalent(self,
                                                            monkeypatch):
         """With the automatic trigger armed at 20 nodes, reorders fire

@@ -74,7 +74,7 @@ class TestPolicyEdges:
         assert step == frozenset({"a", "b"})
 
     def test_policies_require_candidates(self):
-        for policy in (AsapPolicy(), MinimalPolicy(), PriorityPolicy({})):
+        for policy in (MinimalPolicy(), PriorityPolicy({})):
             with pytest.raises(EngineError):
                 policy.choose([], 0)
 

@@ -317,6 +317,21 @@ def post(path: str, body: bytes, version: bytes = b"HTTP/1.1",
 HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
+class TestUnparsableRequestLine:
+    @pytest.mark.parametrize("line", [
+        b"26\r\n",  # a chunk size where a request line was due
+        b"GARBAGE\r\n\r\n",
+        b"GET /healthz HTTP/9\r\n\r\n",
+    ], ids=["chunk-size", "one-word", "http-9"])
+    def test_answered_400_then_closed(self, server, line):
+        # read_to_close returns at EOF: the server closed the connection
+        head, _, _page = read_to_close(server, line).partition(b"\r\n\r\n")
+        status, *headers = head.split(b"\r\n")
+        assert status.startswith(b"HTTP/1.1 400 "), status
+        assert b"Connection: close" in headers
+        assert ping(server.url)["status"] == "ok"
+
+
 class TestKeepAlive:
     def test_one_thread_sends_every_request_on_one_connection(self,
                                                              server):
