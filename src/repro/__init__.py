@@ -172,6 +172,6 @@ from repro import errors
 #: the one declaration of the engine version: ``pyproject.toml`` reads
 #: it at install time, and store keys hash it, so a bump in the source
 #: changes them even under a stale install
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = ["errors", "__version__"]

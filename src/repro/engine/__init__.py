@@ -160,7 +160,9 @@ Rudell sifting) is the escape hatch for a bad variable order. The
 manager only sifts when asked; the one automatic trigger is
 :meth:`~repro.engine.symbolic.TransitionSystem._maybe_reorder`, which
 the fixpoint loops (reachability, EU, EG, witness distance rings) call
-between iterations with the iterates they hold. Once the node table
+between iterations with the iterates they hold. Each call first trims
+the manager's operation memos past their caps, so they stay bounded
+for as long as a fixpoint runs. Once the node table
 has grown past
 :data:`~repro.engine.symbolic.DEFAULT_AUTO_REORDER_THRESHOLD`, it
 probes the truly live structure and *skips* the sift (keeping all

@@ -9,7 +9,7 @@ e.g. an unbounded ``Precedes``). Historically that was only discovered
 *inside* compilation — ``check(strategy="auto")``, ``repro serve``
 admission and the fuzzing farm all wrapped the attempt in try/except. This
 module decides the same question up front, without building a single
-BDD node or stepping the engine:
+BDD node or stepping the global product:
 
 1. **alphabet** — exact arithmetic on ``constrained_events`` (the same
    ``len(alphabet) > MAX_ALPHABET`` comparison the closure performs);
@@ -20,15 +20,18 @@ BDD node or stepping the engine:
    agents), with genuinely unbounded counters (``Precedes``/``Causes``
    without a bound, a communication delay's matured tokens) reported
    unencodable outright;
-3. **interval** — abstract interpretation of MoCCML constraint
-   automata: variable ranges are propagated through guard refinement
-   and ``=``/``+=``/``-=`` actions to a widened fixpoint, so a
-   guard-bounded counter (the SDF ``PlaceConstraint``'s ``size``) is
-   proven finite without enumerating a single state;
-4. **closure** — when the cheap tiers are inconclusive, the verdict
-   falls back to the engine's own per-constraint local closure (still
-   static: local and capped, never the global product), which makes
-   the prediction *exact by construction*.
+3. **walk** — the exact local walk of a MoCCML constraint automaton
+   (:func:`local_walk`, which also answers the lint rules MOC001 and
+   MOC002): a BFS over its ``(state, variables)`` configurations under
+   every local step, so a guard-bounded counter (the SDF
+   ``PlaceConstraint``'s ``size``) is bounded by the configurations it
+   really reaches;
+4. **closure** — when these tiers are inconclusive (an automaton past
+   the walk's caps of 8 events and 2,048 configurations, or whose
+   ``advance`` raises) or a bound exceeds the local-state bound, the
+   verdict falls back to the engine's own per-constraint local closure
+   (still static: local and capped, never the global product), which
+   makes the prediction *exact by construction*.
 
 The predictor is consulted by the ``auto`` check routing
 (:func:`repro.engine.ctl.check`) and the lint rule ``ENC001``; the
@@ -43,11 +46,6 @@ import sys
 from dataclasses import dataclass, field
 
 from repro import obs
-
-_INF = float("inf")
-
-#: rounds of plain fixpoint iteration before widening to ±inf
-_WIDEN_ROUNDS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ class ConstraintVerdict:
 
     label: str
     encodable: bool
-    method: str  # "alphabet" | "static" | "interval" | "closure"
+    method: str  # "alphabet" | "static" | "walk" | "closure"
     reason: str
     bound: int | None = None  # local-state upper bound when known
 
@@ -122,209 +120,77 @@ class EncodabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic over the iexpr AST
+# the exact local walk of a constraint automaton
 # ---------------------------------------------------------------------------
 
-Interval = tuple[float, float]  # endpoints may be ±inf
-_FULL: Interval = (-_INF, _INF)
+#: walks beyond these sizes are skipped (the closure tier then decides;
+#: 2**_MAX_LOCAL_ALPHABET step subsets are tried per configuration)
+_MAX_LOCAL_ALPHABET = 8
+_MAX_CONFIGS = 2048
 
 
-def _ivl_add(a: Interval, b: Interval) -> Interval:
-    return (a[0] + b[0], a[1] + b[1])
+def local_walk(runtime) -> dict | None:
+    """Exact reachability of one
+    :class:`~repro.moccml.semantics.automata_rt.AutomatonRuntime`
+    instance under arbitrary environment steps; ``None`` when the
+    instance is too big to walk exhaustively.
 
+    A BFS over ``(state, variables)`` configurations via
+    ``snapshot``/``restore`` on a clone, presenting every subset of the
+    instance's local alphabet as a candidate step — the empty one too,
+    as the engine's own closure does, since a transition without
+    ``when`` events fires on a step that leaves the alphabet out. It
+    reaches the configurations the closure admits, so ``"configs"`` is
+    the instance's exact local state count.
 
-def _ivl_sub(a: Interval, b: Interval) -> Interval:
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def _ivl_neg(a: Interval) -> Interval:
-    return (-a[1], -a[0])
-
-
-def _ivl_mul(a: Interval, b: Interval) -> Interval:
-    if any(abs(x) == _INF for x in (*a, *b)):
-        return _FULL
-    products = [x * y for x in a for y in b]
-    return (min(products), max(products))
-
-
-def _eval_interval(expr, env: dict[str, Interval]) -> Interval:
-    """Over-approximating interval of *expr* under variable ranges
-    *env* (parameters are point intervals)."""
-    from repro.iexpr.ast import (
-        Add, Div, IntConst, IntVar, Mod, Mul, Neg, Sub,
-    )
-
-    if isinstance(expr, IntConst):
-        return (expr.value, expr.value)
-    if isinstance(expr, IntVar):
-        return env.get(expr.name, _FULL)
-    if isinstance(expr, Add):
-        return _ivl_add(_eval_interval(expr.left, env),
-                        _eval_interval(expr.right, env))
-    if isinstance(expr, Sub):
-        return _ivl_sub(_eval_interval(expr.left, env),
-                        _eval_interval(expr.right, env))
-    if isinstance(expr, Neg):
-        return _ivl_neg(_eval_interval(expr.operand, env))
-    if isinstance(expr, Mul):
-        return _ivl_mul(_eval_interval(expr.left, env),
-                        _eval_interval(expr.right, env))
-    if isinstance(expr, Mod):
-        divisor = _eval_interval(expr.right, env)
-        if divisor[0] == divisor[1] and divisor[0] > 0:
-            return (0.0, divisor[0] - 1)
-        return _FULL
-    if isinstance(expr, Div):
-        dividend = _eval_interval(expr.left, env)
-        divisor = _eval_interval(expr.right, env)
-        finite = all(abs(x) != _INF for x in (*dividend, *divisor))
-        if finite and (divisor[0] > 0 or divisor[1] < 0):
-            quotients = [int(x / y) for x in dividend for y in divisor]
-            return (min(quotients), max(quotients))
-        return _FULL
-    return _FULL
-
-
-def _guard_conjuncts(guard) -> list:
-    from repro.iexpr.ast import GAnd
-
-    if guard is None:
-        return []
-    if isinstance(guard, GAnd):
-        result = []
-        for part in guard.parts:
-            result.extend(_guard_conjuncts(part))
-        return result
-    return [guard]
-
-
-def _refine_by_guard(guard, env: dict[str, Interval],
-                     variables: set[str]) -> dict[str, Interval] | None:
-    """Narrow *env* by the guard's top-level comparison conjuncts.
-
-    Only single-variable-vs-expression comparisons refine (sound: any
-    unhandled form simply refines nothing). Returns ``None`` when a
-    conjunct is provably unsatisfiable under *env* — the transition
-    can never fire from states in these ranges.
+    Returns ``{"configs": reachable configuration count, "states":
+    reachable state names, "overlaps": {state: [(step, [transition
+    descriptions])]}}``.
     """
-    from repro.iexpr.ast import Cmp, GConst, IntVar
-
-    refined = dict(env)
-    for conjunct in _guard_conjuncts(guard):
-        if isinstance(conjunct, GConst):
-            if not conjunct.value:
-                return None
-            continue
-        if not isinstance(conjunct, Cmp):
-            continue
-        op, left, right = conjunct.op, conjunct.left, conjunct.right
-        # normalize to VAR <op> EXPR when possible
-        if (isinstance(right, IntVar) and right.name in variables
-                and not (isinstance(left, IntVar)
-                         and left.name in variables)):
-            flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=",
-                    "==": "==", "!=": "!="}
-            op, left, right = flip[op], right, left
-        if not (isinstance(left, IntVar) and left.name in variables):
-            continue
-        bound = _eval_interval(right, refined)
-        lo, hi = refined.get(left.name, _FULL)
-        if op == "<":
-            hi = min(hi, bound[1] - 1)
-        elif op == "<=":
-            hi = min(hi, bound[1])
-        elif op == ">":
-            lo = max(lo, bound[0] + 1)
-        elif op == ">=":
-            lo = max(lo, bound[0])
-        elif op == "==":
-            lo, hi = max(lo, bound[0]), min(hi, bound[1])
-        # "!=" refines nothing
-        if lo > hi:
-            return None
-        refined[left.name] = (lo, hi)
-    return refined
-
-
-def _apply_actions(actions, env: dict[str, Interval]) -> dict[str, Interval]:
-    result = dict(env)
-    for action in actions:
-        value = _eval_interval(action.value, result)
-        if action.op == "=":
-            result[action.target] = value
-        elif action.op == "+=":
-            result[action.target] = _ivl_add(
-                result.get(action.target, _FULL), value)
-        elif action.op == "-=":
-            result[action.target] = _ivl_sub(
-                result.get(action.target, _FULL), value)
-        else:  # pragma: no cover - parser only emits the three forms
-            result[action.target] = _FULL
-    return result
-
-
-def _join(a: dict[str, Interval], b: dict[str, Interval],
-          names) -> dict[str, Interval]:
-    return {name: (min(a[name][0], b[name][0]),
-                   max(a[name][1], b[name][1]))
-            for name in names}
-
-
-def _widen(old: dict[str, Interval], new: dict[str, Interval],
-           names) -> dict[str, Interval]:
-    """Classic interval widening: any endpoint still moving jumps to
-    ±inf, guaranteeing termination."""
-    result = {}
-    for name in names:
-        lo = old[name][0] if new[name][0] >= old[name][0] else -_INF
-        hi = old[name][1] if new[name][1] <= old[name][1] else _INF
-        result[name] = (lo, hi)
-    return result
-
-
-def _automaton_interval_bound(runtime) -> int | None:
-    """Upper bound on an :class:`AutomatonRuntime`'s reachable local
-    state count via interval abstract interpretation, or ``None`` when
-    inconclusive (some variable range stays infinite)."""
-    definition = runtime.definition
-    names = sorted(runtime._vars)
-    if not names:
-        return max(1, len(definition.state_names()))
-    variables = set(names)
-    env = {name: (float(value), float(value))
-           for name, value in runtime._vars.items()}
-    env.update({name: (float(value), float(value))
-                for name, value in runtime._params.items()})
-
-    current = {name: env[name] for name in names}
-    params = {name: env[name] for name in env if name not in variables}
-    for round_number in range(_WIDEN_ROUNDS * 2):
-        stepped = dict(current)
-        for transition in definition.transitions:
-            entry = dict(current)
-            entry.update(params)
-            refined = _refine_by_guard(transition.guard, entry, variables)
-            if refined is None:
-                continue
-            after = _apply_actions(transition.actions, refined)
-            stepped = _join(stepped,
-                            {name: after[name] for name in names}, names)
-        if stepped == current:
-            break
-        if round_number >= _WIDEN_ROUNDS:
-            stepped = _widen(current, stepped, names)
-        current = stepped
-    else:  # pragma: no cover - widening forces convergence
+    alphabet = sorted(runtime.constrained_events)
+    if len(alphabet) > _MAX_LOCAL_ALPHABET:
         return None
+    steps = []
+    for mask in range(2 ** len(alphabet)):
+        steps.append(frozenset(
+            event for index, event in enumerate(alphabet)
+            if mask >> index & 1))
 
-    product = max(1, len(definition.state_names()))
-    for name in names:
-        lo, hi = current[name]
-        if lo == -_INF or hi == _INF:
-            return None
-        product *= int(hi) - int(lo) + 1
-    return product
+    probe = runtime.clone()
+    initial = probe.snapshot()
+    seen = {initial}
+    queue = [initial]
+    states: set[str] = set()
+    overlaps: dict[str, dict] = {}
+    while queue:
+        config = queue.pop(0)
+        for step in steps:
+            probe.restore(config)
+            enabled = probe.enabled_transitions(step)
+            if not enabled:
+                continue
+            if len(enabled) > 1:
+                record = overlaps.setdefault(probe.current_state, {})
+                key = tuple(f"{t.source}->{t.target}" for t in enabled)
+                record.setdefault(key, sorted(step))
+            probe.advance(step)
+            successor = probe.snapshot()
+            if successor not in seen:
+                if len(seen) >= _MAX_CONFIGS:
+                    return None
+                seen.add(successor)
+                queue.append(successor)
+    for config in seen:
+        probe.restore(config)
+        states.add(probe.current_state)
+    return {
+        "configs": len(seen),
+        "states": states,
+        "overlaps": {
+            state: [(step, list(key)) for key, step in record.items()]
+            for state, record in overlaps.items()
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +202,9 @@ _UNBOUNDED = -1  # sentinel: provably infinite local state space
 
 def _static_bound(runtime) -> int | None:
     """Exact-or-over-approximating local-state bound for the known
-    runtime classes; :data:`_UNBOUNDED` for provably infinite ones,
-    ``None`` when this tier cannot decide."""
+    runtime classes (an automaton's is its walk's configuration count);
+    :data:`_UNBOUNDED` for provably infinite ones, ``None`` when this
+    tier cannot decide."""
     from repro.ccsl.stateful import (
         CausesRuntime,
         DeadlineRuntime,
@@ -347,6 +214,7 @@ def _static_bound(runtime) -> int | None:
         PrecedesRuntime,
         SampledOnRuntime,
     )
+    from repro.errors import SemanticsError
     from repro.moccml.semantics.automata_rt import AutomatonRuntime
     from repro.moccml.semantics.runtime import (
         CompositeRuntime,
@@ -394,7 +262,11 @@ def _static_bound(runtime) -> int | None:
             product *= child_bound
         return product
     if isinstance(runtime, AutomatonRuntime):
-        return _automaton_interval_bound(runtime)
+        try:
+            walk = local_walk(runtime)
+        except SemanticsError:  # the closure reports it
+            return None
+        return None if walk is None else walk["configs"]
     return None
 
 
@@ -419,8 +291,7 @@ def classify_constraint(runtime, max_local_states: int,
                    f"encoding caps local alphabets at {max_alphabet}")
 
     bound = _static_bound(runtime)
-    method = ("interval" if isinstance(runtime, AutomatonRuntime)
-              else "static")
+    method = "walk" if isinstance(runtime, AutomatonRuntime) else "static"
     if bound == _UNBOUNDED:
         return ConstraintVerdict(
             label=label, encodable=False, method="static",

@@ -309,6 +309,10 @@ class TransitionSystem(TableStepper):
         iterations (no level-sensitive walk is in flight there) with
         the iterates the loop holds in locals as *in_flight*.
 
+        It is also the manager's trim point inside a fixpoint: each
+        call first drops every operation memo grown past its cap, so
+        the memos stay bounded for as long as a fixpoint runs.
+
         Once the table has grown past ``_reorder_at``, the live
         structure is probed first: the append-only table also counts
         every transient intermediate, so growth is often *churn* under
@@ -320,6 +324,7 @@ class TransitionSystem(TableStepper):
         trigger re-arms at twice the table.
         """
         bdd = self.bdd
+        bdd._trim_caches()
         if bdd.node_count() <= self._reorder_at or len(bdd.order) < 2:
             return
         roots = self._reorder_roots()

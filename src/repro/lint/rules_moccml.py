@@ -3,11 +3,15 @@
 One *exact bounded local walk* per
 :class:`~repro.moccml.semantics.automata_rt.AutomatonRuntime` instance
 answers both rules, so :func:`rule_automaton_walk` is registered under
-MOC001 and MOC002: a BFS over ``(state, variables)`` configurations
-via ``snapshot``/``restore`` on a clone, presenting every subset of the
+MOC001 and MOC002. The walk is the engine's
+(:func:`repro.engine.encodability.local_walk`), where it also bounds
+each automaton's local state count for the encodability predictor, and
+so for ENC001: a BFS over ``(state, variables)`` configurations via
+``snapshot``/``restore`` on a clone, presenting every subset of the
 instance's (small) local alphabet as a candidate step — the empty one
 too, as the engine's own closure does, since a transition without
-``when`` events fires on a step that leaves the alphabet out. The walk
+``when`` events fires on a step that leaves the alphabet out. An
+instance past the walk's caps gets no finding. The walk
 over-approximates what the instance sees inside the full model (global
 constraints can only *remove* steps), so states it never reaches are
 truly unreachable — but a reported guard overlap might not be
@@ -16,66 +20,10 @@ triggerable globally, which is why both rules stay WARN severity.
 
 from __future__ import annotations
 
+from repro.engine.encodability import local_walk
 from repro.lint.core import Diagnostic, register_rule
 from repro.lint.rules_ccsl import leaf_runtimes
 from repro.moccml.semantics.automata_rt import AutomatonRuntime
-
-#: local walks beyond these sizes are skipped (ENC001 covers runaway
-#: counters; 2**_MAX_LOCAL_ALPHABET step subsets are tried per config)
-_MAX_LOCAL_ALPHABET = 8
-_MAX_CONFIGS = 2048
-
-
-def local_walk(runtime: AutomatonRuntime) -> dict | None:
-    """Exact reachability of one instance under arbitrary environment
-    steps; ``None`` when the instance is too big to walk exhaustively.
-
-    Returns ``{"states": reachable state names, "overlaps": {state:
-    [(step, [transition descriptions])]}}``.
-    """
-    alphabet = sorted(runtime.constrained_events)
-    if len(alphabet) > _MAX_LOCAL_ALPHABET:
-        return None
-    steps = []
-    for mask in range(2 ** len(alphabet)):
-        steps.append(frozenset(
-            event for index, event in enumerate(alphabet)
-            if mask >> index & 1))
-
-    probe = runtime.clone()
-    initial = probe.snapshot()
-    seen = {initial}
-    queue = [initial]
-    states: set[str] = set()
-    overlaps: dict[str, dict] = {}
-    while queue:
-        config = queue.pop(0)
-        for step in steps:
-            probe.restore(config)
-            enabled = probe.enabled_transitions(step)
-            if not enabled:
-                continue
-            if len(enabled) > 1:
-                record = overlaps.setdefault(probe.current_state, {})
-                key = tuple(f"{t.source}->{t.target}" for t in enabled)
-                record.setdefault(key, sorted(step))
-            probe.advance(step)
-            successor = probe.snapshot()
-            if successor not in seen:
-                if len(seen) >= _MAX_CONFIGS:
-                    return None
-                seen.add(successor)
-                queue.append(successor)
-    for config in seen:
-        probe.restore(config)
-        states.add(probe.current_state)
-    return {
-        "states": states,
-        "overlaps": {
-            state: [(step, list(key)) for key, step in record.items()]
-            for state, record in overlaps.items()
-        },
-    }
 
 
 @register_rule(

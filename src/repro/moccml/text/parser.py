@@ -46,7 +46,14 @@ _INSTANTIATION_RE = re.compile(rf"^({_NAME}(?:\.{_NAME})?)\s*\((.*)\)$")
 
 
 def _strip_comments(text: str) -> str:
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
+    # a block comment becomes one space and its newlines move to the end
+    # of the line it closes on: a statement around it stays one line, and
+    # the lines after it keep their numbers
+    text = re.sub(r"/\*.*?\*/",
+                  lambda comment: " " + "\0" * comment[0].count("\n"),
+                  text, flags=re.DOTALL)
+    text = "\n".join(line.replace("\0", "") + "\n" * line.count("\0")
+                     for line in text.split("\n"))
     return re.sub(r"//[^\n]*", "", text)
 
 

@@ -60,8 +60,11 @@ enter the canonical document. A request rejected before execution
 (malformed document, unknown model name, a model description that does
 not load, a run document :data:`repro.workbench.artifacts.SCHEMA`
 refuses, draining server) gets a JSON ``{"error": ...}`` body naming
-the problem, with status 400 (or 503 while draining), and counts in
-``requests_failed``.
+the problem, with the status its :class:`ServeError` carries (400, or
+503 while draining; any other library error is a 400), and counts in
+``requests_failed``. A 503 means draining and nothing else: clients
+read it from the status, never from the message, so a model named
+``draining`` is refused 400 like any other undefined model.
 
 ``GET /healthz`` answers liveness (status, version, in-flight count);
 ``GET /metrics`` answers the full observability document (counters,
@@ -89,7 +92,7 @@ are joined, every kernel is evicted, and the final metrics snapshot is
 logged. No request is ever killed mid-run. A client whose kept
 connection a drain closed retries once on a fresh connection, which a
 drained server refuses, so :func:`~repro.serve.client.submit_or_local`
-runs the document locally.
+runs the document locally, as it does on a 503.
 """
 
 from repro.serve.client import (fetch_metrics, ping, run_local, submit,

@@ -112,7 +112,8 @@ def _get_json(server: str, path: str, timeout: float) -> dict:
     def read(response) -> dict:
         payload = response.read()
         if response.status != 200:
-            raise ServeError(f"GET {path} answered {response.status}")
+            raise ServeError(f"GET {path} answered {response.status}",
+                             status=response.status)
         return json.loads(payload.decode("utf-8"))
 
     return _call(server, "GET", path, None, timeout, read)
@@ -163,7 +164,8 @@ def submit(document, server: str, timeout: float | None = None,
             except Exception:
                 detail = response.reason
             raise ServeError(f"server rejected the request "
-                             f"({response.status}): {detail}")
+                             f"({response.status}): {detail}",
+                             status=response.status)
         results: dict[int, object] = {}
         summary = None
         for line in _lines(response):
@@ -205,15 +207,16 @@ def submit_or_local(document, server: str | None = None, store=None,
 
     Returns ``(results, origin)`` where *origin* is ``"server"`` or
     ``"local"``. Only *reachability* failures (connection refused,
-    reset, timeout, server draining) fall back — a reachable server
-    rejecting the document raises, because the document would fail
-    locally for the same reason.
+    reset, timeout) and a draining server fall back; draining is read
+    from the reply's status, 503, never from its message. A reachable
+    server rejecting the document (any other status) raises, because
+    the document would fail locally for the same reason.
     """
     if server:
         try:
             return submit(document, server, on_result=on_result), "server"
         except ServeError as exc:
-            if "draining" not in str(exc):
+            if exc.status != 503:
                 raise
         except OSError:
             pass

@@ -122,7 +122,8 @@ class AnalysisService:
         draining) — transports can still answer with a clean status.
         """
         if self._draining.is_set():
-            raise ServeError("server is draining; resubmit elsewhere")
+            raise ServeError("server is draining; resubmit elsewhere",
+                             status=503)
         from repro.workbench.artifacts import RunSpec
         from repro.workbench.session import Workbench
 
@@ -361,13 +362,12 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             summary = self.service.handle_request(document, emit)
         except repro.errors.ReproError as exc:
-            # ServeError (malformed request, draining) and everything a
-            # bad model document can raise while loading (FrontendError
-            # and friends) are the client's fault: answer, don't crash
-            # the handler thread
+            # answer, don't crash the handler thread: a ServeError
+            # (malformed request, draining) with the status it carries,
+            # and anything a bad model document raises while loading
+            # (FrontendError and friends) with 400
             self.service.metrics.count("requests_failed")
-            status = 503 if isinstance(exc, ServeError) \
-                and "draining" in str(exc) else 400
+            status = exc.status if isinstance(exc, ServeError) else 400
             if headers_sent:  # too late for a status line
                 emit({"serve": PROTOCOL, "error": str(exc)}, last=True)
             else:

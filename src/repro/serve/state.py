@@ -40,7 +40,13 @@ from repro.farm.fingerprint import canonical_json
 
 
 class ServeError(ReproError):
-    """A request document the service cannot honor."""
+    """A request document the service cannot honor, with the HTTP
+    *status* it is answered with: 400 (the document's fault) unless the
+    raiser says otherwise — 503 for a draining server's refusal."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 def model_key(source_doc: dict) -> str:

@@ -298,22 +298,13 @@ class Workbench:
     # -- running -----------------------------------------------------------
 
     def run(self, spec: RunSpec | dict | str) -> RunResult:
-        """Execute one spec (a :class:`RunSpec`, doc, or JSON text).
+        """Execute one spec (a :class:`RunSpec`, doc, or JSON text): a
+        :meth:`run_many` of one, under the handle's ``exec_lock``.
 
         With a session store the result is served from / written
         through the cache (``result.cached`` says which happened).
         """
-        spec = _coerce_spec(spec)
-        handle = self._resolve(spec)
-        if self.store is None:
-            return execute(spec, handle)
-        fingerprint = _try_fingerprint(try_model_prefix(handle), spec)
-        cached = _store_lookup(self.store, fingerprint)
-        if cached is not None:
-            return cached
-        result = execute(spec, handle)
-        _store_write(self.store, fingerprint, result)
-        return result
+        return self.run_many([spec])[0]
 
     # One wrapper per spec helper: the arguments pass through to it, so
     # its signature checks them and SCHEMA gives the defaults.

@@ -62,6 +62,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_ecl("def: e : Event\n")
 
+    def test_line_after_a_block_comment_keeps_its_number(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_ecl("/* a comment\n   over three\n   lines */\n"
+                      "def: e : Event\n")
+        assert excinfo.value.line == 4
+
     def test_bad_invariant(self):
         with pytest.raises(ParseError):
             parse_ecl("context A\n  inv I: whatever here\n")

@@ -639,6 +639,30 @@ class TestMemoBounds:
         sizes = {**kernel.cache_sizes(), **bdd.cache_sizes()}
         assert not any(sizes[name] for name in peaks if name in sizes), sizes
 
+    def test_fixpoint_safe_points_trim_the_manager(self, monkeypatch):
+        """``_maybe_reorder`` is the manager's trim point inside a
+        fixpoint: right after each call every ``Bdd.MEMOS`` row is at or
+        under its cap, and the symbolic documents equal uncapped ones."""
+        def battery(model):
+            return [check(model, text, strategy="symbolic").to_doc()
+                    for text in battery_texts(model)]
+
+        expected = battery(CORPUS["chain3-cap2"]())
+        for row in Bdd.MEMOS.values():
+            monkeypatch.setattr(row, "cap", 64)
+        readings = []
+        original = TransitionSystem._maybe_reorder
+
+        def spy(system, *in_flight):
+            original(system, *in_flight)
+            readings.append(system.bdd.cache_sizes())
+
+        monkeypatch.setattr(TransitionSystem, "_maybe_reorder", spy)
+        assert battery(CORPUS["chain3-cap2"]()) == expected
+        assert readings
+        for sizes in readings:
+            assert max(sizes.values()) <= 64, sizes
+
     def test_every_cache_attribute_is_a_row(self):
         """Warmed by an explore, a simulation and a symbolic battery with
         witnesses, a kernel, a compiled system and their managers hold

@@ -392,7 +392,7 @@ LINT_PINS = {
     "ccs-free-clock": "0cebfa2690aeaacdb74eb746da2ba5d001e120bb799b656aea464223324374c9",
     "ccs-periodic-clash": "be3514ddab637d9f8add4b3f5e32ad61bd5c7a9cbe1cde92aaaf7e451ceeba04",
     "ccs-zero-filter": "925209f3ec63845c866448535a6f5374cd69692dd9f02001d93ea3bdaa75d35d",
-    "dep-cross-processor": "01704709aeb2dc916ae462b8af6714cdb27c5d65adc4a5e6c09f75f12843f162",
+    "dep-cross-processor": "27061d4c927bfe332e4d843d05df9f5889cb543af10b99cfece69a014bc66b2d",
     "dep-missing-agent": "67d439463bc7f407d09d29018bab3d8361376b058489139e8853f82716375adf",
     "dep-shared-processor": "14db2c3322534afc11d4dffdb020e921f9d9cbdb91383786b7a03c21e6d62f23",
     "dep-unknown-entries": "86150842017302960b7001068117c0dcfcf820c39f5607873d1b7dd8772aed78",
@@ -405,25 +405,25 @@ LINT_PINS = {
     "fuzz-2015-1": "62e8adef0e433886e604c58df2b8152f9b0a8dafdcd60986baefbe0b332c2567",
     "fuzz-2015-10": "8577934b8d4e6782341aaaa0ead2d27de1a95d061f761c3658c150fce33cf6c9",
     "fuzz-2015-11": "0933489171766f733f4976947a57af74f81dac1efc5b86a180ccb87b2b13cd15",
-    "fuzz-2015-12": "cb05d61654acd7f51b8cbdb30ff30d83487ccbf7e0d1ef162a05482b1b81bd81",
+    "fuzz-2015-12": "40a4b13c4c6f8ae8c295dcd4f79f484f0fa3bfea9312d24acd168ec1ec49b0c1",
     "fuzz-2015-13": "2e93f6165b5a83ff0d670708424d5493d218d749df3f62bea460baf4730d1cdb",
     "fuzz-2015-14": "b9316ffd4d1a39cb2d8d7e91d349e483a749b902b1ba0a9925dcf8c55966ad3d",
     "fuzz-2015-15": "5dda387c84b8bdbfdbca4004c3b062464a9b9f3ac14ee84450d7d356f845cd84",
     "fuzz-2015-16": "d087bc3e38f6ad2615a59fb858c7f302cf33a7e0a68334de76db5bd2282cfe26",
-    "fuzz-2015-17": "67e36eb3b5c882789b8dc3eebbb315b38828ed7e6e7763468f821a6164cb993b",
+    "fuzz-2015-17": "bec2c175326b7009839fe1d72b40c3d8ba5d40b0cb8bd8c903bd28bf4e8bc2b3",
     "fuzz-2015-18": "83fd1be6d494826b3829e291769399f31fc204913ee1d0dce566227db10304bf",
     "fuzz-2015-19": "9d304f638cb6f5263f8fe938058e6a61c1460b343d6958616839a0baf7ccf157",
     "fuzz-2015-2": "88dee5665805ef67b1bac0be83b48c4a27b85b53ce47ededc20956ebd534d14a",
     "fuzz-2015-20": "d64d7ec8f568b35cd9efb4bd754ff3103d3550ceff26e5b88e771682b65c18e0",
     "fuzz-2015-21": "85837b133e3e04c1cf22f8f1861a09dfd13a2107fa282bfe05535651f88865cd",
-    "fuzz-2015-22": "bd046810af89d264eb1033058d3ad483a86d62beb72129bea606f9ec71725496",
+    "fuzz-2015-22": "d0743f0abe9b926e39278e60036b5ba69236562e7ced07b71a33e489d49b5673",
     "fuzz-2015-23": "a54984db3f8fff06493d656acec127ec4a51deab084293a074bb898dafd459b4",
     "fuzz-2015-24": "253f5f2ab78f2565804ab588d985d3d0de8cadc0aaecaff14ff52d5f3a2a94b9",
     "fuzz-2015-3": "bbd1ba6c2070e8e32e2566c607489dcf1c5e3c0d039b104af209daf7019a266a",
     "fuzz-2015-4": "714691f5c0072931bf82d58ab4914e06a7184b1364d3c1657967f68c482dc3b9",
     "fuzz-2015-5": "b34bb940fb20b53b50055984a787c397450bfa8eea8fe96138d392706a69392b",
     "fuzz-2015-6": "de2a9ac07a518113fb1142ab8b965a26c12ce2180f08bd986a8adb7e79001145",
-    "fuzz-2015-7": "1099d8daf7b93019241b0aa34a19c3333318c94ed1ab1810216e8c22b9bbb658",
+    "fuzz-2015-7": "b44fa02de608e6feb00d98c82d7f6fb5b06bc6ac97ba61ea2c7662f716da01ed",
     "fuzz-2015-8": "5820f5c4c80f4c81a1a47519b071d8e3d973cec6891ae214231c000a73d59cd9",
     "fuzz-2015-9": "376aebaedae12780dc08298e7dfd0a6e5611c233e29fa41d80c6e37b2285027c",
     "ker-all": "9cc291779b16e971af14e2a521ab5f4904042f1114f5d7bc15aa3068a0cc33a9",

@@ -130,6 +130,30 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_library("library L {\n  declaration C(a: float)\n}\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("library L {\n"
+         "  /* a comment\n"
+         "     over\n"
+         "     four lines\n"
+         "  */\n"
+         "  banana\n"
+         "}\n", 6),
+        # a comment inside a statement leaves the statement whole
+        ("library L {\n"
+         "  declaration C(a: event)\n"
+         "  automaton D implements C {\n"
+         "    initial state S\n"
+         "    transition S -> S /* fires\n"
+         "       on a */ when {a}\n"
+         "    banana\n"
+         "  }\n"
+         "}\n", 7),
+    ], ids=["between-statements", "inside-a-statement"])
+    def test_line_after_a_block_comment_keeps_its_number(self, text, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse_library(text)
+        assert excinfo.value.line == line
+
     def test_nostutter_flag(self):
         text = ("library L {\n"
                 "  declaration C(a: event)\n"

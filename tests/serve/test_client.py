@@ -97,9 +97,10 @@ class TestFallback:
         finally:
             server.drain()
 
-    def test_rejected_document_does_not_fall_back(self):
+    @pytest.mark.parametrize("model", ["ghost", "draining"])
+    def test_rejected_document_does_not_fall_back(self, model):
         bad = {"models": {}, "runs": [{"kind": "simulate",
-                                       "model": "ghost"}]}
+                                       "model": model}]}
         with serve(port=0).start() as server:
             with pytest.raises(ServeError):
                 submit_or_local(bad, server=server.url)

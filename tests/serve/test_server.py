@@ -176,6 +176,19 @@ class TestErrorPaths:
         with pytest.raises(ServeError, match="ghost"):
             submit(doc, server.url)
 
+    def test_undefined_model_named_draining_is_a_400(self, server):
+        # a 503 means the server is draining, whatever a message says
+        body = json.dumps({"models": {}, "runs": [
+            {"kind": "simulate", "model": "draining"}]}).encode()
+        request = urllib.request.Request(
+            server.url + "/run", data=body,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert "draining" in json.loads(excinfo.value.read())["error"]
+        assert_refused_cleanly(server)
+
     @pytest.mark.parametrize("run", [
         {"kind": "nonsense"},
     ] + [doc for _id, doc, _field in BAD_RUNS],

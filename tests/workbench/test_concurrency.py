@@ -6,11 +6,12 @@ backend), and one workbench must be shareable across threads with
 byte-identical results.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.workbench import ExploreSpec, SimulateSpec, Workbench
+from repro.workbench import ExploreSpec, SimulateSpec, Workbench, session
 
 APPLICATION = """
 application shared_demo {
@@ -137,6 +138,33 @@ class TestSharedWorkbench:
                         for future in [pool.submit(run)
                                        for _ in range(8)]]
         assert all(payload == reference for payload in payloads)
+
+    @pytest.mark.parametrize("call", ["run", "run_many"])
+    def test_a_run_holds_the_handle_exec_lock(self, workbench, monkeypatch,
+                                              call):
+        lock = workbench.handle("demo").exec_lock
+        held = []
+
+        def probe():
+            # another thread takes the lock only when no run holds it
+            acquired = lock.acquire(blocking=False)
+            if acquired:
+                lock.release()
+            held.append(not acquired)
+
+        def spy(spec, handle):
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=10)
+            return simulate(spec, handle)
+
+        simulate = session._EXECUTORS["simulate"]
+        monkeypatch.setitem(session._EXECUTORS, "simulate", spy)
+        spec = SimulateSpec("demo", steps=3)
+        result = (workbench.run(spec) if call == "run"
+                  else workbench.run_many([spec])[0])
+        assert result.ok
+        assert held == [True]
 
     def test_attach_aliases_without_renaming(self, workbench):
         handle = workbench.handle("demo")
